@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: tier1 build vet fmt test race bench serve-smoke driver-gate obs-gate
+.PHONY: tier1 build vet fmt test race bench serve-smoke driver-gate obs-gate fuzz-smoke
 
-tier1: build vet fmt race serve-smoke driver-gate obs-gate
+tier1: build vet fmt race serve-smoke driver-gate obs-gate fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,15 @@ bench:
 	BENCH_TRACE_JSON=BENCH_trace.json $(GO) test -run 'TestWriteTraceBenchJSON$$' -count=1 -v .
 	BENCH_KNOWLEDGE_JSON=BENCH_knowledge.json $(GO) test -run 'TestWriteKnowledgeBenchJSON$$' -count=1 -v .
 	BENCH_SERVE_JSON=$(CURDIR)/BENCH_serve.json $(GO) test -run 'TestWriteServeBenchJSON$$' -count=1 -v ./internal/serve
+
+# Short native-fuzzing pass over the three binary decoders that take
+# bytes from disk: the knowledge artifact, the FP-tree codec, and the
+# checkpoint envelope. Go fuzzes one target per invocation, hence one
+# line each.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeKnowledge$$' -fuzztime 5s ./internal/knowledge
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 5s ./internal/knowledge
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTree$$' -fuzztime 5s ./internal/fptree
 
 # Determinism gate for the distributed miner: the knowledge file from a
 # 2-shard driver run with spawned worker processes must be byte-for-byte
@@ -133,7 +142,10 @@ obs-gate:
 # incremental range edit (the response must say "scan": "incremental"),
 # another edit across a second SIGHUP reload (still 200, never
 # "failed"), the namer_sessions gauge at 1, close, and a 404 for an
-# edit after close. A TERM at the end checks clean shutdown. Every
+# edit after close. Then the knowledge file is overwritten with a file
+# in the retired v1 binary format: POST /debug/reload must answer 500
+# with an error naming version 1, and scans must keep answering 200
+# from the old bundle (/healthz still names the old knowledge hash). A TERM at the end checks clean shutdown. Every
 # histogram on /metrics must have le-ordered, cumulative buckets.
 # Finally a second server with -max-inflight 1: while a deliberately
 # slow scan (tens of thousands of generated statements) holds the only
@@ -305,6 +317,23 @@ serve-smoke:
 		-d '{"path":"s.py","version":4,"edits":[{"text":"x = 1\n"}]}' \
 		"http://$$addr/v1/session/$$sid/change"); \
 	[ "$$code" = 404 ] || { echo "serve-smoke: change after close returned $$code, want 404"; exit 1; }; \
+	cp "$$tmp/knowledge.bin" "$$tmp/knowledge.good"; \
+	hash1=$$(curl -s "http://$$addr/healthz" | grep -o '"knowledge_hash": *"[0-9a-f]*"'); \
+	printf '\236NKB\001\003\000\002Go' >"$$tmp/knowledge.bin"; \
+	code=$$(curl -s -o "$$tmp/reload-v1.json" -w '%{http_code}' -X POST "http://$$addr/debug/reload"); \
+	[ "$$code" = 500 ] || { echo "serve-smoke: reload of a v1 file returned $$code, want 500"; cat "$$tmp/reload-v1.json"; exit 1; }; \
+	grep -qF 'unsupported binary version 1' "$$tmp/reload-v1.json" || \
+		{ echo "serve-smoke: v1 reload error does not name version 1"; cat "$$tmp/reload-v1.json"; exit 1; }; \
+	code=$$(curl -s -o "$$tmp/scan5.json" -w '%{http_code}' -X POST \
+		-d '{"lang":"python","source":"upload_cnt = upload_count + 1\n","all":true}' \
+		"http://$$addr/v1/scan"); \
+	[ "$$code" = 200 ] || { echo "serve-smoke: scan after a failed v1 reload returned $$code"; cat "$$tmp/scan5.json"; exit 1; }; \
+	hash2=$$(curl -s "http://$$addr/healthz" | grep -o '"knowledge_hash": *"[0-9a-f]*"'); \
+	[ -n "$$hash1" ] && [ "$$hash1" = "$$hash2" ] || \
+		{ echo "serve-smoke: failed v1 reload changed the served knowledge ($$hash1 -> $$hash2)"; exit 1; }; \
+	curl -s "http://$$addr/metrics" | grep -qE '^namer_knowledge_reload_last_success 0' || \
+		{ echo "serve-smoke: failed v1 reload not reflected in namer_knowledge_reload_last_success"; exit 1; }; \
+	mv "$$tmp/knowledge.good" "$$tmp/knowledge.bin"; \
 	kill -TERM $$pid; wait $$pid || { echo "serve-smoke: unclean shutdown"; exit 1; }; \
 	pid=; \
 	"$$tmp/namer-serve" -addr 127.0.0.1:0 -knowledge "$$tmp/knowledge.bin" -max-inflight 1 \

@@ -2,10 +2,9 @@
 // over a corpus directory: it mines confusing word pairs from the commit
 // history (§3.2) and name patterns from the code (§3.3, Algorithms 1–2),
 // writing the result as a knowledge file for cmd/namer and
-// cmd/namer-train. The default output is the flat v2 binary format
-// (O(1) open in namer-serve); -format v1 writes the legacy compact
-// binary for pre-v2 readers, and a .json -out path writes the debug
-// format.
+// cmd/namer-train. The -out extension picks the encoding: a .json path
+// writes the pretty-printed debug format, anything else the checksummed
+// flat binary format that namer, namer-train, and namer-serve load.
 //
 // Long corpus runs are observable three ways: periodic progress lines on
 // stderr (files analyzed, statements, moving rate, ETA; FP-tree shapes
@@ -53,8 +52,6 @@ func main() {
 	dir := flag.String("dir", "corpus", "corpus directory (repositories as subdirectories)")
 	out := flag.String("out", "knowledge.bin",
 		"output knowledge file (flat binary; use a .json extension for the debug format)")
-	format := flag.String("format", "auto",
-		"knowledge encoding: auto (v2 binary, or JSON for .json paths) or v1 (legacy compact binary, for pre-v2 readers)")
 	minPatternCount := flag.Int("min-pattern-count", 0,
 		"FP-tree support threshold (0 = scale with corpus size)")
 	minPairCount := flag.Int("min-pair-count", 3, "confusing-pair support threshold")
@@ -179,7 +176,7 @@ func main() {
 		fmt.Printf("driver: map %v, reduce %v\n",
 			stats.MapWall.Round(time.Millisecond), stats.ReduceWall.Round(time.Millisecond))
 		printUsage(stats)
-		if err := saveKnowledge(*out, *format, k); err != nil {
+		if err := knowledge.Save(*out, k); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *out)
@@ -250,7 +247,7 @@ func main() {
 	_, sp = obs.StartSpan(ctx, "save_knowledge")
 	k, err := sys.ExportKnowledge()
 	if err == nil {
-		err = saveKnowledge(*out, *format, k)
+		err = knowledge.Save(*out, k)
 	}
 	sp.End()
 	if err != nil {
@@ -284,18 +281,6 @@ func printUsage(stats driver.Stats) {
 	for _, w := range stats.Workers {
 		fmt.Printf("driver: worker pid=%d cpu=%v maxrss=%dKB\n",
 			w.PID, w.CPU.Round(time.Millisecond), w.MaxRSSKB)
-	}
-}
-
-// saveKnowledge writes the artifact under the -format flag's encoding.
-func saveKnowledge(out, format string, k *knowledge.Artifact) error {
-	switch format {
-	case "auto", "":
-		return knowledge.Save(out, k)
-	case "v1":
-		return knowledge.SaveV1(out, k)
-	default:
-		return fmt.Errorf("unknown -format %q (want auto or v1)", format)
 	}
 }
 

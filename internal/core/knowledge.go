@@ -5,6 +5,7 @@ import (
 
 	"namer/internal/ast"
 	"namer/internal/confusion"
+	"namer/internal/features"
 	"namer/internal/knowledge"
 	"namer/internal/mining"
 	"namer/internal/ml"
@@ -14,7 +15,7 @@ import (
 // a fresh Namer process needs to detect issues in new code without
 // re-mining — the confusing word pairs, the name patterns, and the trained
 // defect classifier. It is an alias for knowledge.Artifact, which owns the
-// on-disk encodings (compact binary by default, JSON for debugging).
+// on-disk encodings (flat binary by default, JSON for debugging).
 type Knowledge = knowledge.Artifact
 
 // ExportKnowledge captures the system's mined and trained state.
@@ -66,8 +67,17 @@ func (s *System) ImportKnowledge(k *Knowledge) error {
 	}
 	index := mining.NewIndex(k.Patterns)
 	var classifier *ml.Pipeline
-	if k.Classifier != nil {
-		classifier = ml.Restore(k.Classifier)
+	if c := k.Classifier; c != nil {
+		// A classifier of the wrong shape restores fine but panics on the
+		// first Classify, so it must fail here, before the commit point.
+		if err := c.Validate(); err != nil {
+			return fmt.Errorf("core: %w (system left unchanged)", err)
+		}
+		if len(c.Mean) != features.Count {
+			return fmt.Errorf("core: classifier expects %d features, this build extracts %d (system left unchanged)",
+				len(c.Mean), features.Count)
+		}
+		classifier = ml.Restore(c)
 	}
 
 	// Commit point: nothing below can fail.

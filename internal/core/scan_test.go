@@ -8,17 +8,17 @@ import (
 
 	"namer/internal/ast"
 	"namer/internal/confusion"
+	"namer/internal/features"
 	"namer/internal/knowledge"
+	"namer/internal/ml"
 	"namer/internal/pattern"
 )
 
 // TestKnowledgeRoundTripBinary checks the acceptance criterion that the
-// binary formats round-trip byte-identical semantics with JSON: the same
-// mined system saved as JSON, v1 binary, and v2 binary loads into
-// systems that agree on every pattern, pair, violation, and classifier
-// decision. Size expectations differ per format: v1 (the compact varint
-// archive) stays at least 3x smaller than JSON, while v2 trades some of
-// that for O(1) open and must only beat JSON.
+// binary format round-trips byte-identical semantics with JSON: the same
+// mined system saved as JSON and as binary loads into systems that agree
+// on every pattern, pair, violation, and classifier decision, and the
+// binary file is the smaller one.
 func TestKnowledgeRoundTripBinary(t *testing.T) {
 	sys, c, violations := buildSystem(t, ast.Python, smallSystemConfig(ast.Python), smallCorpusConfig(ast.Python))
 	if len(violations) < 20 {
@@ -43,34 +43,20 @@ func TestKnowledgeRoundTripBinary(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "knowledge.json")
 	binPath := filepath.Join(dir, "knowledge.bin")
-	v1Path := filepath.Join(dir, "knowledge-v1.bin")
 	if err := sys.SaveKnowledge(jsonPath); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.SaveKnowledge(binPath); err != nil {
 		t.Fatal(err)
 	}
-	k, err := sys.ExportKnowledge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := knowledge.SaveV1(v1Path, k); err != nil {
-		t.Fatal(err)
-	}
 
 	jinfo, _ := os.Stat(jsonPath)
 	binfo, _ := os.Stat(binPath)
-	v1info, _ := os.Stat(v1Path)
-	t.Logf("knowledge sizes: json=%d bytes, v2=%d bytes (%.1fx), v1=%d bytes (%.1fx)",
-		jinfo.Size(), binfo.Size(), float64(jinfo.Size())/float64(binfo.Size()),
-		v1info.Size(), float64(jinfo.Size())/float64(v1info.Size()))
+	t.Logf("knowledge sizes: json=%d bytes, binary=%d bytes (%.1fx)",
+		jinfo.Size(), binfo.Size(), float64(jinfo.Size())/float64(binfo.Size()))
 	if binfo.Size() >= jinfo.Size() {
-		t.Errorf("v2 binary knowledge (%d bytes) is not smaller than JSON (%d bytes)",
+		t.Errorf("binary knowledge (%d bytes) is not smaller than JSON (%d bytes)",
 			binfo.Size(), jinfo.Size())
-	}
-	if v1info.Size()*3 > jinfo.Size() {
-		t.Errorf("v1 binary knowledge (%d bytes) is not >=3x smaller than JSON (%d bytes)",
-			v1info.Size(), jinfo.Size())
 	}
 
 	var files []*InputFile
@@ -91,37 +77,28 @@ func TestKnowledgeRoundTripBinary(t *testing.T) {
 	}
 	sysJ, vJ := load(jsonPath)
 	sysB, vB := load(binPath)
-	sys1, v1 := load(v1Path)
 
-	if len(sysJ.Patterns) != len(sysB.Patterns) || len(sysJ.Patterns) != len(sys1.Patterns) {
-		t.Fatalf("patterns: json %d vs v2 %d vs v1 %d",
-			len(sysJ.Patterns), len(sysB.Patterns), len(sys1.Patterns))
+	if len(sysJ.Patterns) != len(sysB.Patterns) {
+		t.Fatalf("patterns: json %d vs binary %d", len(sysJ.Patterns), len(sysB.Patterns))
 	}
 	for i := range sysJ.Patterns {
-		if sysJ.Patterns[i].Key() != sysB.Patterns[i].Key() ||
-			sysJ.Patterns[i].Key() != sys1.Patterns[i].Key() {
+		if sysJ.Patterns[i].Key() != sysB.Patterns[i].Key() {
 			t.Fatalf("pattern %d keys diverged", i)
 		}
 	}
-	if sysJ.Pairs.Len() != sysB.Pairs.Len() || sysJ.Pairs.Len() != sys1.Pairs.Len() {
-		t.Fatalf("pairs: json %d vs v2 %d vs v1 %d",
-			sysJ.Pairs.Len(), sysB.Pairs.Len(), sys1.Pairs.Len())
+	if sysJ.Pairs.Len() != sysB.Pairs.Len() {
+		t.Fatalf("pairs: json %d vs binary %d", sysJ.Pairs.Len(), sysB.Pairs.Len())
 	}
-	if len(vJ) != len(vB) || len(vJ) != len(v1) || len(vJ) != len(violations) {
-		t.Fatalf("violations: original %d, json %d, v2 %d, v1 %d",
-			len(violations), len(vJ), len(vB), len(v1))
+	if len(vJ) != len(vB) || len(vJ) != len(violations) {
+		t.Fatalf("violations: original %d, json %d, binary %d", len(violations), len(vJ), len(vB))
 	}
 	for i := range vJ {
-		a, b, c1 := vJ[i], vB[i], v1[i]
+		a, b := vJ[i], vB[i]
 		if a.Stmt.Path != b.Stmt.Path || a.Stmt.Line != b.Stmt.Line ||
 			a.Detail.Original != b.Detail.Original || a.Detail.Suggested != b.Detail.Suggested {
-			t.Fatalf("violation %d diverged between json and v2: %v vs %v", i, a.Detail, b.Detail)
+			t.Fatalf("violation %d diverged between json and binary: %v vs %v", i, a.Detail, b.Detail)
 		}
-		if a.Stmt.Path != c1.Stmt.Path || a.Stmt.Line != c1.Stmt.Line ||
-			a.Detail.Original != c1.Detail.Original || a.Detail.Suggested != c1.Detail.Suggested {
-			t.Fatalf("violation %d diverged between json and v1: %v vs %v", i, a.Detail, c1.Detail)
-		}
-		if sysJ.Classify(vJ[i]) != sysB.Classify(vB[i]) || sysJ.Classify(vJ[i]) != sys1.Classify(v1[i]) {
+		if sysJ.Classify(vJ[i]) != sysB.Classify(vB[i]) {
 			t.Fatalf("classification diverged at violation %d", i)
 		}
 	}
@@ -152,6 +129,13 @@ func TestImportKnowledgeAllOrNothing(t *testing.T) {
 		{Lang: "cobol", Pairs: confusion.NewPairSet()},
 		{Lang: "Python", Pairs: confusion.NewPairSet(), Patterns: append([]*pattern.Pattern{nil}, k.Patterns...)},
 		{Lang: "Python", Pairs: confusion.NewPairSet(), Patterns: []*pattern.Pattern{{Type: pattern.Consistency}}},
+		// A self-consistent classifier for one feature: Restore accepts it,
+		// but every Classify would index past its vectors.
+		{Lang: "Python", Pairs: confusion.NewPairSet(), Patterns: k.Patterns,
+			Classifier: &ml.PipelineState{Mean: []float64{0}, Std: []float64{1}, Weights: []float64{1}}},
+		// The right feature count, but a ragged PCA matrix.
+		{Lang: "Python", Pairs: confusion.NewPairSet(), Patterns: k.Patterns,
+			Classifier: raggedPCAState(features.Count)},
 	}
 	for i, b := range bad {
 		err := fresh.ImportKnowledge(b)
@@ -186,6 +170,18 @@ func TestImportKnowledgeAllOrNothing(t *testing.T) {
 	if fresh.cache != nil {
 		t.Fatal("stale file cache survived a knowledge import")
 	}
+}
+
+// raggedPCAState is classifier state for d features whose PCA matrix
+// has one row short of the d×d shape the weights need.
+func raggedPCAState(d int) *ml.PipelineState {
+	st := &ml.PipelineState{Mean: make([]float64, d), Std: make([]float64, d), UsePCA: true,
+		PCAMean: make([]float64, d), Weights: make([]float64, d)}
+	for i := 0; i < d; i++ {
+		st.PCACols = append(st.PCACols, make([]float64, d))
+	}
+	st.PCACols[d-1] = st.PCACols[d-1][:d-1]
+	return st
 }
 
 // nopCache is the minimal FileCache for cache-rotation assertions.

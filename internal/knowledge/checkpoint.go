@@ -72,20 +72,26 @@ func ReadCheckpointCtx(ctx context.Context, path, kind string) ([]byte, error) {
 // WriteCheckpoint writes payload to path inside a CRC-checked envelope,
 // atomically (temp file in the destination directory + rename).
 func WriteCheckpoint(path, kind string, payload []byte) error {
-	if len(kind) == 0 || len(kind) > maxCheckpointKind {
-		return fmt.Errorf("knowledge: invalid checkpoint kind %q", kind)
+	buf, err := encodeCheckpoint(kind, payload)
+	if err != nil {
+		return err
 	}
-	var scratch [binary.MaxVarintLen64]byte
+	return writeFileAtomic(path, buf)
+}
+
+// encodeCheckpoint renders the envelope; decodeCheckpoint is its inverse.
+func encodeCheckpoint(kind string, payload []byte) ([]byte, error) {
+	if len(kind) == 0 || len(kind) > maxCheckpointKind {
+		return nil, fmt.Errorf("knowledge: invalid checkpoint kind %q", kind)
+	}
 	buf := make([]byte, 0, len(payload)+len(kind)+32)
 	buf = append(buf, ckMagic[:]...)
-	buf = append(buf, scratch[:binary.PutUvarint(scratch[:], CheckpointVersion)]...)
-	buf = append(buf, scratch[:binary.PutUvarint(scratch[:], uint64(len(kind)))]...)
+	buf = binary.AppendUvarint(buf, CheckpointVersion)
+	buf = binary.AppendUvarint(buf, uint64(len(kind)))
 	buf = append(buf, kind...)
-	buf = append(buf, scratch[:binary.PutUvarint(scratch[:], uint64(len(payload)))]...)
+	buf = binary.AppendUvarint(buf, uint64(len(payload)))
 	buf = append(buf, payload...)
-	crc := crc32.Checksum(buf, crcTable)
-	buf = binary.LittleEndian.AppendUint32(buf, crc)
-	return writeFileAtomic(path, buf)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable)), nil
 }
 
 // ReadCheckpoint reads a checkpoint written by WriteCheckpoint,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"os"
 
 	"namer/internal/confusion"
 	"namer/internal/ml"
@@ -13,17 +12,16 @@ import (
 	"namer/internal/pattern"
 )
 
-// Binary format version 2: a flat, offset-based layout designed to be
-// used directly from a read-only byte slice (a plain file read or an
-// mmap). Nothing is materialized at open time — validation is a header
-// check, a CRC-32C checksum, and one bounds pass over the index
-// sections, after which every accessor reads the artifact in place.
-// All integers are fixed-width little-endian, so any record is O(1)
-// addressable:
+// Binary format version 2: a flat, offset-based layout. Decoding is a
+// header check, a CRC-32C checksum, and one bounds pass over the index
+// sections, followed by a single materializing pass over the
+// pre-validated tables. All integers are fixed-width little-endian, so
+// any record is O(1) addressable:
 //
-//	off   0  magic      4 bytes, 0x9E 'N' 'K' 'B' (shared with v1)
-//	off   4  version    1 byte, 2 (a valid uvarint, so v1 readers see
-//	                    "unsupported version 2", never a misparse)
+//	off   0  magic      4 bytes, 0x9E 'N' 'K' 'B'
+//	off   4  version    1 byte, 2 (version 1 was a retired varint
+//	                    stream; it is rejected by name, so an old
+//	                    artifact is re-mined, never misparsed)
 //	off   5  pad        3 zero bytes
 //	off   8  checksum   u32, CRC-32C over bytes [0,8) ++ [12,len)
 //	off  12  length     u32, total file length (rejects truncation and
@@ -49,8 +47,22 @@ import (
 // interned string table — the on-disk mirror of the arena layout the
 // FP-tree already uses in memory.
 
-// v2Version is the flat-format version byte.
-const v2Version = 2
+// magic identifies a binary knowledge file. The first byte is outside
+// ASCII so binary artifacts can never be confused with JSON.
+var magic = [4]byte{0x9E, 'N', 'K', 'B'}
+
+// Version is the binary format version. Decoders reject every other
+// version with a descriptive error instead of misparsing.
+const Version = 2
+
+// Decode sanity bounds: counts above these limits indicate a corrupt or
+// hostile file and fail fast instead of attempting a giant allocation.
+const (
+	maxStrings  = 1 << 26
+	maxPairs    = 1 << 26
+	maxPatterns = 1 << 26
+	maxFloats   = 1 << 24
+)
 
 // Header field indices (u32 slots starting at byte 16).
 const (
@@ -109,11 +121,11 @@ func v2Checksum(data []byte) uint32 {
 	return crc32.Update(c, crcTable, data[v2ChecksumOff+4:])
 }
 
-// encodeFlat renders the artifact in the v2 flat layout.
-func encodeFlat(a *Artifact) ([]byte, error) {
-	e := &encoder{byString: make(map[string]uint64)}
-	// Intern every string in the same deterministic order as v1, so the
-	// string table is stable across format versions.
+// EncodeBinary renders the artifact in the binary format.
+func EncodeBinary(a *Artifact) ([]byte, error) {
+	e := &stringTable{ids: make(map[string]uint32)}
+	// Intern every string in a deterministic order: lang, pairs, then
+	// pattern paths.
 	e.intern(a.Lang)
 	pairs := orderedPairs(a.Pairs)
 	for _, p := range pairs {
@@ -141,9 +153,9 @@ func encodeFlat(a *Artifact) ([]byte, error) {
 			if el.Index < 0 || el.Index > math.MaxInt32 {
 				return fmt.Errorf("knowledge: path element index %d out of int32 range", el.Index)
 			}
-			elems = append(elems, uint32(e.byString[el.Value]), uint32(el.Index))
+			elems = append(elems, e.ids[el.Value], uint32(el.Index))
 		}
-		fp.end = uint32(e.byString[np.End])
+		fp.end = e.ids[np.End]
 		paths = append(paths, fp)
 		return nil
 	}
@@ -221,7 +233,7 @@ func encodeFlat(a *Artifact) ([]byte, error) {
 		pos += uint32(n * size)
 		return off
 	}
-	h[hdrLang] = uint32(e.byString[a.Lang])
+	h[hdrLang] = e.ids[a.Lang]
 	h[hdrNumStrings] = uint32(len(e.strings))
 	h[hdrStrOffsOff] = place(len(e.strings)+1, 4)
 	h[hdrStrBlobOff] = place(strBlobLen, 1)
@@ -241,7 +253,7 @@ func encodeFlat(a *Artifact) ([]byte, error) {
 
 	buf := make([]byte, pos)
 	copy(buf, magic[:])
-	buf[4] = v2Version
+	buf[len(magic)] = Version
 	binary.LittleEndian.PutUint32(buf[v2LengthOff:], pos)
 	for i, f := range h {
 		binary.LittleEndian.PutUint32(buf[v2FieldsOff+4*i:], f)
@@ -261,8 +273,8 @@ func encodeFlat(a *Artifact) ([]byte, error) {
 	}
 	off = h[hdrPairsOff]
 	for _, p := range pairs {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(e.byString[p[0]]))
-		binary.LittleEndian.PutUint32(buf[off+4:], uint32(e.byString[p[1]]))
+		binary.LittleEndian.PutUint32(buf[off:], e.ids[p[0]])
+		binary.LittleEndian.PutUint32(buf[off+4:], e.ids[p[1]])
 		n := a.Pairs.Count(p[0], p[1])
 		if n < 0 || n > math.MaxInt32 {
 			return nil, fmt.Errorf("knowledge: pair count %d out of int32 range", n)
@@ -298,45 +310,81 @@ func encodeFlat(a *Artifact) ([]byte, error) {
 	return buf, nil
 }
 
-// View is a validated read-only view over a v2 artifact. It holds only
-// the raw bytes — no patterns, paths, or strings are materialized — so
-// opening one is O(1) in allocations regardless of artifact size, and N
-// processes can share one mapped file. Accessors read the flat layout
-// in place; Artifact materializes the traditional pointer form when a
-// scan index is needed. The underlying slice must not be mutated while
-// the View is in use.
-type View struct {
+// DecodeBinary parses a binary artifact, validating the magic, version,
+// length, checksum, every internal reference, the pattern shapes, and
+// the classifier shape. Corrupt, truncated, or other-versioned inputs
+// return descriptive errors — never panics.
+func DecodeBinary(data []byte) (*Artifact, error) {
+	v, err := openView(data)
+	if err != nil {
+		return nil, err
+	}
+	a := v.artifact()
+	if a.Classifier != nil {
+		if err := a.Classifier.Validate(); err != nil {
+			return nil, fmt.Errorf("knowledge: %w", err)
+		}
+	}
+	return a, nil
+}
+
+// orderedPairs returns the pair set in its canonical (count-desc,
+// lexicographic) order; nil sets encode as empty.
+func orderedPairs(ps *confusion.PairSet) [][2]string {
+	if ps == nil {
+		return nil
+	}
+	return ps.Pairs()
+}
+
+// stringTable interns strings in first-seen order, so every name
+// component is stored once and referenced by index.
+type stringTable struct {
+	strings []string
+	ids     map[string]uint32
+}
+
+func (t *stringTable) intern(s string) {
+	if _, ok := t.ids[s]; ok {
+		return
+	}
+	t.ids[s] = uint32(len(t.strings))
+	t.strings = append(t.strings, s)
+}
+
+func (t *stringTable) internPath(p namepath.Path) {
+	for _, el := range p.Prefix {
+		t.intern(el.Value)
+	}
+	t.intern(p.End)
+}
+
+// view is a validated read-only view over a v2 artifact: the raw bytes
+// plus the decoded header. openView runs every integrity check, so
+// artifact can materialize the tables without bounds errors. The
+// underlying slice must not be mutated while the view is in use.
+type view struct {
 	data []byte
 	h    [hdrFields]uint32
 }
 
-// Open reads path and returns a validated View. The file contents are
-// read once; everything afterwards is in-place access.
-func Open(path string) (*View, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	v, err := OpenBytes(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return v, nil
-}
-
-// OpenBytes validates data as a v2 artifact and returns a View over it.
-// Validation is the fixed-size header, the checksum, and one bounds
-// pass over the index sections — no tree construction, no per-pattern
-// allocation. After a nil error, no accessor can read out of bounds.
-func OpenBytes(data []byte) (*View, error) {
-	if len(data) < v2HeaderLen {
-		return nil, fmt.Errorf("knowledge: v2 artifact truncated (%d bytes, header needs %d)", len(data), v2HeaderLen)
-	}
-	if string(data[:len(magic)]) != string(magic[:]) {
+// openView validates data as a v2 artifact: the magic, the version, the
+// length field, the checksum, and one bounds pass over the index
+// sections. After a nil error, no read through the view can go out of
+// bounds.
+func openView(data []byte) (*view, error) {
+	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic[:]) {
 		return nil, fmt.Errorf("knowledge: not a binary knowledge file (bad magic)")
 	}
-	if data[4] != v2Version {
-		return nil, fmt.Errorf("knowledge: not a v2 artifact (version %d)", data[4])
+	if len(data) == len(magic) {
+		return nil, fmt.Errorf("knowledge: binary artifact truncated before the version byte")
+	}
+	if version := data[len(magic)]; version != Version {
+		return nil, fmt.Errorf("knowledge: unsupported binary version %d (this build reads only version %d; re-run namer-mine to regenerate the artifact)",
+			version, Version)
+	}
+	if len(data) < v2HeaderLen {
+		return nil, fmt.Errorf("knowledge: v2 artifact truncated (%d bytes, header needs %d)", len(data), v2HeaderLen)
 	}
 	if n := binary.LittleEndian.Uint32(data[v2LengthOff:]); uint64(n) != uint64(len(data)) {
 		return nil, fmt.Errorf("knowledge: v2 length field %d does not match file size %d (truncated or trailing bytes)", n, len(data))
@@ -344,7 +392,7 @@ func OpenBytes(data []byte) (*View, error) {
 	if got, want := v2Checksum(data), binary.LittleEndian.Uint32(data[v2ChecksumOff:]); got != want {
 		return nil, fmt.Errorf("knowledge: v2 checksum mismatch (file %08x, computed %08x)", want, got)
 	}
-	v := &View{data: data}
+	v := &view{data: data}
 	for i := range v.h {
 		v.h[i] = binary.LittleEndian.Uint32(data[v2FieldsOff+4*i:])
 	}
@@ -356,7 +404,7 @@ func OpenBytes(data []byte) (*View, error) {
 
 // section checks that count records of size bytes starting at off fit
 // inside the payload (and past the header), in overflow-safe arithmetic.
-func (v *View) section(what string, off, count uint32, size, limit int) error {
+func (v *view) section(what string, off, count uint32, size, limit int) error {
 	if uint64(count) > uint64(limit) {
 		return fmt.Errorf("knowledge: v2: implausible %s count %d", what, count)
 	}
@@ -371,7 +419,7 @@ func (v *View) section(what string, off, count uint32, size, limit int) error {
 // validate runs the one-shot bounds pass: every section inside the
 // file, string offsets monotone, and every cross-table index in range.
 // It allocates nothing.
-func (v *View) validate() error {
+func (v *view) validate() error {
 	h := &v.h
 	nStr := h[hdrNumStrings]
 	if err := v.section("string offset table", h[hdrStrOffsOff], nStr+1, 4, maxStrings+1); err != nil {
@@ -476,7 +524,7 @@ func (v *View) validate() error {
 // numFloats is the float-blob length implied by the classifier counts
 // (bias included when a classifier is present). Bounded by validate's
 // per-count limits, so the multiplication cannot overflow.
-func (v *View) numFloats() uint64 {
+func (v *view) numFloats() uint64 {
 	if v.h[hdrClsFlags]&clsPresent == 0 {
 		return 0
 	}
@@ -484,109 +532,30 @@ func (v *View) numFloats() uint64 {
 		uint64(v.h[hdrPCARows])*uint64(v.h[hdrPCACols]) + uint64(v.h[hdrNumWeights]) + 1
 }
 
-func (v *View) u32(off uint32) uint32 { return binary.LittleEndian.Uint32(v.data[off:]) }
+func (v *view) u32(off uint32) uint32 { return binary.LittleEndian.Uint32(v.data[off:]) }
 
 // str materializes string table entry i (validated to be in range).
-func (v *View) str(i uint32) string {
+func (v *view) str(i uint32) string {
 	lo := v.u32(v.h[hdrStrOffsOff] + 4*i)
 	hi := v.u32(v.h[hdrStrOffsOff] + 4*i + 4)
 	return string(v.data[v.h[hdrStrBlobOff]+lo : v.h[hdrStrBlobOff]+hi])
 }
 
 // strLen is str without the allocation, for validation predicates.
-func (v *View) strLen(i uint32) uint32 {
+func (v *view) strLen(i uint32) uint32 {
 	return v.u32(v.h[hdrStrOffsOff]+4*i+4) - v.u32(v.h[hdrStrOffsOff]+4*i)
 }
 
 // pathSymbolic reports whether path i ends in ϵ (the empty string).
-func (v *View) pathSymbolic(i uint32) bool {
+func (v *view) pathSymbolic(i uint32) bool {
 	return v.strLen(v.u32(v.h[hdrPathsOff]+i*v2PathSize+8)) == 0
 }
 
-// FormatVersion returns 2.
-func (v *View) FormatVersion() int { return v2Version }
-
-// Checksum returns the artifact's CRC-32C, usable as a cheap identity.
-func (v *View) Checksum() uint32 {
-	return binary.LittleEndian.Uint32(v.data[v2ChecksumOff:])
-}
-
-// Size returns the artifact size in bytes.
-func (v *View) Size() int { return len(v.data) }
-
-// Lang returns the knowledge language name.
-func (v *View) Lang() string { return v.str(v.h[hdrLang]) }
-
-// NumPatterns returns the pattern count without decoding any pattern.
-func (v *View) NumPatterns() int { return int(v.h[hdrNumPatterns]) }
-
-// NumPairs returns the confusing-pair count.
-func (v *View) NumPairs() int { return int(v.h[hdrNumPairs]) }
-
-// HasClassifier reports whether trained classifier state is present.
-func (v *View) HasClassifier() bool { return v.h[hdrClsFlags]&clsPresent != 0 }
-
-// Pair returns confusing pair i in place.
-func (v *View) Pair(i int) (mistaken, correct string, count int) {
-	off := v.h[hdrPairsOff] + uint32(i)*v2PairSize
-	return v.str(v.u32(off)), v.str(v.u32(off + 4)), int(v.u32(off + 8))
-}
-
-// path materializes path i, sharing the elem arena when one is given.
-func (v *View) path(i uint32, arena []namepath.Elem) namepath.Path {
-	off := v.h[hdrPathsOff] + i*v2PathSize
-	start, count := v.u32(off), v.u32(off+4)
-	var prefix []namepath.Elem
-	if arena != nil {
-		prefix = arena[start : start+count : start+count]
-	} else {
-		prefix = make([]namepath.Elem, count)
-		for j := uint32(0); j < count; j++ {
-			eoff := v.h[hdrElemsOff] + (start+j)*v2ElemSize
-			prefix[j] = namepath.Elem{Value: v.str(v.u32(eoff)), Index: int(v.u32(eoff + 4))}
-		}
-	}
-	return namepath.Path{Prefix: prefix, End: v.str(v.u32(off + 8))}.Memoized()
-}
-
-// pattern builds pattern i into p, using the shared path arena when
-// given (Artifact passes one; Pattern passes nil and decodes in place).
-func (v *View) pattern(i uint32, p *pattern.Pattern, paths []namepath.Path) {
-	off := v.h[hdrPatternsOff] + i*v2PatternSize
-	p.Type = pattern.Type(v.u32(off))
-	p.Count = int(v.u32(off + 4))
-	p.MatchCount = int(v.u32(off + 8))
-	p.SatisfyCount = int(v.u32(off + 12))
-	slice := func(start, count uint32) []namepath.Path {
-		if paths != nil {
-			return paths[start : start+count : start+count]
-		}
-		out := make([]namepath.Path, count)
-		for j := uint32(0); j < count; j++ {
-			out[j] = v.path(start+j, nil)
-		}
-		return out
-	}
-	p.Condition = slice(v.u32(off+16), v.u32(off+20))
-	p.Deduction = slice(v.u32(off+24), v.u32(off+28))
-}
-
-// Pattern materializes pattern i on demand — the rest of the artifact
-// stays untouched, which is what lets selective consumers (an explain
-// endpoint, a pattern browser) work off one shared artifact.
-func (v *View) Pattern(i int) *pattern.Pattern {
-	p := &pattern.Pattern{}
-	v.pattern(uint32(i), p, nil)
-	p.Key()
-	return p
-}
-
-// Artifact materializes the whole artifact into the traditional pointer
-// form (what the scan index consumes). Unlike the v1 decoder this is a
-// flat pass over pre-validated tables: the string table is decoded
-// once, path elements land in a single shared arena, and patterns are
-// one slab — so even the slow path allocates far less than v1.
-func (v *View) Artifact() *Artifact {
+// artifact materializes the whole artifact into the pointer form the
+// scan index consumes. It is a flat pass over pre-validated tables: the
+// string table is decoded once, path elements land in a single shared
+// arena, and patterns are one slab.
+func (v *view) artifact() *Artifact {
 	strs := make([]string, v.h[hdrNumStrings])
 	for i := range strs {
 		strs[i] = v.str(uint32(i))
@@ -610,16 +579,28 @@ func (v *View) Artifact() *Artifact {
 			End:    strs[v.u32(off+8)],
 		}.Memoized()
 	}
+	pathRange := func(off uint32) []namepath.Path {
+		start, count := v.u32(off), v.u32(off+4)
+		return paths[start : start+count : start+count]
+	}
 	if n := v.h[hdrNumPatterns]; n > 0 {
 		slab := make([]pattern.Pattern, n)
 		a.Patterns = make([]*pattern.Pattern, n)
-		for i := uint32(0); i < n; i++ {
-			v.pattern(i, &slab[i], paths)
+		for i := range slab {
+			off := v.h[hdrPatternsOff] + uint32(i)*v2PatternSize
+			slab[i] = pattern.Pattern{
+				Type:         pattern.Type(v.u32(off)),
+				Count:        int(v.u32(off + 4)),
+				MatchCount:   int(v.u32(off + 8)),
+				SatisfyCount: int(v.u32(off + 12)),
+				Condition:    pathRange(off + 16),
+				Deduction:    pathRange(off + 24),
+			}
 			a.Patterns[i] = &slab[i]
 		}
 	}
 	warmPatterns(a.Patterns)
-	if v.HasClassifier() {
+	if v.h[hdrClsFlags]&clsPresent != 0 {
 		c := &ml.PipelineState{UsePCA: v.h[hdrClsFlags]&clsUsePCA != 0}
 		off := v.h[hdrFloatsOff]
 		take := func(n uint32) []float64 {

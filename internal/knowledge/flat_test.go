@@ -3,6 +3,7 @@ package knowledge
 import (
 	"encoding/binary"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -18,8 +19,7 @@ func reseal(data []byte) {
 	binary.LittleEndian.PutUint32(data[v2ChecksumOff:], v2Checksum(data))
 }
 
-// largeArtifact builds an artifact with n synthetic consistency patterns
-// so alloc-constancy can be checked against a much bigger input.
+// largeArtifact builds an artifact with n synthetic consistency patterns.
 func largeArtifact(n int) *Artifact {
 	pairs := confusion.NewPairSet()
 	a := &Artifact{Lang: "Python", Pairs: pairs}
@@ -39,50 +39,6 @@ func largeArtifact(n int) *Artifact {
 		})
 	}
 	return a
-}
-
-func TestV1V2DecodeEquivalence(t *testing.T) {
-	for _, classifier := range []bool{false, true} {
-		a := sampleArtifact(t, "Python", classifier)
-		v1, err := EncodeBinaryV1(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v2, err := EncodeBinary(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v1[4] != 0x01 || v2[4] != 0x02 {
-			t.Fatalf("version bytes: v1=%#x v2=%#x", v1[4], v2[4])
-		}
-		fromV1, err := DecodeBinary(v1)
-		if err != nil {
-			t.Fatalf("decode v1: %v", err)
-		}
-		fromV2, err := DecodeBinary(v2)
-		if err != nil {
-			t.Fatalf("decode v2: %v", err)
-		}
-		assertEqualArtifacts(t, a, fromV1)
-		assertEqualArtifacts(t, a, fromV2)
-		assertEqualArtifacts(t, fromV1, fromV2)
-	}
-}
-
-func TestSaveV1LoadsViaDispatch(t *testing.T) {
-	a := sampleArtifact(t, "Java", true)
-	path := filepath.Join(t.TempDir(), "k.bin")
-	if err := SaveV1(path, a); err != nil {
-		t.Fatal(err)
-	}
-	back, info, err := LoadWithInfo(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEqualArtifacts(t, a, back)
-	if info.Format != FormatBinary || info.FormatVersion != VersionV1 {
-		t.Fatalf("v1 artifact reported as %v v%d", info.Format, info.FormatVersion)
-	}
 }
 
 func TestLoadWithInfoIdentity(t *testing.T) {
@@ -126,72 +82,6 @@ func TestLoadWithInfoIdentity(t *testing.T) {
 	}
 }
 
-func TestViewAccessors(t *testing.T) {
-	a := sampleArtifact(t, "Python", true)
-	data, err := EncodeBinary(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := OpenBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.FormatVersion() != 2 || v.Size() != len(data) {
-		t.Fatalf("FormatVersion=%d Size=%d", v.FormatVersion(), v.Size())
-	}
-	if v.Checksum() != v2Checksum(data) {
-		t.Fatal("Checksum does not match recomputed CRC")
-	}
-	if v.Lang() != "Python" || v.NumPatterns() != len(a.Patterns) || v.NumPairs() != a.Pairs.Len() {
-		t.Fatalf("Lang=%q NumPatterns=%d NumPairs=%d", v.Lang(), v.NumPatterns(), v.NumPairs())
-	}
-	if !v.HasClassifier() {
-		t.Fatal("classifier not visible through the view")
-	}
-	wantPairs := a.Pairs.Pairs()
-	for i := range wantPairs {
-		m, c, n := v.Pair(i)
-		if m != wantPairs[i][0] || c != wantPairs[i][1] || n != a.Pairs.Count(m, c) {
-			t.Fatalf("Pair(%d) = %q %q %d", i, m, c, n)
-		}
-	}
-	for i := range a.Patterns {
-		if got, want := v.Pattern(i).Key(), a.Patterns[i].Key(); got != want {
-			t.Fatalf("Pattern(%d) key %q, want %q", i, got, want)
-		}
-	}
-	assertEqualArtifacts(t, a, v.Artifact())
-}
-
-// TestOpenBytesConstantAllocs pins the headline v2 property: opening an
-// artifact allocates a constant amount regardless of how much knowledge
-// it holds.
-func TestOpenBytesConstantAllocs(t *testing.T) {
-	small, err := EncodeBinary(largeArtifact(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := EncodeBinary(largeArtifact(2000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	measure := func(data []byte) float64 {
-		return testing.AllocsPerRun(100, func() {
-			if _, err := OpenBytes(data); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	smallAllocs, bigAllocs := measure(small), measure(big)
-	if smallAllocs != bigAllocs {
-		t.Fatalf("open allocs scale with artifact size: %v (1 pattern) vs %v (2000 patterns)",
-			smallAllocs, bigAllocs)
-	}
-	if bigAllocs > 4 {
-		t.Fatalf("open allocates %v times, want O(1) (≤4)", bigAllocs)
-	}
-}
-
 func TestV2LargeRoundTrip(t *testing.T) {
 	a := largeArtifact(500)
 	data, err := EncodeBinary(a)
@@ -219,11 +109,8 @@ func TestV2HeaderFieldCorruption(t *testing.T) {
 		bad := append([]byte{}, data...)
 		binary.LittleEndian.PutUint32(bad[v2FieldsOff+4*field:], 0xFFFFFFFF)
 		reseal(bad)
-		if _, err := OpenBytes(bad); err == nil {
-			t.Errorf("header field %d set to 0xFFFFFFFF accepted", field)
-		}
 		if _, err := DecodeBinary(bad); err == nil {
-			t.Errorf("header field %d corruption accepted via DecodeBinary", field)
+			t.Errorf("header field %d set to 0xFFFFFFFF accepted", field)
 		}
 	}
 }
@@ -237,7 +124,7 @@ func TestV2TargetedCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := OpenBytes(data)
+	v, err := openView(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +135,7 @@ func TestV2TargetedCorruption(t *testing.T) {
 		bad := append([]byte{}, data...)
 		binary.LittleEndian.PutUint32(bad[off:], val)
 		reseal(bad)
-		_, err := OpenBytes(bad)
+		_, err := DecodeBinary(bad)
 		if err == nil {
 			t.Errorf("%s: accepted", name)
 			return
@@ -274,6 +161,10 @@ func TestV2TargetedCorruption(t *testing.T) {
 	corrupt("pattern type", h[hdrPatternsOff], 99, "unknown type")
 	// Consistency pattern with the wrong deduction arity.
 	corrupt("pattern deduction arity", h[hdrPatternsOff]+28, 1, "pattern 0")
+	// Classifier vectors that disagree in shape pass the bounds pass but
+	// would panic on the first Classify.
+	corrupt("classifier std count", v2FieldsOff+4*hdrNumStd, h[hdrNumStd]-1, "std")
+	corrupt("classifier pca cols", v2FieldsOff+4*hdrPCACols, h[hdrPCACols]-1, "columns")
 
 	// Version byte corruption still mentions "version".
 	bad := append([]byte{}, data...)
@@ -286,14 +177,13 @@ func TestV2TargetedCorruption(t *testing.T) {
 	// Length field mismatch is caught before the checksum runs.
 	bad = append([]byte{}, data...)
 	binary.LittleEndian.PutUint32(bad[v2LengthOff:], uint32(len(bad))+8)
-	if _, err := OpenBytes(bad); err == nil || !strings.Contains(err.Error(), "length") {
+	if _, err := DecodeBinary(bad); err == nil || !strings.Contains(err.Error(), "length") {
 		t.Errorf("length mismatch: got %v", err)
 	}
 }
 
-// TestV2EveryByteFlipRejected: unlike v1 (where some flips land in
-// don't-care bits), v2 is fully checksummed, so flipping any byte must
-// produce an error.
+// TestV2EveryByteFlipRejected: v2 is fully checksummed, so flipping any
+// byte must produce an error.
 func TestV2EveryByteFlipRejected(t *testing.T) {
 	a := sampleArtifact(t, "Python", true)
 	data, err := EncodeBinary(a)
@@ -303,23 +193,31 @@ func TestV2EveryByteFlipRejected(t *testing.T) {
 	for i := range data {
 		bad := append([]byte{}, data...)
 		bad[i] ^= 0x55
-		if _, err := OpenBytes(bad); err == nil {
+		if _, err := DecodeBinary(bad); err == nil {
 			t.Fatalf("flip at byte %d accepted", i)
 		}
 	}
 }
 
+// TestOpenFileErrors: a missing file fails, and so does a file in the
+// retired v1 varint format, which shares the magic: its error must name
+// the version and say how to recover, whatever follows the version byte.
 func TestOpenFileErrors(t *testing.T) {
-	if _, err := Open(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
-		t.Fatal("missing file opened")
+	dir := t.TempDir()
+	if _, err := Load(filepath.Join(dir, "missing.bin")); err == nil {
+		t.Fatal("missing file loaded")
 	}
-	a := sampleArtifact(t, "Go", false)
-	path := filepath.Join(t.TempDir(), "k1.bin")
-	if err := SaveV1(path, a); err != nil {
-		t.Fatal(err)
-	}
-	// Open is v2-only; v1 artifacts go through Load/DecodeBinary.
-	if _, err := Open(path); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("v1 artifact through Open: %v", err)
+	for name, data := range map[string][]byte{
+		"v1 header only": {0x9E, 'N', 'K', 'B', 0x01},
+		"v1 body":        append([]byte{0x9E, 'N', 'K', 'B', 0x01, 0x03, 0x00, 0x02, 'G', 'o'}, make([]byte, 200)...),
+	} {
+		path := filepath.Join(dir, "k.bin")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(path)
+		if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "namer-mine") {
+			t.Errorf("%s: got %v, want an unsupported-version-1 error naming namer-mine", name, err)
+		}
 	}
 }

@@ -35,18 +35,18 @@ func seedArtifact() *Artifact {
 }
 
 // fuzzSeedArtifacts returns the raw encodings seeded into the fuzz
-// corpus: both binary versions, JSON, and an empty artifact.
+// corpus: binary and JSON renderings of a fully populated artifact, an
+// empty one, and one whose classifier is well formed but too short for
+// the feature extractor (the decoder accepts it; core rejects it).
 func fuzzSeedArtifacts(t testing.TB) [][]byte {
 	t.Helper()
 	full := seedArtifact()
 	empty := &Artifact{Lang: "Go", Pairs: confusion.NewPairSet()}
+	short := &Artifact{Lang: "Python", Pairs: confusion.NewPairSet(),
+		Classifier: &ml.PipelineState{Mean: []float64{0}, Std: []float64{1}, Weights: []float64{1}}}
 	var seeds [][]byte
-	for _, a := range []*Artifact{full, empty} {
-		v2, err := EncodeBinary(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1, err := EncodeBinaryV1(a)
+	for _, a := range []*Artifact{full, empty, short} {
+		bin, err := EncodeBinary(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,15 +54,19 @@ func fuzzSeedArtifacts(t testing.TB) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seeds = append(seeds, v2, v1, j)
+		seeds = append(seeds, bin, j)
 	}
+	// A ragged PCA matrix parses as JSON but cannot be re-encoded, so the
+	// classifier shape check must reject it.
+	seeds = append(seeds, []byte(`{"lang":"Python","classifier":{"mean":[0,1],"std":[1,1],"use_pca":true,`+
+		`"pca_mean":[0,0],"pca_components":[[1,0],[0]],"weights":[1,1],"bias":0}}`))
 	return seeds
 }
 
-// FuzzDecodeKnowledge throws arbitrary bytes at every decode entry
-// point. The invariants: no panic, no decode of garbage into something
-// that fails to re-encode, and a successful decode must survive a
-// v2 re-encode → re-decode round trip losslessly.
+// FuzzDecodeKnowledge throws arbitrary bytes at the decode entry point.
+// The invariants: no panic, no decode of garbage into something that
+// fails to re-encode, and a successful decode must survive a binary
+// re-encode → re-decode round trip losslessly.
 func FuzzDecodeKnowledge(f *testing.F) {
 	for _, seed := range fuzzSeedArtifacts(f) {
 		f.Add(seed)
@@ -76,14 +80,11 @@ func FuzzDecodeKnowledge(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("{\"lang\":\"Python\"}"))
 	f.Add([]byte{0x9E, 'N', 'K', 'B'})
+	f.Add([]byte{0x9E, 'N', 'K', 'B', 0x01}) // the retired v1 header
 	f.Add([]byte{0x9E, 'N', 'K', 'B', 0x02})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// OpenBytes must never panic or over-read, whatever the input.
-		if v, err := OpenBytes(data); err == nil {
-			v.Artifact() // pre-validated: must not panic either
-		}
 		a, err := Decode(data)
 		if err != nil {
 			return
@@ -105,6 +106,46 @@ func FuzzDecodeKnowledge(f *testing.F) {
 			if a.Patterns[i].Key() != back.Patterns[i].Key() {
 				t.Fatalf("pattern %d key diverged", i)
 			}
+		}
+	})
+}
+
+// FuzzDecodeCheckpoint throws arbitrary bytes at the checkpoint envelope
+// decoder, seeded with one envelope of each kind the mining driver
+// writes. The invariants: an error or a value, never a panic, and an
+// accepted envelope re-encodes to one that decodes to the same kind and
+// payload.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	for _, kind := range []string{"shard-stmts", "reduce-counts", "shard-trees"} {
+		env, err := encodeCheckpoint(kind, []byte{0x02, 0x05, 'a', 'b', 'c', 0x00, 0x81, 0x01})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(env)
+		f.Add(env[:len(env)/2])
+		flipped := append([]byte{}, env...)
+		flipped[len(flipped)/3] ^= 0x55
+		f.Add(flipped)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0x9F, 'N', 'C', 'K'})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payload, kind, err := decodeCheckpoint(data)
+		if err != nil {
+			return
+		}
+		re, err := encodeCheckpoint(kind, payload)
+		if err != nil {
+			t.Fatalf("accepted envelope (kind %q) failed to re-encode: %v", kind, err)
+		}
+		payload2, kind2, err := decodeCheckpoint(re)
+		if err != nil {
+			t.Fatalf("re-encoded envelope failed to decode: %v", err)
+		}
+		if kind2 != kind || !bytes.Equal(payload2, payload) {
+			t.Fatalf("round trip diverged: kind %q -> %q, %d -> %d payload bytes",
+				kind, kind2, len(payload), len(payload2))
 		}
 	})
 }

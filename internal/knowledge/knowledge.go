@@ -5,11 +5,9 @@
 //
 // Two on-disk formats are supported and auto-detected:
 //
-//   - a versioned binary format, the default for production artifacts.
-//     The current version (v2, flat.go) is a flat offset-based layout
-//     openable in place from a read-only byte slice via Open/OpenBytes
-//     with O(1) allocations; the legacy varint stream (v1, below) stays
-//     fully readable and writable via EncodeBinaryV1/SaveV1; and
+//   - a versioned binary format (flat.go), the default for production
+//     artifacts: one checksummed buffer of fixed-width tables over an
+//     interned string table; and
 //   - pretty-printed JSON, kept as the human-inspectable debug format.
 //
 // Save picks the format from the file extension (".json" means JSON,
@@ -22,7 +20,6 @@ package knowledge
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -107,6 +104,11 @@ func DecodeJSON(data []byte) (*Artifact, error) {
 			return nil, fmt.Errorf("knowledge: pattern %d has negative stats", i)
 		}
 	}
+	if a.Classifier != nil {
+		if err := a.Classifier.Validate(); err != nil {
+			return nil, fmt.Errorf("knowledge: %w", err)
+		}
+	}
 	warmPatterns(a.Patterns)
 	return a, nil
 }
@@ -133,16 +135,6 @@ func Decode(data []byte) (*Artifact, error) {
 // partially written artifact and a crash cannot corrupt an existing one.
 func Save(path string, a *Artifact) error {
 	data, err := Encode(a, FormatForPath(path))
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(path, data)
-}
-
-// SaveV1 writes the artifact to path atomically in the legacy v1 binary
-// format, for artifacts consumed by pre-v2 readers.
-func SaveV1(path string, a *Artifact) error {
-	data, err := EncodeBinaryV1(a)
 	if err != nil {
 		return err
 	}
@@ -185,11 +177,8 @@ func LoadWithInfo(path string) (*Artifact, Info, error) {
 		ContentHash: hex.EncodeToString(sum[:]),
 		LoadedAt:    time.Now(),
 	}
-	if info.Format == FormatBinary && len(data) > len(magic) {
-		// The version is the uvarint at offset 4 for every binary version;
-		// Decode already validated it.
-		v, _ := binary.Uvarint(data[len(magic):])
-		info.FormatVersion = int(v)
+	if info.Format == FormatBinary {
+		info.FormatVersion = Version // Decode accepts no other version
 	}
 	return a, info, nil
 }

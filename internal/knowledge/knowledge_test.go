@@ -251,6 +251,17 @@ func TestCorruptInputsErrorNotPanic(t *testing.T) {
 	if _, err := Decode([]byte(`{"lang":"Python","patterns":[{"type":"consistency","deduction":["x"]}]}`)); err == nil {
 		t.Fatal("invalid pattern accepted")
 	}
+	// Classifier vectors that disagree in shape would panic on the first
+	// prediction (or, for a ragged PCA matrix, fail to re-encode).
+	for name, js := range map[string]string{
+		"short std": `{"lang":"Python","classifier":{"mean":[0,1],"std":[1],"weights":[1,1]}}`,
+		"ragged pca": `{"lang":"Python","classifier":{"mean":[0,1],"std":[1,1],"use_pca":true,` +
+			`"pca_mean":[0,0],"pca_components":[[1,0],[0]],"weights":[1,1]}}`,
+	} {
+		if _, err := Decode([]byte(js)); err == nil || !strings.Contains(err.Error(), "classifier") {
+			t.Errorf("%s: got %v, want a classifier shape error", name, err)
+		}
+	}
 }
 
 func TestEmptyArtifactRoundTrip(t *testing.T) {

@@ -64,6 +64,37 @@ func (p *Pipeline) Export() (*PipelineState, error) {
 	return st, nil
 }
 
+// Validate checks that the state's vectors agree in shape, so Restore
+// builds a pipeline that can transform a len(Mean) sample without
+// indexing out of range: Std matches Mean; with PCA, the PCA mean and
+// row count match Mean and every row has one column per weight;
+// without PCA, there is one weight per feature and no PCA state.
+func (st *PipelineState) Validate() error {
+	d := len(st.Mean)
+	if len(st.Std) != d {
+		return fmt.Errorf("ml: classifier has %d std entries for %d means", len(st.Std), d)
+	}
+	if !st.UsePCA {
+		if len(st.PCAMean) != 0 || len(st.PCACols) != 0 {
+			return fmt.Errorf("ml: classifier carries PCA state with PCA disabled")
+		}
+		if len(st.Weights) != d {
+			return fmt.Errorf("ml: classifier has %d weights for %d features", len(st.Weights), d)
+		}
+		return nil
+	}
+	if len(st.PCAMean) != d || len(st.PCACols) != d {
+		return fmt.Errorf("ml: classifier PCA has mean %d and %d rows for %d features",
+			len(st.PCAMean), len(st.PCACols), d)
+	}
+	for i, row := range st.PCACols {
+		if len(row) != len(st.Weights) {
+			return fmt.Errorf("ml: classifier PCA row %d has %d columns for %d weights", i, len(row), len(st.Weights))
+		}
+	}
+	return nil
+}
+
 // Restore rebuilds a pipeline from exported state.
 func Restore(st *PipelineState) *Pipeline {
 	p := &Pipeline{UsePCA: st.UsePCA}

@@ -70,3 +70,38 @@ func TestLinearModelInterfaces(t *testing.T) {
 	}
 	m.Fit(nil, nil) // no-op must not panic
 }
+
+// TestPipelineStateValidate: every exported state passes the shape
+// check, and each way a state can disagree with itself fails it.
+func TestPipelineStateValidate(t *testing.T) {
+	X, y := synthData(80, 23)
+	for _, usePCA := range []bool{false, true} {
+		p := &Pipeline{UsePCA: usePCA, PCAK: 2, NewModel: func() Classifier {
+			return &LogisticRegression{Epochs: 20, Seed: 23}
+		}}
+		p.Fit(X, y)
+		st, err := p.Export()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Validate(); err != nil {
+			t.Fatalf("exported state (pca=%v) rejected: %v", usePCA, err)
+		}
+	}
+	bad := map[string]*PipelineState{
+		"short std":       {Mean: []float64{0, 0}, Std: []float64{1}, Weights: []float64{1, 1}},
+		"short weights":   {Mean: []float64{0, 0}, Std: []float64{1, 1}, Weights: []float64{1}},
+		"pca without use": {Mean: []float64{0}, Std: []float64{1}, Weights: []float64{1}, PCAMean: []float64{0}},
+		"pca mean": {Mean: []float64{0, 0}, Std: []float64{1, 1}, UsePCA: true,
+			PCAMean: []float64{0}, PCACols: [][]float64{{1}, {1}}, Weights: []float64{1}},
+		"pca rows": {Mean: []float64{0, 0}, Std: []float64{1, 1}, UsePCA: true,
+			PCAMean: []float64{0, 0}, PCACols: [][]float64{{1}}, Weights: []float64{1}},
+		"ragged pca": {Mean: []float64{0, 0}, Std: []float64{1, 1}, UsePCA: true,
+			PCAMean: []float64{0, 0}, PCACols: [][]float64{{1, 0}, {0}}, Weights: []float64{1, 1}},
+	}
+	for name, st := range bad {
+		if err := st.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

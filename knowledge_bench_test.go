@@ -15,17 +15,16 @@ import (
 	"namer/internal/knowledge"
 )
 
-// knowledgeBenchArtifacts mines one representative system (patterns +
-// pairs + trained classifier) and saves it in all three on-disk formats
-// (JSON debug, v1 compact binary, v2 flat binary), shared by all
-// knowledge benches in the run.
+// knowledgeBenchPaths mines one representative system (patterns + pairs
+// + trained classifier) and saves it in both on-disk formats (JSON debug
+// and flat binary), shared by all knowledge benches in the run.
 var (
 	knowledgeOnce sync.Once
 	knowledgeDir  string
 	knowledgeErr  error
 )
 
-func knowledgeBenchPaths() (jsonPath, v1Path, v2Path string, err error) {
+func knowledgeBenchPaths() (jsonPath, binPath string, err error) {
 	knowledgeOnce.Do(func() {
 		opts := benchOptions(ast.Python)
 		c := corpus.Generate(opts.Corpus)
@@ -62,24 +61,12 @@ func knowledgeBenchPaths() (jsonPath, v1Path, v2Path string, err error) {
 		if knowledgeErr = sys.SaveKnowledge(filepath.Join(knowledgeDir, "k.json")); knowledgeErr != nil {
 			return
 		}
-		// SaveKnowledge writes the current (v2) binary format; the legacy
-		// v1 encoding needs the artifact and the explicit writer.
-		if knowledgeErr = sys.SaveKnowledge(filepath.Join(knowledgeDir, "k.bin")); knowledgeErr != nil {
-			return
-		}
-		k, err := sys.ExportKnowledge()
-		if err != nil {
-			knowledgeErr = err
-			return
-		}
-		knowledgeErr = knowledge.SaveV1(filepath.Join(knowledgeDir, "k.v1.bin"), k)
+		knowledgeErr = sys.SaveKnowledge(filepath.Join(knowledgeDir, "k.bin"))
 	})
 	if knowledgeErr != nil {
-		return "", "", "", knowledgeErr
+		return "", "", knowledgeErr
 	}
-	return filepath.Join(knowledgeDir, "k.json"),
-		filepath.Join(knowledgeDir, "k.v1.bin"),
-		filepath.Join(knowledgeDir, "k.bin"), nil
+	return filepath.Join(knowledgeDir, "k.json"), filepath.Join(knowledgeDir, "k.bin"), nil
 }
 
 // benchKnowledgeLoad measures the full import path: read the file, decode
@@ -102,66 +89,25 @@ func benchKnowledgeLoad(b *testing.B, path string) {
 	}
 }
 
-// benchKnowledgeOpenV2 measures the zero-copy open path: read the file
-// and validate it into a View without materializing patterns or strings.
-// Allocations must stay O(1) in artifact size (the read buffer plus the
-// View itself, regardless of pattern count).
-func benchKnowledgeOpenV2(b *testing.B, path string) {
-	b.Helper()
-	info, err := os.Stat(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(info.Size())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v, err := knowledge.Open(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if v.NumPatterns() == 0 {
-			b.Fatal("empty view")
-		}
-	}
-}
-
 func BenchmarkKnowledgeLoadJSON(b *testing.B) {
-	jsonPath, _, _, err := knowledgeBenchPaths()
+	jsonPath, _, err := knowledgeBenchPaths()
 	if err != nil {
 		b.Fatal(err)
 	}
 	benchKnowledgeLoad(b, jsonPath)
 }
 
-func BenchmarkKnowledgeLoadBinaryV1(b *testing.B) {
-	_, v1Path, _, err := knowledgeBenchPaths()
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchKnowledgeLoad(b, v1Path)
-}
-
 func BenchmarkKnowledgeLoadBinary(b *testing.B) {
-	_, _, v2Path, err := knowledgeBenchPaths()
+	_, binPath, err := knowledgeBenchPaths()
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchKnowledgeLoad(b, v2Path)
-}
-
-func BenchmarkKnowledgeOpenV2(b *testing.B) {
-	_, _, v2Path, err := knowledgeBenchPaths()
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchKnowledgeOpenV2(b, v2Path)
+	benchKnowledgeLoad(b, binPath)
 }
 
 // knowledgeBenchFile is the BENCH_knowledge.json schema: size and
-// load-time comparison across the JSON debug format, the legacy v1
-// binary, and the current v2 flat binary, plus the v2 zero-copy open
-// numbers, tracked commit over commit.
+// load-time comparison between the JSON debug format and the flat
+// binary format, tracked commit over commit.
 type knowledgeBenchFile struct {
 	CPUs       int    `json:"cpus"`
 	Corpus     string `json:"corpus"`
@@ -170,24 +116,14 @@ type knowledgeBenchFile struct {
 	Classifier bool   `json:"classifier"`
 
 	JSONBytes   int64   `json:"json_bytes"`
-	V1Bytes     int64   `json:"v1_bytes"`
-	BinaryBytes int64   `json:"binary_bytes"` // v2, the current writer
-	SizeRatio   float64 `json:"size_ratio"`   // json / v2
-	V1SizeRatio float64 `json:"v1_size_ratio"`
-	V2V1Ratio   float64 `json:"v2_v1_size_ratio"`
+	BinaryBytes int64   `json:"binary_bytes"`
+	SizeRatio   float64 `json:"size_ratio"` // json / binary
 
 	JSONLoadNs   int64   `json:"json_load_ns_per_op"`
-	V1LoadNs     int64   `json:"v1_load_ns_per_op"`
-	BinaryLoadNs int64   `json:"binary_load_ns_per_op"` // v2 full import
-	LoadSpeedup  float64 `json:"load_speedup"`          // json / v2
+	BinaryLoadNs int64   `json:"binary_load_ns_per_op"`
+	LoadSpeedup  float64 `json:"load_speedup"` // json / binary
 	JSONAllocs   int64   `json:"json_allocs_per_op"`
-	V1Allocs     int64   `json:"v1_allocs_per_op"`
 	BinaryAllocs int64   `json:"binary_allocs_per_op"`
-
-	V2OpenNs          int64   `json:"v2_open_ns_per_op"`
-	V2OpenAllocs      int64   `json:"v2_open_allocs_per_op"`
-	OpenSpeedupVsV1   float64 `json:"open_speedup_vs_v1_load"`
-	OpenSpeedupVsLoad float64 `json:"open_speedup_vs_v2_load"`
 
 	FormatVersion int `json:"binary_format_version"`
 }
@@ -200,7 +136,7 @@ func TestWriteKnowledgeBenchJSON(t *testing.T) {
 	if out == "" {
 		t.Skip("set BENCH_KNOWLEDGE_JSON=<file> to record knowledge benchmarks (make bench)")
 	}
-	jsonPath, v1Path, v2Path, err := knowledgeBenchPaths()
+	jsonPath, binPath, err := knowledgeBenchPaths()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,23 +144,17 @@ func TestWriteKnowledgeBenchJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1info, err := os.Stat(v1Path)
+	binfo, err := os.Stat(binPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2info, err := os.Stat(v2Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := knowledge.Load(v2Path)
+	k, err := knowledge.Load(binPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	jres := testing.Benchmark(func(b *testing.B) { benchKnowledgeLoad(b, jsonPath) })
-	v1res := testing.Benchmark(func(b *testing.B) { benchKnowledgeLoad(b, v1Path) })
-	v2res := testing.Benchmark(func(b *testing.B) { benchKnowledgeLoad(b, v2Path) })
-	ores := testing.Benchmark(func(b *testing.B) { benchKnowledgeOpenV2(b, v2Path) })
+	bres := testing.Benchmark(func(b *testing.B) { benchKnowledgeLoad(b, binPath) })
 
 	opts := benchOptions(ast.Python)
 	file := knowledgeBenchFile{
@@ -236,46 +166,22 @@ func TestWriteKnowledgeBenchJSON(t *testing.T) {
 		Classifier: k.Classifier != nil,
 
 		JSONBytes:   jinfo.Size(),
-		V1Bytes:     v1info.Size(),
-		BinaryBytes: v2info.Size(),
-		SizeRatio:   float64(jinfo.Size()) / float64(v2info.Size()),
-		V1SizeRatio: float64(jinfo.Size()) / float64(v1info.Size()),
-		V2V1Ratio:   float64(v2info.Size()) / float64(v1info.Size()),
+		BinaryBytes: binfo.Size(),
+		SizeRatio:   float64(jinfo.Size()) / float64(binfo.Size()),
 
 		JSONLoadNs:   jres.NsPerOp(),
-		V1LoadNs:     v1res.NsPerOp(),
-		BinaryLoadNs: v2res.NsPerOp(),
-		LoadSpeedup:  float64(jres.NsPerOp()) / float64(v2res.NsPerOp()),
+		BinaryLoadNs: bres.NsPerOp(),
+		LoadSpeedup:  float64(jres.NsPerOp()) / float64(bres.NsPerOp()),
 		JSONAllocs:   jres.AllocsPerOp(),
-		V1Allocs:     v1res.AllocsPerOp(),
-		BinaryAllocs: v2res.AllocsPerOp(),
-
-		V2OpenNs:          ores.NsPerOp(),
-		V2OpenAllocs:      ores.AllocsPerOp(),
-		OpenSpeedupVsV1:   float64(v1res.NsPerOp()) / float64(ores.NsPerOp()),
-		OpenSpeedupVsLoad: float64(v2res.NsPerOp()) / float64(ores.NsPerOp()),
+		BinaryAllocs: bres.AllocsPerOp(),
 
 		FormatVersion: knowledge.Version,
 	}
-	// v2 trades disk compactness for O(1) open: it must still beat the
-	// JSON debug format, while v1 keeps the tight archival bound.
 	if file.SizeRatio < 1.5 {
-		t.Errorf("v2 artifact only %.2fx smaller than JSON (want >= 1.5x)", file.SizeRatio)
-	}
-	if file.V1SizeRatio < 3 {
-		t.Errorf("v1 artifact only %.2fx smaller than JSON (want >= 3x)", file.V1SizeRatio)
+		t.Errorf("binary artifact only %.2fx smaller than JSON (want >= 1.5x)", file.SizeRatio)
 	}
 	if file.LoadSpeedup < 1 {
-		t.Errorf("v2 load slower than JSON (%.2fx)", file.LoadSpeedup)
-	}
-	// The zero-copy open is the point of the format: constant allocations
-	// (read buffer + View, independent of pattern count) and an order of
-	// magnitude faster than decoding the v1 tree.
-	if file.OpenSpeedupVsV1 < 10 {
-		t.Errorf("v2 open only %.1fx faster than v1 load (want >= 10x)", file.OpenSpeedupVsV1)
-	}
-	if file.V2OpenAllocs > 16 {
-		t.Errorf("v2 open allocates %d times per op (want O(1), <= 16)", file.V2OpenAllocs)
+		t.Errorf("binary load slower than JSON (%.2fx)", file.LoadSpeedup)
 	}
 	data, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {
@@ -284,6 +190,6 @@ func TestWriteKnowledgeBenchJSON(t *testing.T) {
 	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s: v2 %.1fx smaller than JSON, open %.1fx faster than v1 load (%d allocs)",
-		out, file.SizeRatio, file.OpenSpeedupVsV1, file.V2OpenAllocs)
+	t.Logf("wrote %s: binary %.1fx smaller and %.1fx faster to load than JSON",
+		out, file.SizeRatio, file.LoadSpeedup)
 }
