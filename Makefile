@@ -5,15 +5,21 @@
 
 GO ?= go
 
-.PHONY: tier1 build vet fmt test race bench serve-smoke driver-gate obs-gate fuzz-smoke
+.PHONY: tier1 build vet perfbench-vet fmt test race bench serve-smoke driver-gate obs-gate fuzz-smoke
 
-tier1: build vet fmt race serve-smoke driver-gate obs-gate fuzz-smoke
+tier1: build vet perfbench-vet fmt race serve-smoke driver-gate obs-gate fuzz-smoke
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# perfbench is its own module, so ./... above skips it. Vetting it here
+# type-checks it against this tree, so renaming or deleting a name it
+# compiles against fails tier-1 rather than the benchmark run.
+perfbench-vet:
+	cd perfbench && $(GO) vet .
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -43,13 +49,15 @@ bench:
 	BENCH_SERVE_JSON=$(CURDIR)/BENCH_serve.json $(GO) test -run 'TestWriteServeBenchJSON$$' -count=1 -v ./internal/serve
 
 # Short native-fuzzing pass over the three binary decoders that take
-# bytes from disk: the knowledge artifact, the FP-tree codec, and the
-# checkpoint envelope. Go fuzzes one target per invocation, hence one
-# line each.
+# bytes from disk (the knowledge artifact, the FP-tree codec, and the
+# checkpoint envelope) and over the session range-edit splice, which
+# takes positions from editor clients. Go fuzzes one target per
+# invocation, hence one line each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeKnowledge$$' -fuzztime 5s ./internal/knowledge
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 5s ./internal/knowledge
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTree$$' -fuzztime 5s ./internal/fptree
+	$(GO) test -run '^$$' -fuzz '^FuzzApplyEdit$$' -fuzztime 5s ./internal/session
 
 # Determinism gate for the distributed miner: the knowledge file from a
 # 2-shard driver run with spawned worker processes must be byte-for-byte

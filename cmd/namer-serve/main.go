@@ -24,13 +24,13 @@
 // -session-idle are evicted; -max-sessions caps how many are open.
 //
 // Liveness is at /healthz, Prometheus counters and latency histograms
-// at /metrics, legacy expvar counters at /debug/vars, and profiling at
-// /debug/pprof (only with -pprof). With -traces, a flight recorder
-// keeps the span trees of the slowest recent requests at /debug/traces
-// (JSON list; ?id=<X-Request-Id> or ?id=slowest for a Chrome trace
-// export). Every request gets an X-Request-Id and one JSON access-log
-// line (-access-log, default stdout). Load past -max-inflight
-// concurrent scans is shed with 429 + Retry-After.
+// at /metrics, and profiling at /debug/pprof (only with -pprof). With
+// -traces, a flight recorder keeps the span trees of the slowest recent
+// requests at /debug/traces (JSON list; ?id=<X-Request-Id> or
+// ?id=slowest for a Chrome trace export). Every request gets an
+// X-Request-Id and one JSON access-log line (-access-log, default
+// stdout). Load past -max-inflight concurrent scans is shed with 429 +
+// Retry-After.
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener closes, and
 // in-flight scans are given a grace period to finish responding.
 // SIGHUP (or POST /debug/reload) re-reads the knowledge file and
@@ -141,7 +141,7 @@ func main() {
 	}
 	bound := ln.Addr().String()
 	lg.Info("listening", log.Str("url", "http://"+bound),
-		log.Str("endpoints", "POST /v1/scan, POST /v1/diff, POST /v1/session, GET /healthz, GET /metrics, GET /debug/vars"))
+		log.Str("endpoints", "POST /v1/scan, POST /v1/diff, POST /v1/session, GET /healthz, GET /metrics"))
 	if *readyFile != "" {
 		if err := os.WriteFile(*readyFile, []byte(bound+"\n"), 0o644); err != nil {
 			ln.Close()

@@ -349,19 +349,6 @@ func (n *Node) CountNodes() int {
 	return total
 }
 
-// Terminals returns the terminal nodes of the subtree in left-to-right
-// order.
-func (n *Node) Terminals() []*Node {
-	var out []*Node
-	n.Walk(func(x *Node) bool {
-		if x.IsTerminal() {
-			out = append(out, x)
-		}
-		return true
-	})
-	return out
-}
-
 // Fingerprint returns a canonical string encoding of the subtree, suitable
 // as a map key for statement-identity counting (features 2–3 of Table 1).
 func (n *Node) Fingerprint() string {

@@ -27,13 +27,6 @@ func TestNodeBasics(t *testing.T) {
 	if got := n.CountNodes(); got != 11 {
 		t.Errorf("CountNodes = %d, want 11", got)
 	}
-	terms := n.Terminals()
-	if len(terms) != 4 {
-		t.Fatalf("Terminals = %d, want 4", len(terms))
-	}
-	if terms[0].Value != "self" || terms[1].Value != "assertTrue" {
-		t.Errorf("terminal order wrong: %v %v", terms[0].Value, terms[1].Value)
-	}
 }
 
 func TestCloneAndEqual(t *testing.T) {

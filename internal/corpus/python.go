@@ -148,8 +148,8 @@ func genPythonFile(rng *rand.Rand, repo string, idx int, cfg Config) (*SourceFil
 
 	// Clamp idiom: a two-argument call whose arguments have a canonical
 	// order. Swapping them is the argument-selection defect class of Rice
-	// et al. (§6.1); Namer detects it as a pair of mirrored confusing-word
-	// violations (core.FindSwaps).
+	// et al. (§6.1); the pattern scan reports it as confusing-word
+	// violations, and pointsto.CheckArgumentSelection as a crossed pair.
 	// Swaps are injected at a lower rate than other issues: they are
 	// genuine variable misuses, and at full rate they would dominate the
 	// neural baselines' small report budget in Tables 10-11.

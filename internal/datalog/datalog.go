@@ -18,7 +18,6 @@ package datalog
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -646,14 +645,4 @@ func (e *Engine) evalRule(r *rule, deltaPos int, deltaTuples [][]int32, next map
 		}
 	}
 	rec(0)
-}
-
-// Relations returns the names of all relations, sorted.
-func (e *Engine) Relations() []string {
-	names := make([]string, 0, len(e.rels))
-	for n := range e.rels {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -256,16 +256,6 @@ func TestReachabilityMatchesBFS(t *testing.T) {
 	}
 }
 
-func TestRelations(t *testing.T) {
-	e := NewEngine()
-	e.Assert("B", "x")
-	e.Assert("A", "y")
-	rels := e.Relations()
-	if len(rels) != 2 || rels[0] != "A" || rels[1] != "B" {
-		t.Errorf("Relations = %v", rels)
-	}
-}
-
 func TestMustParsePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

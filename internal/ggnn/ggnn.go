@@ -61,9 +61,6 @@ func New(cfg Config) *Model {
 	return m
 }
 
-// ParamCount returns the number of scalar parameters.
-func (m *Model) ParamCount() int { return m.params.Count() }
-
 // forward computes candidate logits (1×K) for a sample.
 func (m *Model) forward(t *neural.Tape, s *synthetic.Sample) *neural.Tensor {
 	g := s.G

@@ -89,13 +89,6 @@ func TestRepairBeatsChance(t *testing.T) {
 	}
 }
 
-func TestParamCount(t *testing.T) {
-	m := New(Config{VocabSize: 10, Dim: 8, Steps: 1, Seed: 3})
-	if m.ParamCount() == 0 {
-		t.Error("no parameters")
-	}
-}
-
 func TestScoreShape(t *testing.T) {
 	vocab := graphs.NewVocab()
 	samples := trainSet(t, vocab, 4)

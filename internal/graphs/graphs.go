@@ -81,14 +81,6 @@ func (v *Vocab) Freeze() { v.frozen = true }
 // Len returns the vocabulary size.
 func (v *Vocab) Len() int { return len(v.words) }
 
-// Word returns the string for an id.
-func (v *Vocab) Word(id int) string {
-	if id < 0 || id >= len(v.words) {
-		return "<unk>"
-	}
-	return v.words[id]
-}
-
 // Graph is a program graph over the nodes of one AST subtree.
 type Graph struct {
 	// Vals holds the vocabulary id of each node's value.

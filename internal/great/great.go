@@ -69,9 +69,6 @@ func New(cfg Config) *Model {
 	return m
 }
 
-// ParamCount returns the number of scalar parameters.
-func (m *Model) ParamCount() int { return m.params.Count() }
-
 // edgeMask builds the flattened N×N indicator matrix for one edge type.
 func edgeMask(g *graphs.Graph, e int) []float64 {
 	n := g.N()

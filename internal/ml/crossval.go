@@ -99,21 +99,3 @@ func CrossValidate(newPipeline func() *Pipeline, X [][]float64, y []int,
 		F1:        sum.F1 / n,
 	}
 }
-
-// SelectModel runs cross-validation for each candidate and returns the
-// name of the best model by F1 (the paper's model-selection procedure,
-// which picked the linear SVM). Candidates map names to pipeline factories.
-func SelectModel(candidates map[string]func() *Pipeline, X [][]float64, y []int,
-	repeats int, seed int64) (string, map[string]Metrics) {
-
-	results := make(map[string]Metrics, len(candidates))
-	bestName, bestF1 := "", -1.0
-	for name, mk := range candidates {
-		m := CrossValidate(mk, X, y, repeats, 0.8, seed)
-		results[name] = m
-		if m.F1 > bestF1 || (m.F1 == bestF1 && name < bestName) {
-			bestName, bestF1 = name, m.F1
-		}
-	}
-	return bestName, results
-}

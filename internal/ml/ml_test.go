@@ -235,28 +235,6 @@ func TestCrossValidate(t *testing.T) {
 	}
 }
 
-func TestSelectModel(t *testing.T) {
-	X, y := synthData(150, 17)
-	candidates := map[string]func() *Pipeline{
-		"svm": func() *Pipeline {
-			return &Pipeline{NewModel: func() Classifier { return &LinearSVM{Epochs: 60, Seed: 17} }}
-		},
-		"logreg": func() *Pipeline {
-			return &Pipeline{NewModel: func() Classifier { return &LogisticRegression{Epochs: 60, Seed: 17} }}
-		},
-		"lda": func() *Pipeline {
-			return &Pipeline{NewModel: func() Classifier { return &LDA{} }}
-		},
-	}
-	best, results := SelectModel(candidates, X, y, 5, 17)
-	if len(results) != 3 {
-		t.Fatalf("results = %d models", len(results))
-	}
-	if _, ok := results[best]; !ok {
-		t.Errorf("best model %q missing from results", best)
-	}
-}
-
 func TestMatrixOps(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{5, 6}, {7, 8}})

@@ -56,6 +56,3 @@ func (p *Pipeline) FeatureWeights() []float64 {
 	copy(out, w)
 	return out
 }
-
-// Model returns the trained classifier.
-func (p *Pipeline) Model() Classifier { return p.model }

@@ -425,27 +425,6 @@ func (t *Tape) SoftmaxRows(a *Tensor) *Tensor {
 	return out
 }
 
-// ConcatCols concatenates a and b column-wise (same row count).
-func (t *Tape) ConcatCols(a, b *Tensor) *Tensor {
-	assertDims(a.R == b.R, "ConcatCols row mismatch")
-	out := NewTensor(a.R, a.C+b.C)
-	for i := 0; i < a.R; i++ {
-		copy(out.W[i*out.C:], a.W[i*a.C:(i+1)*a.C])
-		copy(out.W[i*out.C+a.C:], b.W[i*b.C:(i+1)*b.C])
-	}
-	t.push(func() {
-		for i := 0; i < a.R; i++ {
-			for j := 0; j < a.C; j++ {
-				a.G[i*a.C+j] += out.G[i*out.C+j]
-			}
-			for j := 0; j < b.C; j++ {
-				b.G[i*b.C+j] += out.G[i*out.C+a.C+j]
-			}
-		}
-	})
-	return out
-}
-
 // SoftmaxCrossEntropy treats a 1×K tensor as logits and returns the scalar
 // cross-entropy loss against the target index.
 func (t *Tape) SoftmaxCrossEntropy(logits *Tensor, target int) *Tensor {
@@ -476,28 +455,6 @@ func (t *Tape) SoftmaxCrossEntropy(logits *Tensor, target int) *Tensor {
 				d -= 1
 			}
 			logits.G[j] += g * d
-		}
-	})
-	return out
-}
-
-// AddScalar returns a + b for two 1×1 tensors.
-func (t *Tape) AddScalar(a, b *Tensor) *Tensor { return t.Add(a, b) }
-
-// MeanRows returns the 1×C mean of all rows.
-func (t *Tape) MeanRows(a *Tensor) *Tensor {
-	out := NewTensor(1, a.C)
-	inv := 1.0 / float64(a.R)
-	for i := 0; i < a.R; i++ {
-		for j := 0; j < a.C; j++ {
-			out.W[j] += a.W[i*a.C+j] * inv
-		}
-	}
-	t.push(func() {
-		for i := 0; i < a.R; i++ {
-			for j := 0; j < a.C; j++ {
-				a.G[i*a.C+j] += out.G[j] * inv
-			}
 		}
 	})
 	return out

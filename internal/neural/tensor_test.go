@@ -151,14 +151,6 @@ func TestGradMaskScaledAndConcat(t *testing.T) {
 	numericGrad(t, "maskscaled", []*Tensor{logits, scalar}, func(tp *Tape) *Tensor {
 		return sumAll(tp, tp.SoftmaxRows(tp.AddMaskScaled(logits, mask, scalar)))
 	})
-	a := randTensor(2, 3, rng)
-	b := randTensor(2, 2, rng)
-	numericGrad(t, "concat", []*Tensor{a, b}, func(tp *Tape) *Tensor {
-		return sumAll(tp, tp.Tanh(tp.ConcatCols(a, b)))
-	})
-	numericGrad(t, "meanrows", []*Tensor{a}, func(tp *Tape) *Tensor {
-		return sumAll(tp, tp.Tanh(tp.MeanRows(a)))
-	})
 }
 
 func TestAdamConvergesOnRegression(t *testing.T) {

@@ -98,15 +98,6 @@ func NewTrace(ctx context.Context, name, id string) (context.Context, *Trace) {
 	return context.WithValue(ctx, spanCtxKey{}, t.root), t
 }
 
-// ContextWithSpan rebinds a span as the current one, for handing a
-// subtree to code that takes a fresh context.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanCtxKey{}, s)
-}
-
 // SpanFromContext returns the current span, or nil outside a trace.
 func SpanFromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(spanCtxKey{}).(*Span)

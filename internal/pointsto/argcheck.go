@@ -19,9 +19,8 @@ type ArgSwap struct {
 
 // CheckArgumentSelection scans a file for calls to functions defined in
 // the same file where two simple-name arguments exactly cross-match the
-// corresponding formal parameter names. This complements the statistical
-// swap detection of core.FindSwaps with a precise intra-file check that
-// needs no mined patterns.
+// corresponding formal parameter names. It is a precise intra-file check
+// that needs no mined patterns.
 func CheckArgumentSelection(root *ast.Node, lang ast.Language) []ArgSwap {
 	info := Collect(root, lang)
 	var out []ArgSwap

@@ -11,7 +11,6 @@
 //	POST /v1/session   open/close a long-lived editor session
 //	POST /v1/session/{id}/change  apply edits to a session overlay, get diagnostics
 //	GET  /metrics      Prometheus text-format counters + latency histograms
-//	GET  /debug/vars   expvar counters (requests, violations, latency)
 //	GET  /debug/pprof  profiling handlers (only with Config.EnablePprof)
 //	GET  /debug/traces slowest-request span trees (only with Config.EnableTraces)
 //	POST /debug/reload hot-swap to freshly loaded knowledge (needs Config.Loader)
@@ -41,7 +40,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log"
@@ -82,7 +80,7 @@ type Config struct {
 	// cache is disabled.
 	CacheBytes int64
 	// Knowledge describes the artifact the initial system was loaded
-	// from, reported on /healthz, /metrics, and the expvar page.
+	// from, reported on /healthz and /metrics.
 	Knowledge KnowledgeInfo
 	// Loader, when non-nil, enables hot reloading: it is invoked by
 	// Reload (SIGHUP, POST /debug/reload) and must return a freshly
@@ -132,7 +130,7 @@ const (
 // instance is serving.
 type KnowledgeInfo struct {
 	// Summary is the human-readable one-liner (path + format + hash
-	// prefix) shown on /healthz and the expvar page.
+	// prefix) shown on /healthz.
 	Summary string `json:"summary"`
 	// Path is the artifact file, when loaded from one.
 	Path string `json:"path,omitempty"`
@@ -208,9 +206,8 @@ type Server struct {
 	// nil unless Config.EnableTraces.
 	recorder *obs.FlightRecorder
 
-	// Per-server metrics (the /metrics page). Unlike the expvar
-	// counters these are instance-scoped, so tests and multi-server
-	// processes see isolated numbers.
+	// Per-server metrics (the /metrics page). They are instance-scoped,
+	// so tests and multi-server processes see isolated numbers.
 	metrics   *obs.Registry
 	mRequests *obs.Counter
 	mShed     *obs.Counter
@@ -241,22 +238,6 @@ type Server struct {
 	gSessions       *obs.Gauge
 	hSessionChange  *obs.Histogram
 }
-
-// Package-level expvar counters, registered once: expvar panics on
-// duplicate names, and all Servers in a process share the counter page.
-var (
-	statRequests    = expvar.NewInt("namer_requests")
-	statBadRequest  = expvar.NewInt("namer_bad_requests")
-	statServerError = expvar.NewInt("namer_server_errors")
-	statShed        = expvar.NewInt("namer_shed")
-	statPanics      = expvar.NewInt("namer_scan_panics")
-	statCanceled    = expvar.NewInt("namer_canceled")
-	statScans       = expvar.NewInt("namer_scans")
-	statViolations  = expvar.NewInt("namer_violations")
-	statReported    = expvar.NewInt("namer_reported")
-	statScanNanos   = expvar.NewInt("namer_scan_nanos")
-	statKnowledge   = expvar.NewString("namer_knowledge")
-)
 
 // New builds a server over a system with imported knowledge. The system
 // must not be mutated after this point. New installs (or, with a
@@ -345,7 +326,6 @@ func New(sys *core.System, cfg Config) *Server {
 	sv.mux.HandleFunc("/v1/session/", sv.handleSessionRoute)
 	sv.mux.HandleFunc("/debug/reload", sv.handleReload)
 	sv.mux.Handle("/metrics", sv.metrics.Handler())
-	sv.mux.Handle("/debug/vars", expvar.Handler())
 	if cfg.EnableTraces {
 		ring := cfg.TraceRingSize
 		if ring <= 0 {
@@ -416,7 +396,6 @@ func (sv *Server) newBundle(sys *core.System, info KnowledgeInfo) *bundle {
 // timestamp gauge follows.
 func (sv *Server) install(b, old *bundle) {
 	sv.cur.Store(b)
-	statKnowledge.Set(b.info.Summary)
 	if old != nil {
 		sv.metrics.Gauge(knowledgeInfoSeries(old.info)).Set(0)
 	}
@@ -644,7 +623,6 @@ func (sv *Server) gate(w http.ResponseWriter, r *http.Request) (release func(), 
 			sv.gInflight.Add(-1)
 		}, true
 	default:
-		statShed.Add(1)
 		sv.mShed.Inc()
 		w.Header().Set("Retry-After", "1")
 		sv.fail(w, http.StatusTooManyRequests,
@@ -717,7 +695,6 @@ func (sv *Server) finish(w http.ResponseWriter, r *http.Request, tr *obs.Trace, 
 			// The client went away; nobody is reading the response.
 			// A disconnect is not a server error and must not trip
 			// error alerts.
-			statCanceled.Add(1)
 			sv.mCanceled.Inc()
 			sv.errlog.Printf("serve: scan canceled by client (request %s)", obs.RequestID(r.Context()))
 		case errors.Is(err, context.DeadlineExceeded):
@@ -736,7 +713,6 @@ func (sv *Server) finish(w http.ResponseWriter, r *http.Request, tr *obs.Trace, 
 }
 
 func (sv *Server) handleScan(w http.ResponseWriter, r *http.Request) {
-	statRequests.Add(1)
 	sv.mRequests.Inc()
 	start := time.Now()
 	defer func() { sv.hRequest.Since(start) }()
@@ -784,7 +760,6 @@ func (sv *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 }
 
 func (sv *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	statRequests.Add(1)
 	sv.mDiffReqs.Inc()
 	start := time.Now()
 	defer func() { sv.hRequest.Since(start) }()
@@ -870,7 +845,6 @@ func run[T any](sv *Server, ctx context.Context, fn func(context.Context) T) (T,
 	go func() {
 		defer func() {
 			if rec := recover(); rec != nil {
-				statPanics.Add(1)
 				sv.mPanics.Inc()
 				sv.errlog.Printf("serve: scan panic (request %s): %v\n%s",
 					obs.RequestID(ctx), rec, debug.Stack())
@@ -924,9 +898,7 @@ func (sv *Server) doAnalyze(ctx context.Context, b *bundle, lang ast.Language, f
 	for _, e := range res.Errors {
 		resp.Errors = append(resp.Errors, e.Error())
 	}
-	statScans.Add(1)
 	sv.mScans.Inc()
-	statViolations.Add(int64(len(res.Violations)))
 	sv.mViol.Add(int64(len(res.Violations)))
 
 	stage = time.Now()
@@ -937,7 +909,6 @@ func (sv *Server) doAnalyze(ctx context.Context, b *bundle, lang ast.Language, f
 			continue
 		}
 		if classified {
-			statReported.Add(1)
 			sv.mReported.Inc()
 		}
 		resp.Violations = append(resp.Violations, renderViolation(v, classified))
@@ -948,7 +919,6 @@ func (sv *Server) doAnalyze(ctx context.Context, b *bundle, lang ast.Language, f
 	sv.hClassify.Since(stage)
 
 	resp.ScanMillis = float64(time.Since(start).Microseconds()) / 1000
-	statScanNanos.Add(time.Since(start).Nanoseconds())
 	return resp
 }
 
@@ -992,7 +962,6 @@ func (sv *Server) doAnalyzeDiff(ctx context.Context, b *bundle, lang ast.Languag
 			continue
 		}
 		if classified {
-			statReported.Add(1)
 			sv.mReported.Inc()
 		}
 		resp.Violations = append(resp.Violations, renderViolation(v, classified))
@@ -1009,7 +978,6 @@ func (sv *Server) doAnalyzeDiff(ctx context.Context, b *bundle, lang ast.Languag
 	}
 
 	resp.ScanMillis = float64(time.Since(start).Microseconds()) / 1000
-	statScanNanos.Add(time.Since(start).Nanoseconds())
 	return resp
 }
 
@@ -1030,14 +998,8 @@ func renderViolation(v *core.Violation, classified bool) ScanViolation {
 	return out
 }
 
-// fail writes an error response, accounting it as a client error (4xx)
-// or server error (5xx).
+// fail writes an error response; writeJSON counts its status.
 func (sv *Server) fail(w http.ResponseWriter, code int, msg string) {
-	if code >= 500 {
-		statServerError.Add(1)
-	} else {
-		statBadRequest.Add(1)
-	}
 	sv.writeJSON(w, code, errorResponse{Error: msg})
 }
 

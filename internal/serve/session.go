@@ -132,7 +132,6 @@ type SessionChangeResponse struct {
 // handleSession answers POST /v1/session: open a new session or close
 // an existing one.
 func (sv *Server) handleSession(w http.ResponseWriter, r *http.Request) {
-	statRequests.Add(1)
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		sv.fail(w, http.StatusMethodNotAllowed, "POST required")
@@ -190,7 +189,6 @@ func (sv *Server) handleSessionRoute(w http.ResponseWriter, r *http.Request) {
 // diagnostics. It shares the scan endpoints' full pipeline: admission
 // gate, bundle capture, body cap, tracing, panic containment, deadline.
 func (sv *Server) handleSessionChange(w http.ResponseWriter, r *http.Request, id string) {
-	statRequests.Add(1)
 	sv.mSessionChanges.Inc()
 	start := time.Now()
 	defer func() { sv.hRequest.Since(start) }()
@@ -362,7 +360,6 @@ func (sv *Server) renderChangeDiags(b *bundle, cur *core.OverlayResult, vs []*co
 			continue
 		}
 		if classified {
-			statReported.Add(1)
 			sv.mReported.Inc()
 		}
 		out = append(out, sessionDiagnostic(v, classified, afterLines))
@@ -396,8 +393,12 @@ func sessionDiagnostic(v *core.Violation, classified bool, afterLines []string) 
 	if !ok {
 		return d
 	}
+	// A stale diagnostic (the latest content failed to parse) may point
+	// at a line that now holds other text; attach an edit only where the
+	// flagged statement still sits.
 	line := v.Stmt.Line - 1
-	if line < 0 || line >= len(afterLines) {
+	if line < 0 || line >= len(afterLines) ||
+		strings.TrimSpace(afterLines[line]) != v.Stmt.SourceLine {
 		return d
 	}
 	text := afterLines[line]

@@ -377,6 +377,48 @@ func TestSessionFailedScanRecovers(t *testing.T) {
 	}
 }
 
+// TestSessionStaleEditsStayOnTheirLine: when the latest content fails to
+// parse, the reply re-renders the last good diagnostics against the new
+// lines. A line inserted above a flagged statement shifts it down, so a
+// fix edit computed at the old line number would rewrite the inserted
+// text instead; such a diagnostic must come back without an edit.
+func TestSessionStaleEditsStayOnTheirLine(t *testing.T) {
+	sv, sources := newTestServer(t)
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+
+	src, first, id := sessionFixtureSource(t, ts.URL, sources)
+	var fix *SessionDiagnostic
+	for i := range first.Diagnostics {
+		if first.Diagnostics[i].Edit != nil {
+			fix = &first.Diagnostics[i]
+			break
+		}
+	}
+	e := fix.Edit
+	lines := strings.Split(src, "\n")
+	broken := "x = (" + lines[e.Line][e.StartCharacter:e.EndCharacter]
+	code, resp, data := postChange(t, ts.URL, id, SessionChangeRequest{
+		Path: "fixture.py", Version: 2, All: true,
+		Edits: rangeEdit(e.Line, 0, e.Line, 0, broken+"\n"),
+	})
+	if code != http.StatusOK {
+		t.Fatalf("broken insert: %d %s", code, data)
+	}
+	if resp.Scan != "failed" {
+		t.Fatalf("inserting %q above %q: scan = %q, want failed", broken, fix.SourceLine, resp.Scan)
+	}
+	after := append(append(append([]string{}, lines[:e.Line]...), broken), lines[e.Line:]...)
+	for _, d := range resp.Diagnostics {
+		if d.Edit == nil {
+			continue
+		}
+		if got := strings.TrimSpace(after[d.Edit.Line]); got != d.SourceLine {
+			t.Errorf("stale edit for %q lands on line %d holding %q", d.SourceLine, d.Edit.Line, got)
+		}
+	}
+}
+
 // TestSessionConcurrentNoCrossTalk soaks the session subsystem: many
 // concurrent sessions (far more than worker goroutines, so idle and
 // active sessions mix), each editing its own distinct content, must

@@ -41,13 +41,3 @@ func min3(a, b, c int) int {
 	}
 	return a
 }
-
-// CommonPrefixLen returns the number of leading runes a and b share.
-func CommonPrefixLen(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	n := 0
-	for n < len(ra) && n < len(rb) && ra[n] == rb[n] {
-		n++
-	}
-	return n
-}

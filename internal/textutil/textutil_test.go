@@ -67,20 +67,3 @@ func TestEditDistanceProperties(t *testing.T) {
 		t.Error("bound:", err)
 	}
 }
-
-func TestCommonPrefixLen(t *testing.T) {
-	tests := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "abd", 2},
-		{"same", "same", 4},
-		{"x", "y", 0},
-	}
-	for _, tt := range tests {
-		if got := CommonPrefixLen(tt.a, tt.b); got != tt.want {
-			t.Errorf("CommonPrefixLen(%q,%q) = %d, want %d", tt.a, tt.b, got, tt.want)
-		}
-	}
-}
