@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: tier1 build vet perfbench-vet fmt test race bench serve-smoke driver-gate obs-gate fuzz-smoke
+.PHONY: tier1 build vet perfbench-vet fmt test race bench serve-smoke driver-gate obs-gate fuzz-smoke examples-smoke
 
-tier1: build vet perfbench-vet fmt race serve-smoke driver-gate obs-gate fuzz-smoke
+tier1: build vet perfbench-vet fmt race serve-smoke driver-gate obs-gate fuzz-smoke examples-smoke
 
 build:
 	$(GO) build ./...
@@ -50,14 +50,32 @@ bench:
 
 # Short native-fuzzing pass over the three binary decoders that take
 # bytes from disk (the knowledge artifact, the FP-tree codec, and the
-# checkpoint envelope) and over the session range-edit splice, which
-# takes positions from editor clients. Go fuzzes one target per
-# invocation, hence one line each.
+# checkpoint envelope), over the session range-edit splice, which takes
+# positions from editor clients, and over the hand-written Python and
+# Java parsers, which take source from files and requests. Go fuzzes
+# one target per invocation, hence one line each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeKnowledge$$' -fuzztime 5s ./internal/knowledge
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 5s ./internal/knowledge
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTree$$' -fuzztime 5s ./internal/fptree
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyEdit$$' -fuzztime 5s ./internal/session
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePython$$' -fuzztime 5s ./internal/pylang
+	$(GO) test -run '^$$' -fuzz '^FuzzParseJava$$' -fuzztime 5s ./internal/javalang
+
+# Runs every example program from the repository root (selfscan reads
+# internal/ from there) and fails on the first non-zero exit, so an API
+# change that breaks an example's behaviour, not just its build, fails
+# tier-1.
+examples-smoke:
+	@set -e; \
+	tmp=$$(mktemp -d); \
+	trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp" ./examples/...; \
+	for ex in $$(ls "$$tmp"); do \
+		"$$tmp/$$ex" >"$$tmp/$$ex.out" 2>&1 || \
+			{ echo "examples-smoke: $$ex failed"; cat "$$tmp/$$ex.out"; exit 1; }; \
+	done; \
+	echo "examples-smoke: ok ($$(ls "$$tmp" | grep -vc '\.out$$') examples)"
 
 # Determinism gate for the distributed miner: the knowledge file from a
 # 2-shard driver run with spawned worker processes must be byte-for-byte

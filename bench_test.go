@@ -285,7 +285,7 @@ func BenchmarkScan(b *testing.B) {
 		sys.MinePatterns()
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if vs := sys.Scan(); len(vs) == 0 {
+				if res := sys.Scan(); len(res.Violations) == 0 {
 					b.Fatal("no violations")
 				}
 			}
@@ -570,7 +570,7 @@ func BenchmarkFeatureLevelAblation(b *testing.B) {
 	var X [][]float64
 	var y []int
 	for _, l := range py.Violations {
-		v := py.Sys.FeatureVector(l.V)
+		v := py.Sys.FeatureVectorIn(py.Stats, l.V)
 		X = append(X, v)
 		if l.IsIssue() {
 			y = append(y, 1)

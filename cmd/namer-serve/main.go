@@ -175,7 +175,11 @@ func loadKnowledgeSystem(path string) (*core.System, serve.KnowledgeInfo, error)
 	if err != nil {
 		return nil, serve.KnowledgeInfo{}, err
 	}
-	sys := core.NewSystem(core.DefaultConfig(ast.Python))
+	// One scan per request, each on one goroutine: the server's
+	// concurrency comes from its requests, not from per-scan workers.
+	cfg := core.DefaultConfig(ast.Python)
+	cfg.Parallelism = 1
+	sys := core.NewSystem(cfg)
 	if err := sys.ImportKnowledge(k); err != nil {
 		return nil, serve.KnowledgeInfo{}, err
 	}

@@ -60,10 +60,11 @@ func main() {
 	for _, e := range errs {
 		lg.Warn("load failed", log.Err(e))
 	}
-	for _, e := range sys.ProcessFiles(files) {
+	res := sys.ScanFiles(files)
+	for _, e := range res.Errors {
 		lg.Warn("analysis failed", log.Err(e))
 	}
-	violations := sys.Scan()
+	violations := res.Violations
 	fmt.Printf("found %d violations over %d files\n", len(violations), len(files))
 
 	gt, err := corpus.ReadIssues(*issues)
@@ -96,13 +97,13 @@ func main() {
 	if pos == 0 || neg == 0 {
 		fatal(fmt.Errorf("degenerate labels: %d true, %d false", pos, neg))
 	}
-	sys.TrainClassifier(vs, ys)
+	sys.TrainClassifier(res.Stats, vs, ys)
 	fmt.Printf("trained the defect classifier on %d labeled violations (%d true, %d false)\n",
 		len(vs), pos, neg)
 
 	kept := 0
 	for _, v := range violations {
-		if sys.Classify(v) {
+		if sys.ClassifyIn(res.Stats, v) {
 			kept++
 		}
 	}

@@ -76,7 +76,8 @@ func main() {
 	if len(files) == 0 {
 		fatal(fmt.Errorf("no %s files found", *lang))
 	}
-	for _, e := range sys.ProcessFiles(files) {
+	res := sys.ScanFiles(files)
+	for _, e := range res.Errors {
 		lg.Warn("analysis failed", log.Err(e))
 	}
 
@@ -86,8 +87,8 @@ func main() {
 	}
 	reports, fixes := 0, 0
 	changed := map[string]*core.InputFile{}
-	for _, v := range core.Dedup(sys.Scan()) {
-		if !*all && !sys.Classify(v) {
+	for _, v := range res.Violations {
+		if !*all && !sys.ClassifyIn(res.Stats, v) {
 			continue
 		}
 		reports++

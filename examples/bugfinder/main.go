@@ -40,7 +40,8 @@ func scan(lang ast.Language) {
 	}
 	sys.ProcessFiles(files)
 	sys.MinePatterns()
-	violations := core.Dedup(sys.Scan())
+	res := sys.Scan()
+	violations := res.Violations
 
 	// Train the classifier on a small balanced sample of ground-truth
 	// labels (the paper's "small supervision").
@@ -60,7 +61,7 @@ func scan(lang ast.Language) {
 			neg++
 		}
 	}
-	sys.TrainClassifier(train, labels)
+	sys.TrainClassifier(res.Stats, train, labels)
 
 	// Digest.
 	type stats struct{ found, reported int }
@@ -78,7 +79,7 @@ func scan(lang ast.Language) {
 			}
 			byCat[cat].found++
 		}
-		if sys.Classify(v) {
+		if sys.ClassifyIn(res.Stats, v) {
 			repAll++
 			if isIssue {
 				repTP++

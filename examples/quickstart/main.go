@@ -38,7 +38,8 @@ func main() {
 	fmt.Printf("mined:  %d confusing word pairs, %d name patterns\n", sys.Pairs.Len(), len(sys.Patterns))
 
 	// 3. Scan for violations of the mined patterns.
-	violations := core.Dedup(sys.Scan())
+	res := sys.Scan()
+	violations := res.Violations
 	fmt.Printf("scan:   %d distinct violations\n", len(violations))
 
 	// 4. Small supervision: label a few violations with the corpus's
@@ -60,13 +61,13 @@ func main() {
 			neg++
 		}
 	}
-	sys.TrainClassifier(train, labels)
+	sys.TrainClassifier(res.Stats, train, labels)
 
 	// 5. Report.
 	fmt.Println("\nreports:")
 	shown := 0
 	for _, v := range violations {
-		if !sys.Classify(v) {
+		if !sys.ClassifyIn(res.Stats, v) {
 			continue
 		}
 		shown++

@@ -44,7 +44,7 @@ func main() {
 	fmt.Printf("processed %d statements, mined %d consistency patterns\n",
 		len(sys.Stmts), len(sys.Patterns))
 
-	violations := core.Dedup(sys.Scan())
+	violations := sys.Scan().Violations
 	fmt.Printf("found %d naming anomalies (unclassified — no labeled data for Go)\n\n", len(violations))
 
 	// Rank by how strongly the violated pattern is adopted elsewhere.

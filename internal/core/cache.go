@@ -10,7 +10,7 @@ import (
 )
 
 // FileCache is the pluggable content-hash parse cache consulted by the
-// detached scan path (ScanFilesCtx/DiffFilesCtx). The cached unit is one
+// scan path (ScanFilesCtx/DiffFilesCtx). The cached unit is one
 // fully analyzed file — parsed AST, extracted statements with their name
 // paths, the per-file statistics fragment, and the per-file match output
 // — keyed by a hash of the file identity and content (FileCacheKey).

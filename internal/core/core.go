@@ -4,6 +4,11 @@
 // violation detection (§3.2), feature extraction (§4.2, Table 1), and the
 // defect classifier that prunes false positives.
 //
+// Every entry point (ProcessFiles, Scan, ScanFiles, DiffFiles,
+// AnalyzeOverlay) runs the same per-file front end and the same
+// per-statement matcher, and every scan returns its own statistics for
+// ClassifyIn. The binaries detect with ScanFiles.
+//
 // The two ablations of Tables 2 and 5 are configuration switches:
 // Config.UseAnalysis ("w/o A" when false) and whether a classifier is
 // trained ("w/o C" when not).
@@ -15,6 +20,7 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"namer/internal/ast"
 	"namer/internal/astplus"
@@ -43,15 +49,19 @@ type Config struct {
 	MinPairCount int
 	// Seed drives classifier training.
 	Seed int64
-	// Parallelism is the worker count for the corpus-scale stages (file
-	// processing, mining, and the violation scan): 0 uses every CPU, 1
-	// forces the serial reference path. Outputs are byte-identical at any
-	// setting. Mining.Parallelism, when zero, inherits this value.
+	// Parallelism is the worker count for the corpus-scale stages: the
+	// per-file front end (ProcessFiles, ScanFiles, DiffFiles), the match
+	// stage (Scan's shards, ScanFiles, DiffFiles), and mining. 0 uses
+	// every CPU, 1 forces the serial reference path. Outputs are
+	// byte-identical at any setting. Mining.Parallelism, when zero,
+	// inherits this value. A server that runs one scan per request sets
+	// 1 and gets its concurrency from the requests.
 	Parallelism int
 	// Progress, when non-nil, is called after each file finishes the
-	// front end with (files done, files total, cumulative statements).
-	// It runs on worker goroutines and must be safe for concurrent use
-	// (obs.Progress.Update is); it must not mutate the system.
+	// front end (ProcessFiles, ScanFiles, DiffFiles) with (files done,
+	// files total, cumulative statements). It runs on worker goroutines
+	// and must be safe for concurrent use (obs.Progress.Update is); it
+	// must not mutate the system.
 	Progress func(done, total, statements int)
 }
 
@@ -102,7 +112,6 @@ type System struct {
 	Pairs    *confusion.PairSet
 	Patterns []*pattern.Pattern
 	Stmts    []*ProcStmt
-	StatsIx  *features.Index
 	// MiningStats records the FP-tree shape of each MinePatterns pass
 	// (one entry per pattern type), for the perf-tracking benchmarks and
 	// the cmd binaries' progress output.
@@ -122,7 +131,7 @@ type MiningStat struct {
 
 // NewSystem returns an empty system.
 func NewSystem(cfg Config) *System {
-	return &System{cfg: cfg, StatsIx: features.NewIndex()}
+	return &System{cfg: cfg}
 }
 
 // Config returns the system configuration.
@@ -137,16 +146,11 @@ func (s *System) MinePairs(commits []confusion.Commit) {
 	s.Pairs = ps
 }
 
-// ProcessFiles runs the per-file front end (analysis, transformation, name
-// path extraction) on a fixed pool of Parallelism workers (not one
-// goroutine per file, which bursts unboundedly on large corpora), then
-// appends results in deterministic input order and records statement
-// statistics for features 2-3.
-//
-// A panic while analyzing one file (the parsers re-panic on internal
-// errors, and the points-to engine panics on rule-set bugs) is contained
-// to that file and returned as an error, so one pathological input cannot
-// kill a corpus run: the remaining files are processed normally.
+// ProcessFiles runs the per-file front end (parsing when a file arrives
+// without an AST, analysis, transformation, name path extraction) on a
+// fixed pool of Parallelism workers, then appends the statements to
+// s.Stmts in input order for mining. A file that fails to parse or
+// panics in analysis is returned as an error; the rest are processed.
 func (s *System) ProcessFiles(files []*InputFile) []error {
 	return s.ProcessFilesCtx(context.Background(), files)
 }
@@ -161,17 +165,9 @@ func (s *System) ProcessFilesCtx(ctx context.Context, files []*InputFile) []erro
 	defer sp.End()
 	results := make([][]*ProcStmt, len(files))
 	fileErrs := make([]error, len(files))
-	var done, stmtCount atomic.Int64
-	parallel.ForEach(len(files), parallel.Degree(s.cfg.Parallelism), func(i int) {
-		_, fsp := obs.StartSpan(ctx, "file")
-		results[i], fileErrs[i] = s.processFileSafe(files[i])
-		fsp.SetAttr("path", files[i].Path)
-		fsp.SetAttrInt("statements", len(results[i]))
-		fsp.End()
-		if s.cfg.Progress != nil {
-			s.cfg.Progress(int(done.Add(1)), len(files),
-				int(stmtCount.Add(int64(len(results[i])))))
-		}
+	s.eachFile(ctx, files, func(fctx context.Context, _ *obs.Span, i int) int {
+		_, results[i], _, fileErrs[i] = s.frontEnd(fctx, files[i])
+		return len(results[i])
 	})
 	var errs []error
 	for i, stmts := range results {
@@ -179,29 +175,53 @@ func (s *System) ProcessFilesCtx(ctx context.Context, files []*InputFile) []erro
 			errs = append(errs, fileErrs[i])
 			continue
 		}
-		for _, ps := range stmts {
-			s.Stmts = append(s.Stmts, ps)
-			s.StatsIx.AddStatement(ps.Repo, ps.Path, ps.Fingerprint)
-		}
+		s.Stmts = append(s.Stmts, stmts...)
 	}
 	return errs
 }
 
-// processFileSafe runs ProcessFile with panics converted to per-file
-// errors.
-func (s *System) processFileSafe(f *InputFile) (out []*ProcStmt, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("%s/%s: analysis panic: %v", f.Repo, f.Path, r)
+// eachFile runs fn for every file on the Config.Parallelism worker pool,
+// each call under its own "file" span (path and the statement count fn
+// returns), and fires Config.Progress as files complete.
+func (s *System) eachFile(ctx context.Context, files []*InputFile, fn func(ctx context.Context, sp *obs.Span, i int) int) {
+	var done, stmtCount atomic.Int64
+	parallel.ForEach(len(files), parallel.Degree(s.cfg.Parallelism), func(i int) {
+		fctx, fsp := obs.StartSpan(ctx, "file")
+		fsp.SetAttr("path", files[i].Path)
+		n := fn(fctx, fsp, i)
+		fsp.SetAttrInt("statements", n)
+		fsp.End()
+		if s.cfg.Progress != nil {
+			s.cfg.Progress(int(done.Add(1)), len(files), int(stmtCount.Add(int64(n))))
 		}
-	}()
-	if f.Root == nil {
-		return nil, fmt.Errorf("%s/%s: no parsed AST", f.Repo, f.Path)
-	}
-	return s.ProcessFile(f), nil
+	})
 }
 
-// ProcessFile runs the front half of the pipeline on one file.
+// frontEnd is the per-file front end every entry point shares: a file
+// without an AST is parsed first (under a "parse" span, timed as
+// parse), then analyzed with panics contained, so one pathological file
+// costs only itself. root is nil exactly when parsing failed; err names
+// the file.
+func (s *System) frontEnd(ctx context.Context, f *InputFile) (root *ast.Node, stmts []*ProcStmt, parse time.Duration, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			stmts, err = nil, fmt.Errorf("%s/%s: analysis panic: %v", f.Repo, f.Path, r)
+		}
+	}()
+	if root = f.Root; root == nil {
+		start := time.Now()
+		_, psp := obs.StartSpan(ctx, "parse")
+		root, err = ParseSource(s.cfg.Lang, f.Source)
+		psp.End()
+		if parse = time.Since(start); err != nil {
+			return nil, nil, parse, fmt.Errorf("%s/%s: %v", f.Repo, f.Path, err)
+		}
+		f = &InputFile{Repo: f.Repo, Path: f.Path, Source: f.Source, Root: root}
+	}
+	return root, s.ProcessFile(f), parse, nil
+}
+
+// ProcessFile runs the front half of the pipeline on one parsed file.
 func (s *System) ProcessFile(f *InputFile) []*ProcStmt {
 	var origin astplus.OriginFunc
 	if s.cfg.UseAnalysis {
@@ -273,25 +293,21 @@ func (s *System) MinePatternsCtx(ctx context.Context) {
 	sp.SetAttrInt("patterns", len(s.Patterns))
 }
 
-// Scan matches every statement against the mined patterns, populating the
-// statistics index (features 4-12) and returning all violations in
-// deterministic order.
-//
-// The statement list is split into contiguous shards, one worker per
-// shard; each shard accumulates violations and pattern observations into
-// private storage (no locks on the match loop), and the per-shard results
-// are folded into the output and s.StatsIx in shard order. Concatenating
-// in-order shards reproduces the serial violation order exactly, and the
-// statistics merge is additive, so Scan is deterministic at any
-// Parallelism.
-func (s *System) Scan() []*Violation {
+// Scan matches the mined statements (s.Stmts) against the mined
+// patterns, for callers that mine and then scan the same files
+// (evaluation, examples) without a second front-end pass; the binaries
+// use ScanFiles. It returns the deduplicated violations and the scan's
+// own statistics. The statements are split into contiguous shards, one
+// worker each, matched into private storage and folded in shard order,
+// so the result is the same at any Parallelism.
+func (s *System) Scan() *ScanResult {
 	return s.ScanCtx(context.Background())
 }
 
 // ScanCtx is Scan under a tracing context: one "scan" span with a child
 // span per shard. Spans are per-shard, never per-statement, so the
 // match loop itself carries no tracing overhead.
-func (s *System) ScanCtx(ctx context.Context) []*Violation {
+func (s *System) ScanCtx(ctx context.Context) *ScanResult {
 	ctx, sp := obs.StartSpan(ctx, "scan")
 	defer sp.End()
 	type shardOut struct {
@@ -304,33 +320,61 @@ func (s *System) ScanCtx(ctx context.Context) []*Violation {
 		_, ssp := obs.StartSpan(ctx, "shard")
 		ssp.SetAttrInt("statements", shards[shard].Hi-shards[shard].Lo)
 		defer ssp.End()
-		stats := features.NewIndex()
-		var vs []*Violation
-		for _, ps := range s.Stmts[shards[shard].Lo:shards[shard].Hi] {
-			for _, p := range s.index.Candidates(ps.PS) {
-				if !ps.PS.Matches(p) {
-					continue
-				}
-				satisfied := ps.PS.Satisfied(p)
-				stats.AddObservation(ps.Repo, ps.Path, p, satisfied)
-				if satisfied {
-					continue
-				}
-				detail, ok := ps.PS.Explain(p)
-				if !ok {
-					continue
-				}
-				vs = append(vs, &Violation{Stmt: ps, Pattern: p, Detail: detail})
-			}
-		}
-		outs[shard] = shardOut{violations: vs, stats: stats}
+		o := &outs[shard]
+		o.stats, o.violations = s.matchStmts(s.Stmts[shards[shard].Lo:shards[shard].Hi])
 	})
-	var out []*Violation
+	res := &ScanResult{Stats: features.NewIndex(), Statements: len(s.Stmts)}
+	var vs []*Violation
 	for _, o := range outs {
-		out = append(out, o.violations...)
-		s.StatsIx.Merge(o.stats)
+		vs = append(vs, o.violations...)
+		res.Stats.Merge(o.stats)
 	}
-	return out
+	res.Violations = Dedup(vs)
+	return res
+}
+
+// matchStmts matches a run of statements, returning their statistics
+// (fingerprints, then pattern observations) and their violations in
+// statement order, before dedup. Without a pattern index only the
+// fingerprints are counted.
+func (s *System) matchStmts(stmts []*ProcStmt) (*features.Index, []*Violation) {
+	stats := features.NewIndex()
+	for _, ps := range stmts {
+		stats.AddStatement(ps.Repo, ps.Path, ps.Fingerprint)
+	}
+	if s.index == nil {
+		return stats, nil
+	}
+	var vs []*Violation
+	var seen []StmtObservation
+	for _, ps := range stmts {
+		seen, vs = s.matchStmt(ps, seen[:0], vs)
+		for _, o := range seen {
+			stats.AddObservation(ps.Repo, ps.Path, o.Pattern, o.Satisfied)
+		}
+	}
+	return stats, vs
+}
+
+// matchStmt is the per-statement matcher every scan path shares: each
+// candidate pattern whose precondition the statement matches is appended
+// to seen as an observation, and each explained unsatisfied one to vs.
+// Must only run with a loaded pattern index.
+func (s *System) matchStmt(ps *ProcStmt, seen []StmtObservation, vs []*Violation) ([]StmtObservation, []*Violation) {
+	for _, p := range s.index.Candidates(ps.PS) {
+		if !ps.PS.Matches(p) {
+			continue
+		}
+		satisfied := ps.PS.Satisfied(p)
+		seen = append(seen, StmtObservation{Pattern: p, Satisfied: satisfied})
+		if satisfied {
+			continue
+		}
+		if detail, ok := ps.PS.Explain(p); ok {
+			vs = append(vs, &Violation{Stmt: ps, Pattern: p, Detail: detail})
+		}
+	}
+	return seen, vs
 }
 
 // Dedup collapses violations that flag the same statement with the same
@@ -362,15 +406,9 @@ func Dedup(vs []*Violation) []*Violation {
 	return out
 }
 
-// FeatureVector computes the 17 features of Table 1 for a violation,
-// against the system's accumulated statistics.
-func (s *System) FeatureVector(v *Violation) []float64 {
-	return s.FeatureVectorIn(s.StatsIx, v)
-}
-
-// FeatureVectorIn computes the feature vector against an explicit
-// statistics index. Detached scans (the serving path) keep per-request
-// statistics so concurrent requests never write shared state.
+// FeatureVectorIn computes the 17 features of Table 1 for a violation
+// against the statistics of the scan that found it (ScanResult.Stats,
+// OverlayResult.Stats).
 func (s *System) FeatureVectorIn(ix *features.Index, v *Violation) []float64 {
 	return ix.Vector(features.Violation{
 		Repo:        v.Stmt.Repo,
@@ -382,16 +420,22 @@ func (s *System) FeatureVectorIn(ix *features.Index, v *Violation) []float64 {
 	}, s.Pairs)
 }
 
-// TrainClassifier trains the defect classifier (linear SVM over
-// standardized, PCA-transformed features, per §5.1) from labeled
-// violations. Labels are 1 for true naming issues, 0 for false positives.
-func (s *System) TrainClassifier(vs []*Violation, labels []int) {
+// featureMatrix computes the feature vectors of vs against ix.
+func (s *System) featureMatrix(ix *features.Index, vs []*Violation) [][]float64 {
 	X := make([][]float64, len(vs))
 	for i, v := range vs {
-		X[i] = s.FeatureVector(v)
+		X[i] = s.FeatureVectorIn(ix, v)
 	}
+	return X
+}
+
+// TrainClassifier trains the defect classifier (linear SVM over
+// standardized, PCA-transformed features, per §5.1) from labeled
+// violations scored against ix, the statistics of the scan that found
+// them. Labels are 1 for true naming issues, 0 for false positives.
+func (s *System) TrainClassifier(ix *features.Index, vs []*Violation, labels []int) {
 	s.classifier = s.newPipeline("svm")
-	s.classifier.Fit(X, labels)
+	s.classifier.Fit(s.featureMatrix(ix, vs), labels)
 }
 
 // newPipeline builds the §5.1 preprocessing + model stack.
@@ -414,30 +458,21 @@ func (s *System) newPipeline(model string) *ml.Pipeline {
 }
 
 // CrossValidate runs the §5.1 model-selection protocol (random 80/20
-// splits, repeated) over labeled violations for the given model name
-// ("svm", "logreg", "lda"), returning averaged metrics.
-func (s *System) CrossValidate(vs []*Violation, labels []int, model string, repeats int) ml.Metrics {
-	X := make([][]float64, len(vs))
-	for i, v := range vs {
-		X[i] = s.FeatureVector(v)
-	}
+// splits, repeated) over labeled violations scored against ix, for the
+// given model name ("svm", "logreg", "lda"), returning averaged metrics.
+func (s *System) CrossValidate(ix *features.Index, vs []*Violation, labels []int, model string, repeats int) ml.Metrics {
 	return ml.CrossValidate(func() *ml.Pipeline { return s.newPipeline(model) },
-		X, labels, repeats, 0.8, s.cfg.Seed)
+		s.featureMatrix(ix, vs), labels, repeats, 0.8, s.cfg.Seed)
 }
 
 // HasClassifier reports whether a classifier is trained.
 func (s *System) HasClassifier() bool { return s.classifier != nil }
 
-// Classify returns whether the violation should be reported as a naming
-// issue. Without a trained classifier every violation is reported (the
-// "w/o C" ablation).
-func (s *System) Classify(v *Violation) bool {
-	return s.ClassifyIn(s.StatsIx, v)
-}
-
-// ClassifyIn classifies a violation using an explicit statistics index
-// (see FeatureVectorIn). Safe for concurrent use: the classifier and
-// pattern state are read-only after Import/TrainClassifier.
+// ClassifyIn returns whether the violation should be reported as a
+// naming issue, scoring it against ix (see FeatureVectorIn). Without a
+// trained classifier every violation is reported (the "w/o C"
+// ablation). Safe for concurrent use: the classifier and pattern state
+// are read-only after Import/TrainClassifier.
 func (s *System) ClassifyIn(ix *features.Index, v *Violation) bool {
 	if s.classifier == nil {
 		return true

@@ -8,8 +8,9 @@ import (
 	"namer/internal/pattern"
 )
 
-// buildSystem runs the full pipeline over a generated corpus.
-func buildSystem(t *testing.T, lang ast.Language, cfg Config, ccfg corpus.Config) (*System, *corpus.Corpus, []*Violation) {
+// buildSystem runs the full pipeline over a generated corpus: mine, then
+// Scan the mined statements.
+func buildSystem(t *testing.T, lang ast.Language, cfg Config, ccfg corpus.Config) (*System, *corpus.Corpus, *ScanResult) {
 	t.Helper()
 	c := corpus.Generate(ccfg)
 	sys := NewSystem(cfg)
@@ -40,7 +41,8 @@ func smallSystemConfig(lang ast.Language) Config {
 }
 
 func TestEndToEndPython(t *testing.T) {
-	sys, c, violations := buildSystem(t, ast.Python, smallSystemConfig(ast.Python), smallCorpusConfig(ast.Python))
+	sys, c, res := buildSystem(t, ast.Python, smallSystemConfig(ast.Python), smallCorpusConfig(ast.Python))
+	violations := res.Violations
 	if len(sys.Patterns) == 0 {
 		t.Fatal("no patterns mined")
 	}
@@ -94,7 +96,8 @@ func TestEndToEndPython(t *testing.T) {
 }
 
 func TestEndToEndJava(t *testing.T) {
-	sys, c, violations := buildSystem(t, ast.Java, smallSystemConfig(ast.Java), smallCorpusConfig(ast.Java))
+	sys, c, res := buildSystem(t, ast.Java, smallSystemConfig(ast.Java), smallCorpusConfig(ast.Java))
+	violations := res.Violations
 	if len(sys.Patterns) == 0 {
 		t.Fatal("no patterns mined")
 	}
@@ -118,7 +121,8 @@ func TestEndToEndJava(t *testing.T) {
 }
 
 func TestClassifierImprovesPrecision(t *testing.T) {
-	sys, c, violations := buildSystem(t, ast.Python, smallSystemConfig(ast.Python), smallCorpusConfig(ast.Python))
+	sys, c, res := buildSystem(t, ast.Python, smallSystemConfig(ast.Python), smallCorpusConfig(ast.Python))
+	violations := res.Violations
 	if len(violations) < 40 {
 		t.Skipf("only %d violations", len(violations))
 	}
@@ -153,14 +157,14 @@ func TestClassifierImprovesPrecision(t *testing.T) {
 			neg++
 		}
 	}
-	sys.TrainClassifier(trainVs, trainY)
+	sys.TrainClassifier(res.Stats, trainVs, trainY)
 	if !sys.HasClassifier() {
 		t.Fatal("classifier not trained")
 	}
 
 	reported, reportedTP := 0, 0
 	for i, v := range violations {
-		if sys.Classify(v) {
+		if sys.ClassifyIn(res.Stats, v) {
 			reported++
 			if labels[i] == 1 {
 				reportedTP++
@@ -188,8 +192,8 @@ func TestAblationNoAnalysis(t *testing.T) {
 	cfgNoA.UseAnalysis = false
 	ccfg := smallCorpusConfig(ast.Python)
 
-	_, cA, vA := buildSystem(t, ast.Python, cfgA, ccfg)
-	_, cNoA, vNoA := buildSystem(t, ast.Python, cfgNoA, ccfg)
+	_, cA, resA := buildSystem(t, ast.Python, cfgA, ccfg)
+	_, cNoA, resNoA := buildSystem(t, ast.Python, cfgNoA, ccfg)
 
 	caught := func(c *corpus.Corpus, vs []*Violation) int {
 		seen := map[*corpus.Issue]bool{}
@@ -202,7 +206,7 @@ func TestAblationNoAnalysis(t *testing.T) {
 		}
 		return n
 	}
-	tpA, tpNoA := caught(cA, vA), caught(cNoA, vNoA)
+	tpA, tpNoA := caught(cA, resA.Violations), caught(cNoA, resNoA.Violations)
 	t.Logf("with analysis: %d issues; without: %d issues", tpA, tpNoA)
 	// The analysis unlocks origin-dependent patterns (TestCase receivers,
 	// numpy aliases, typed Java params): it must find strictly more.
@@ -212,7 +216,8 @@ func TestAblationNoAnalysis(t *testing.T) {
 }
 
 func TestViolationReport(t *testing.T) {
-	_, _, violations := buildSystem(t, ast.Python, smallSystemConfig(ast.Python), smallCorpusConfig(ast.Python))
+	_, _, res := buildSystem(t, ast.Python, smallSystemConfig(ast.Python), smallCorpusConfig(ast.Python))
+	violations := res.Violations
 	if len(violations) == 0 {
 		t.Fatal("no violations")
 	}
@@ -223,7 +228,8 @@ func TestViolationReport(t *testing.T) {
 }
 
 func TestCrossValidateModels(t *testing.T) {
-	sys, c, violations := buildSystem(t, ast.Python, smallSystemConfig(ast.Python), smallCorpusConfig(ast.Python))
+	sys, c, res := buildSystem(t, ast.Python, smallSystemConfig(ast.Python), smallCorpusConfig(ast.Python))
+	violations := res.Violations
 	if len(violations) < 40 {
 		t.Skip("not enough violations")
 	}
@@ -235,7 +241,7 @@ func TestCrossValidateModels(t *testing.T) {
 		}
 	}
 	for _, model := range []string{"svm", "logreg", "lda"} {
-		m := sys.CrossValidate(violations, labels, model, 5)
+		m := sys.CrossValidate(res.Stats, violations, labels, model, 5)
 		if m.Accuracy <= 0.4 {
 			t.Errorf("%s: accuracy %.2f suspiciously low", model, m.Accuracy)
 		}

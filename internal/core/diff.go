@@ -96,8 +96,10 @@ func (s *System) DiffFiles(files []DiffFile) *DiffResult {
 // violations introduced by the change, plus the identifier renames of
 // the AST alignment. Like ScanFilesCtx it is read-only on the system,
 // safe for concurrent use, and serves both sides of every pair from the
-// per-file cache when one is installed. Span structure: "process" (one
-// "file" child per side), "match", and "align" for the tree diff.
+// per-file cache when one is installed. Both sides of every pair go
+// through the same front end and match stage as ScanFiles, on the same
+// worker pool. Span structure: "process" (one "file" child per side),
+// "match", and "align" for the tree diff.
 func (s *System) DiffFilesCtx(ctx context.Context, files []DiffFile) *DiffResult {
 	res := &DiffResult{Stats: features.NewIndex()}
 	if s.index == nil {
@@ -105,36 +107,36 @@ func (s *System) DiffFilesCtx(ctx context.Context, files []DiffFile) *DiffResult
 		return res
 	}
 
-	type pairEval struct {
-		path          string
-		before, after *fileEval
-	}
-	pairs := make([]pairEval, 0, len(files))
-	pctx, stopProcess := stage(ctx, "process")
+	inputs := make([]*InputFile, 0, 2*len(files))
 	for _, df := range files {
-		b := s.frontEndFile(pctx, &InputFile{Repo: df.Repo, Path: df.Path, Source: df.Before}, &res.Timings)
-		a := s.frontEndFile(pctx, &InputFile{Repo: df.Repo, Path: df.Path, Source: df.After}, &res.Timings)
+		inputs = append(inputs,
+			&InputFile{Repo: df.Repo, Path: df.Path, Source: df.Before},
+			&InputFile{Repo: df.Repo, Path: df.Path, Source: df.After})
+	}
+	evals := s.frontEndFiles(ctx, inputs, &res.Timings)
+	// live holds the (before, after) evals of every pair whose two sides
+	// survived the front end; kept holds those pairs' indices in files.
+	var live []*fileEval
+	var kept []int
+	for i := range files {
+		b, a := evals[2*i], evals[2*i+1]
 		okB := accountEval(b, new(int), &res.CacheHits, &res.CacheMisses, &res.Errors)
 		okA := accountEval(a, new(int), &res.CacheHits, &res.CacheMisses, &res.Errors)
-		if !okB || !okA {
-			continue
+		if okB && okA {
+			res.FilesParsed++
+			live = append(live, b, a)
+			kept = append(kept, i)
 		}
-		res.FilesParsed++
-		pairs = append(pairs, pairEval{path: df.Path, before: b, after: a})
 	}
-	res.Timings.Process = stopProcess()
 
 	_, stopMatch := stage(ctx, "match")
+	s.matchFiles(live)
 	var introduced []*Violation
-	for _, pe := range pairs {
-		s.matchFile(pe.before)
-		s.matchFile(pe.after)
-		res.Stats.Merge(pe.after.ent.Stats)
-		res.Statements += len(pe.after.ent.Stmts)
-
-		intro, changed := IntroducedViolations(
-			pe.before.ent.Stmts, pe.after.ent.Stmts,
-			pe.before.ent.Violations, pe.after.ent.Violations)
+	for k := 0; k < len(live); k += 2 {
+		before, after := live[k].ent, live[k+1].ent
+		res.Stats.Merge(after.Stats)
+		res.Statements += len(after.Stmts)
+		intro, changed := IntroducedViolations(before.Stmts, after.Stmts, before.Violations, after.Violations)
 		res.Changed += changed
 		introduced = append(introduced, intro...)
 	}
@@ -142,16 +144,16 @@ func (s *System) DiffFilesCtx(ctx context.Context, files []DiffFile) *DiffResult
 	res.Timings.Match = stopMatch()
 
 	_, alignSp := obs.StartSpan(ctx, "align")
-	for _, pe := range pairs {
+	for k, i := range kept {
 		seen := map[[2]string]bool{}
-		for _, r := range treediff.Diff(pe.before.ent.Root, pe.after.ent.Root) {
-			k := [2]string{r.Before, r.After}
-			if seen[k] {
+		for _, r := range treediff.Diff(live[2*k].ent.Root, live[2*k+1].ent.Root) {
+			key := [2]string{r.Before, r.After}
+			if seen[key] {
 				continue
 			}
-			seen[k] = true
+			seen[key] = true
 			res.Renames = append(res.Renames, Rename{
-				Path:      pe.path,
+				Path:      files[i].Path,
 				Before:    r.Before,
 				After:     r.After,
 				KnownPair: s.renameKnownPair(r.Before, r.After),

@@ -10,7 +10,8 @@ import (
 )
 
 func TestApplyFixClearsViolation(t *testing.T) {
-	sys, c, violations := buildSystem(t, ast.Python, smallSystemConfig(ast.Python), smallCorpusConfig(ast.Python))
+	sys, c, res := buildSystem(t, ast.Python, smallSystemConfig(ast.Python), smallCorpusConfig(ast.Python))
+	violations := res.Violations
 	if len(violations) == 0 {
 		t.Fatal("no violations")
 	}
@@ -22,7 +23,7 @@ func TestApplyFixClearsViolation(t *testing.T) {
 		}
 	}
 	fixed, failed, cleared := 0, 0, 0
-	for _, v := range Dedup(violations) {
+	for _, v := range violations {
 		src := srcs[v.Stmt.Repo+"|"+v.Stmt.Path]
 		newSrc, ok := ApplyFix(src, v)
 		if !ok {

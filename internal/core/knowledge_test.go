@@ -8,7 +8,8 @@ import (
 )
 
 func TestKnowledgeRoundTrip(t *testing.T) {
-	sys, c, violations := buildSystem(t, ast.Python, smallSystemConfig(ast.Python), smallCorpusConfig(ast.Python))
+	sys, c, res := buildSystem(t, ast.Python, smallSystemConfig(ast.Python), smallCorpusConfig(ast.Python))
+	violations := res.Violations
 	if len(violations) < 20 {
 		t.Skip("not enough violations")
 	}
@@ -27,7 +28,7 @@ func TestKnowledgeRoundTrip(t *testing.T) {
 			ys = append(ys, 0)
 		}
 	}
-	sys.TrainClassifier(vs, ys)
+	sys.TrainClassifier(res.Stats, vs, ys)
 
 	path := filepath.Join(t.TempDir(), "knowledge.json")
 	if err := sys.SaveKnowledge(path); err != nil {
@@ -54,14 +55,14 @@ func TestKnowledgeRoundTrip(t *testing.T) {
 			files = append(files, &InputFile{Repo: r.Name, Path: f.Path, Source: f.Source, Root: f.Root})
 		}
 	}
-	sys2.ProcessFiles(files)
-	violations2 := sys2.Scan()
+	res2 := sys2.ScanFiles(files)
+	violations2 := res2.Violations
 	if len(violations2) != len(violations) {
 		t.Fatalf("violations after reload: %d vs %d", len(violations2), len(violations))
 	}
 	// Classifier decisions agree on every violation.
 	for i := range violations {
-		if sys.Classify(violations[i]) != sys2.Classify(violations2[i]) {
+		if sys.ClassifyIn(res.Stats, violations[i]) != sys2.ClassifyIn(res2.Stats, violations2[i]) {
 			t.Fatalf("classification diverged at violation %d", i)
 		}
 	}

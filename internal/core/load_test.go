@@ -97,7 +97,8 @@ func TestToolchainFlow(t *testing.T) {
 	if len(issues) == 0 {
 		t.Fatal("no issues on disk")
 	}
-	violations := Dedup(sys.Scan())
+	scan := sys.Scan()
+	violations := scan.Violations
 	if len(violations) == 0 {
 		t.Fatal("no violations")
 	}
@@ -133,7 +134,7 @@ func TestToolchainFlow(t *testing.T) {
 	if pos == 0 || neg == 0 {
 		t.Skipf("degenerate labels pos=%d neg=%d", pos, neg)
 	}
-	sys.TrainClassifier(train, labels)
+	sys.TrainClassifier(scan.Stats, train, labels)
 	trained := filepath.Join(dir, "knowledge-trained.json")
 	if err := sys.SaveKnowledge(trained); err != nil {
 		t.Fatal(err)
@@ -148,11 +149,11 @@ func TestToolchainFlow(t *testing.T) {
 		t.Fatal("classifier missing after reload")
 	}
 	files2, _ := LoadDirectory(dir, ast.Python)
-	sys2.ProcessFiles(files2)
+	res2 := sys2.ScanFiles(files2)
 	reports := 0
 	tp := 0
-	for _, v := range Dedup(sys2.Scan()) {
-		if !sys2.Classify(v) {
+	for _, v := range res2.Violations {
+		if !sys2.ClassifyIn(res2.Stats, v) {
 			continue
 		}
 		reports++

@@ -111,7 +111,7 @@ type OverlayResult struct {
 	// order.
 	Violations []*Violation
 	// Stats is the file-local statistics index, equivalent to what a
-	// detached scan of the file would produce; classify against it.
+	// ScanFiles of the file would produce; classify against it.
 	Stats *features.Index
 	// Statements counts analyzed statements; ReusedStatements how many
 	// were spliced from the previous analysis rather than re-analyzed.
@@ -194,17 +194,7 @@ func (s *System) AnalyzeOverlayCtx(ctx context.Context, f *InputFile, prev *File
 
 // overlayFull analyzes the whole content from scratch.
 func (s *System) overlayFull(ctx context.Context, f *InputFile) (*OverlayResult, error) {
-	root := f.Root
-	if root == nil {
-		_, psp := obs.StartSpan(ctx, "parse")
-		parsed, err := ParseSource(s.cfg.Lang, f.Source)
-		psp.End()
-		if err != nil {
-			return nil, err
-		}
-		root = parsed
-	}
-	stmts, err := s.processFileSafe(&InputFile{Repo: f.Repo, Path: f.Path, Source: f.Source, Root: root})
+	_, stmts, _, err := s.frontEnd(ctx, f)
 	if err != nil {
 		return nil, err
 	}
@@ -290,12 +280,7 @@ func (s *System) rescanRegion(ctx context.Context, f *InputFile, prev *FileAnaly
 		sb.WriteString(newLines[i])
 		sb.WriteByte('\n')
 	}
-	regionSrc := sb.String()
-	root, err := ParseSource(s.cfg.Lang, regionSrc)
-	if err != nil {
-		return nil
-	}
-	stmts, err := s.processFileSafe(&InputFile{Repo: f.Repo, Path: f.Path, Source: regionSrc, Root: root})
+	_, stmts, _, err := s.frontEnd(ctx, &InputFile{Repo: f.Repo, Path: f.Path, Source: sb.String()})
 	if err != nil {
 		return nil
 	}
@@ -352,27 +337,12 @@ func (s *System) rescanRegion(ctx context.Context, f *InputFile, prev *FileAnaly
 	return fa.result(reused, true)
 }
 
-// analyzeStmt runs the match loop for one statement, recording the
-// observations and violations matchFile would have produced.
+// analyzeStmt runs the shared matcher on one statement, keeping its
+// observations and violations for reuse by later splices.
 func (s *System) analyzeStmt(ps *ProcStmt) *StmtAnalysis {
 	sa := &StmtAnalysis{Stmt: ps}
-	if s.index == nil {
-		return sa
-	}
-	for _, p := range s.index.Candidates(ps.PS) {
-		if !ps.PS.Matches(p) {
-			continue
-		}
-		satisfied := ps.PS.Satisfied(p)
-		sa.Obs = append(sa.Obs, StmtObservation{Pattern: p, Satisfied: satisfied})
-		if satisfied {
-			continue
-		}
-		detail, ok := ps.PS.Explain(p)
-		if !ok {
-			continue
-		}
-		sa.Violations = append(sa.Violations, &Violation{Stmt: ps, Pattern: p, Detail: detail})
+	if s.index != nil {
+		sa.Obs, sa.Violations = s.matchStmt(ps, nil, nil)
 	}
 	return sa
 }

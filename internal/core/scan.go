@@ -10,6 +10,7 @@ import (
 	"namer/internal/golang"
 	"namer/internal/javalang"
 	"namer/internal/obs"
+	"namer/internal/parallel"
 	"namer/internal/pylang"
 )
 
@@ -35,17 +36,17 @@ func ParseSource(lang ast.Language, source string) (root *ast.Node, err error) {
 	return nil, fmt.Errorf("core: no parser for %v", lang)
 }
 
-// StageTimings breaks one detached scan into its pipeline stages, so the
-// serving layer can export per-stage latency histograms and an operator
-// can tell front-end cost (parsing, analysis, AST+ transformation, path
-// extraction) apart from pattern-index matching. Under a tracing context
-// the Process/Match values are a derived view of the "process" and
-// "match" spans; without one they are measured directly, so the
-// histograms stay populated either way.
+// StageTimings breaks one ScanFiles or DiffFiles call into its pipeline
+// stages, so the serving layer can export per-stage latency histograms
+// and an operator can tell front-end cost (parsing, analysis, AST+
+// transformation, path extraction) apart from pattern-index matching.
+// Under a tracing context the Process/Match values are a derived view of
+// the "process" and "match" spans; without one they are measured
+// directly, so the histograms stay populated either way.
 type StageTimings struct {
-	// Parse is the cumulative source-parsing time across the request's
-	// files; zero for files served from the cache or handed in
-	// pre-parsed.
+	// Parse is the source-parsing time summed over the request's files
+	// (on several workers it can exceed Process); zero for files served
+	// from the cache or handed in pre-parsed.
 	Parse time.Duration
 	// Process is the per-file front-end time: parsing (when needed),
 	// points-to analysis, AST+ transformation, and name path extraction.
@@ -55,12 +56,13 @@ type StageTimings struct {
 	Match time.Duration
 }
 
-// ScanResult is the outcome of a detached scan (ScanFiles).
+// ScanResult is the outcome of a scan: ScanFiles, or Scan over the
+// mined statements (which fills only Violations, Stats and Statements).
 type ScanResult struct {
 	// Violations are the deduplicated pattern violations found in the
-	// request files, in deterministic order.
+	// scanned files, in deterministic order.
 	Violations []*Violation
-	// Stats is the request-local statistics index the violations were
+	// Stats is the scan's own statistics index the violations are
 	// scored against; pass it to ClassifyIn/FeatureVectorIn.
 	Stats *features.Index
 	// Statements is how many statements were extracted and matched.
@@ -96,102 +98,65 @@ func stage(ctx context.Context, name string) (context.Context, func() time.Durat
 	}
 }
 
-// fileEval tracks one request file through the per-file pipeline.
+// fileEval tracks one input file through the per-file pipeline.
 type fileEval struct {
-	key      string // cache key; "" when the cache is bypassed
-	ent      *CachedFile
-	hit      bool
-	parsedOK bool
-	err      error
+	key   string      // cache key; "" when the cache is bypassed
+	ent   *CachedFile // nil when the file failed to parse
+	hit   bool
+	parse time.Duration
+	err   error
 }
 
-// frontEndFile runs the per-file front end under a "file" span (path,
-// cache_hit, statement-count attributes), consulting the cache first. On
-// a hit the returned unit is complete, match fragment included; on a
-// miss it carries the parsed AST, statements, and statement statistics,
-// and matchFile finishes and publishes it. Files arriving with Root set
-// skip parsing; files without one are parsed from Source (a "parse"
-// child span, accumulated into timings.Parse).
-func (s *System) frontEndFile(pctx context.Context, f *InputFile, timings *StageTimings) *fileEval {
-	fctx, fsp := obs.StartSpan(pctx, "file")
-	defer fsp.End()
-	fsp.SetAttr("path", f.Path)
-	fe := &fileEval{}
-	if s.cacheActive() {
-		fe.key = s.FileCacheKey(f)
-		if ent, ok := s.cache.Get(fe.key); ok {
-			fsp.SetAttr("cache_hit", "true")
-			fsp.SetAttrInt("statements", len(ent.Stmts))
-			fe.ent, fe.hit, fe.parsedOK = ent, true, true
-			return fe
+// frontEndFiles runs the front end over files on the worker pool under
+// a "process" stage, consulting the cache first, and records the Parse
+// and Process timings. A cache hit is a complete unit, match output
+// included; a miss carries the AST and statements for matchFiles.
+func (s *System) frontEndFiles(ctx context.Context, files []*InputFile, timings *StageTimings) []*fileEval {
+	pctx, stop := stage(ctx, "process")
+	evals := make([]*fileEval, len(files))
+	s.eachFile(pctx, files, func(fctx context.Context, sp *obs.Span, i int) int {
+		fe := &fileEval{}
+		evals[i] = fe
+		if s.cacheActive() {
+			fe.key = s.FileCacheKey(files[i])
+			if fe.ent, fe.hit = s.cache.Get(fe.key); fe.hit {
+				sp.SetAttr("cache_hit", "true")
+				return len(fe.ent.Stmts)
+			}
+			sp.SetAttr("cache_hit", "false")
 		}
-		fsp.SetAttr("cache_hit", "false")
-	}
-	root := f.Root
-	if root == nil {
-		start := time.Now()
-		_, psp := obs.StartSpan(fctx, "parse")
-		parsed, err := ParseSource(s.cfg.Lang, f.Source)
-		psp.End()
-		timings.Parse += time.Since(start)
-		if err != nil {
-			fe.err = fmt.Errorf("%s/%s: %v", f.Repo, f.Path, err)
-			fsp.SetAttr("error", err.Error())
-			return fe
+		root, stmts, parse, err := s.frontEnd(fctx, files[i])
+		if fe.parse, fe.err = parse, err; err != nil {
+			sp.SetAttr("error", err.Error())
 		}
-		root = parsed
+		if root != nil {
+			fe.ent = &CachedFile{Root: root, Stmts: stmts}
+		}
+		return len(stmts)
+	})
+	for _, fe := range evals {
+		timings.Parse += fe.parse
 	}
-	fe.parsedOK = true
-	in := f
-	if in.Root != root {
-		in = &InputFile{Repo: f.Repo, Path: f.Path, Source: f.Source, Root: root}
-	}
-	stmts, err := s.processFileSafe(in)
-	if err != nil {
-		fe.err = err
-		fsp.SetAttr("error", err.Error())
-		return fe
-	}
-	stats := features.NewIndex()
-	for _, ps := range stmts {
-		stats.AddStatement(ps.Repo, ps.Path, ps.Fingerprint)
-	}
-	fe.ent = &CachedFile{Root: root, Stmts: stmts, Stats: stats}
-	fsp.SetAttrInt("statements", len(stmts))
-	return fe
+	timings.Process = stop()
+	return evals
 }
 
-// matchFile finishes a missed per-file unit: the match fragment (pattern
-// observations into the unit's statistics plus the per-file violations)
-// is computed against the pattern index, and the completed unit is
-// published to the cache. Cache hits and failed files are no-ops. Must
-// only run with a loaded pattern index.
-func (s *System) matchFile(fe *fileEval) {
-	if fe.err != nil || fe.ent == nil || fe.hit {
-		return
-	}
-	ent := fe.ent
-	for _, ps := range ent.Stmts {
-		for _, p := range s.index.Candidates(ps.PS) {
-			if !ps.PS.Matches(p) {
-				continue
-			}
-			satisfied := ps.PS.Satisfied(p)
-			ent.Stats.AddObservation(ps.Repo, ps.Path, p, satisfied)
-			if satisfied {
-				continue
-			}
-			detail, ok := ps.PS.Explain(p)
-			if !ok {
-				continue
-			}
-			ent.Violations = append(ent.Violations, &Violation{Stmt: ps, Pattern: p, Detail: detail})
+// matchFiles finishes the missed units among evals on the worker pool:
+// each gets its statistics (statements, then pattern observations) and
+// violations from matchStmts, and is published to the cache. Cache hits
+// are already complete. Every eval must have survived the front end.
+func (s *System) matchFiles(evals []*fileEval) {
+	parallel.ForEach(len(evals), parallel.Degree(s.cfg.Parallelism), func(i int) {
+		fe := evals[i]
+		if fe.hit {
+			return
 		}
-	}
-	if fe.key != "" {
-		ent.Cost = ent.cost()
-		s.cache.Add(fe.key, ent)
-	}
+		fe.ent.Stats, fe.ent.Violations = s.matchStmts(fe.ent.Stmts)
+		if fe.key != "" {
+			fe.ent.Cost = fe.ent.cost()
+			s.cache.Add(fe.key, fe.ent)
+		}
+	})
 }
 
 // accountEval folds one per-file evaluation into the scan result's
@@ -202,7 +167,7 @@ func accountEval(fe *fileEval, parsed, hits, misses *int, errs *[]error) bool {
 	} else if fe.key != "" {
 		*misses++
 	}
-	if fe.parsedOK {
+	if fe.ent != nil {
 		*parsed++
 	}
 	if fe.err != nil {
@@ -212,15 +177,15 @@ func accountEval(fe *fileEval, parsed, hits, misses *int, errs *[]error) bool {
 	return true
 }
 
-// ScanFiles analyzes the given files against the system's mined knowledge
-// without touching any system state: statements and statistics live in the
-// returned ScanResult rather than in s.Stmts/s.StatsIx. Unlike
-// ProcessFiles+Scan, this path is safe for concurrent read-only use — the
-// serving layer runs one ScanFiles per request over a shared System. The
-// system must not be mutated (mining, training, importing) while detached
-// scans are in flight. Files may arrive pre-parsed (Root set) or as raw
+// ScanFiles is how the binaries detect violations: it analyzes the given
+// files against the system's mined knowledge without touching system
+// state (statements and statistics live in the returned ScanResult), so
+// the serving layer runs one per request over a shared System. The
+// system must not be mutated (mining, training, importing) while scans
+// are in flight. Files may arrive pre-parsed (Root set) or as raw
 // Source; with a FileCache installed, repeat files skip the whole
-// parse/analyze/match pipeline.
+// pipeline. The front end and the match stage run on the
+// Config.Parallelism pool and merge in input order.
 func (s *System) ScanFiles(files []*InputFile) *ScanResult {
 	return s.ScanFilesCtx(context.Background(), files)
 }
@@ -231,36 +196,29 @@ func (s *System) ScanFiles(files []*InputFile) *ScanResult {
 // from which ScanResult.Timings is derived.
 func (s *System) ScanFilesCtx(ctx context.Context, files []*InputFile) *ScanResult {
 	res := &ScanResult{Stats: features.NewIndex()}
-	evals := make([]*fileEval, 0, len(files))
-	pctx, stopProcess := stage(ctx, "process")
-	// Requests are small (a snippet or a handful of files); concurrency
-	// comes from scanning many requests at once, so each request is
-	// processed serially to avoid worker-pool churn per request.
-	for _, f := range files {
-		fe := s.frontEndFile(pctx, f, &res.Timings)
+	var live []*fileEval
+	for _, fe := range s.frontEndFiles(ctx, files, &res.Timings) {
 		if !accountEval(fe, &res.FilesParsed, &res.CacheHits, &res.CacheMisses, &res.Errors) {
 			continue
 		}
 		res.Statements += len(fe.ent.Stmts)
-		evals = append(evals, fe)
+		live = append(live, fe)
 	}
-	res.Timings.Process = stopProcess()
-	if s.index == nil {
-		// No knowledge imported/mined yet: nothing to match against, but
-		// the statement statistics are still reported.
-		for _, fe := range evals {
-			res.Stats.Merge(fe.ent.Stats)
-		}
-		return res
+	// Without knowledge there is nothing to match against, so no match
+	// stage is timed, but the statement statistics are still reported.
+	var stopMatch func() time.Duration
+	if s.index != nil {
+		_, stopMatch = stage(ctx, "match")
 	}
-	_, stopMatch := stage(ctx, "match")
+	s.matchFiles(live)
 	var vs []*Violation
-	for _, fe := range evals {
-		s.matchFile(fe)
+	for _, fe := range live {
 		res.Stats.Merge(fe.ent.Stats)
 		vs = append(vs, fe.ent.Violations...)
 	}
 	res.Violations = Dedup(vs)
-	res.Timings.Match = stopMatch()
+	if stopMatch != nil {
+		res.Timings.Match = stopMatch()
+	}
 	return res
 }

@@ -20,7 +20,8 @@ import (
 // on every pattern, pair, violation, and classifier decision, and the
 // binary file is the smaller one.
 func TestKnowledgeRoundTripBinary(t *testing.T) {
-	sys, c, violations := buildSystem(t, ast.Python, smallSystemConfig(ast.Python), smallCorpusConfig(ast.Python))
+	sys, c, res := buildSystem(t, ast.Python, smallSystemConfig(ast.Python), smallCorpusConfig(ast.Python))
+	violations := res.Violations
 	if len(violations) < 20 {
 		t.Skip("not enough violations")
 	}
@@ -38,7 +39,7 @@ func TestKnowledgeRoundTripBinary(t *testing.T) {
 			ys = append(ys, 0)
 		}
 	}
-	sys.TrainClassifier(vs, ys)
+	sys.TrainClassifier(res.Stats, vs, ys)
 
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "knowledge.json")
@@ -65,18 +66,20 @@ func TestKnowledgeRoundTripBinary(t *testing.T) {
 			files = append(files, &InputFile{Repo: r.Name, Path: f.Path, Source: f.Source, Root: f.Root})
 		}
 	}
-	load := func(path string) (*System, []*Violation) {
+	load := func(path string) (*System, *ScanResult) {
 		s := NewSystem(DefaultConfig(ast.Python))
 		if err := s.LoadKnowledge(path); err != nil {
 			t.Fatalf("load %s: %v", path, err)
 		}
-		if errs := s.ProcessFiles(files); len(errs) != 0 {
-			t.Fatalf("process errors: %v", errs)
+		res := s.ScanFiles(files)
+		if len(res.Errors) != 0 {
+			t.Fatalf("scan errors: %v", res.Errors)
 		}
-		return s, s.Scan()
+		return s, res
 	}
-	sysJ, vJ := load(jsonPath)
-	sysB, vB := load(binPath)
+	sysJ, resJ := load(jsonPath)
+	sysB, resB := load(binPath)
+	vJ, vB := resJ.Violations, resB.Violations
 
 	if len(sysJ.Patterns) != len(sysB.Patterns) {
 		t.Fatalf("patterns: json %d vs binary %d", len(sysJ.Patterns), len(sysB.Patterns))
@@ -98,7 +101,7 @@ func TestKnowledgeRoundTripBinary(t *testing.T) {
 			a.Detail.Original != b.Detail.Original || a.Detail.Suggested != b.Detail.Suggested {
 			t.Fatalf("violation %d diverged between json and binary: %v vs %v", i, a.Detail, b.Detail)
 		}
-		if sysJ.Classify(vJ[i]) != sysB.Classify(vB[i]) {
+		if sysJ.ClassifyIn(resJ.Stats, vJ[i]) != sysB.ClassifyIn(resB.Stats, vB[i]) {
 			t.Fatalf("classification diverged at violation %d", i)
 		}
 	}
@@ -235,9 +238,10 @@ func TestSaveKnowledgeAtomic(t *testing.T) {
 	}
 }
 
-// TestProcessFilesContainsPanics: a pathological file (nil AST stands in
-// for a front-end panic; processFileSafe treats both the same way) is
-// reported as an error while the rest of the corpus processes normally.
+// TestProcessFilesContainsPanics: a pathological file (one that fails to
+// parse stands in for a front-end panic; the front end reports both as a
+// per-file error) is reported as an error while the rest of the corpus
+// processes normally.
 func TestProcessFilesContainsPanics(t *testing.T) {
 	good, err := ParseSource(ast.Python, "def f(a):\n    b = a.parse()\n    return b\n")
 	if err != nil {
@@ -245,7 +249,7 @@ func TestProcessFilesContainsPanics(t *testing.T) {
 	}
 	sys := NewSystem(DefaultConfig(ast.Python))
 	errs := sys.ProcessFiles([]*InputFile{
-		{Repo: "r", Path: "bad.py", Source: "x", Root: nil},
+		{Repo: "r", Path: "bad.py", Source: "def f(:\n"},
 		{Repo: "r", Path: "good.py", Source: "def f(a):\n    b = a.parse()\n    return b\n", Root: good},
 	})
 	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "bad.py") {
@@ -274,14 +278,14 @@ func TestParseSourceNeverPanics(t *testing.T) {
 	}
 }
 
-// TestScanFilesMatchesScan: the detached read-only scan path reports the
-// same violations as the stateful ProcessFiles+Scan pipeline.
+// TestScanFilesMatchesScan: ScanFiles, the path every binary detects
+// with, reports the same violations as mining's ProcessFiles+Scan, and
+// scores each one with the same feature vector against its own
+// statistics, whether the files arrive parsed or as source.
 func TestScanFilesMatchesScan(t *testing.T) {
-	sys, c, violations := buildSystem(t, ast.Python, smallSystemConfig(ast.Python), smallCorpusConfig(ast.Python))
-	deduped := Dedup(violations)
+	sys, c, scan := buildSystem(t, ast.Python, smallSystemConfig(ast.Python), smallCorpusConfig(ast.Python))
 
-	// A fresh system with the same knowledge scans the same files
-	// detachedly.
+	// A fresh system with the same knowledge scans the same files.
 	k, err := sys.ExportKnowledge()
 	if err != nil {
 		t.Fatal(err)
@@ -290,34 +294,54 @@ func TestScanFilesMatchesScan(t *testing.T) {
 	if err := fresh.ImportKnowledge(k); err != nil {
 		t.Fatal(err)
 	}
-	var files []*InputFile
+	var parsed, raw []*InputFile
 	for _, r := range c.Repos {
 		for _, f := range r.Files {
-			files = append(files, &InputFile{Repo: r.Name, Path: f.Path, Source: f.Source, Root: f.Root})
+			parsed = append(parsed, &InputFile{Repo: r.Name, Path: f.Path, Source: f.Source, Root: f.Root})
+			raw = append(raw, &InputFile{Repo: r.Name, Path: f.Path, Source: f.Source})
 		}
 	}
-	res := fresh.ScanFiles(files)
-	if len(res.Errors) != 0 {
-		t.Fatalf("detached scan errors: %v", res.Errors)
-	}
-	if len(res.Violations) != len(deduped) {
-		t.Fatalf("detached scan found %d violations, stateful found %d",
-			len(res.Violations), len(deduped))
-	}
-	for i := range deduped {
-		a, b := deduped[i], res.Violations[i]
-		if a.Stmt.Path != b.Stmt.Path || a.Stmt.Line != b.Stmt.Line ||
-			a.Detail.Original != b.Detail.Original || a.Detail.Suggested != b.Detail.Suggested {
-			t.Fatalf("violation %d diverged: %v vs %v", i, a.Detail, b.Detail)
+	for name, files := range map[string][]*InputFile{"parsed": parsed, "raw": raw} {
+		res := fresh.ScanFiles(files)
+		if len(res.Errors) != 0 {
+			t.Fatalf("%s: scan errors: %v", name, res.Errors)
 		}
+		sameScan(t, name, sys, scan, fresh, res)
 	}
-	// The detached path must not leak state into the system.
+	// ScanFiles must not leak state into the system.
 	if len(fresh.Stmts) != 0 {
 		t.Fatalf("ScanFiles appended %d statements to the system", len(fresh.Stmts))
 	}
 }
 
-// TestScanFilesTimings: the detached scan records per-stage wall times
+// sameScan fails unless two scans report the same violations in the same
+// order, each with the same feature vector against its own scan's
+// statistics.
+func sameScan(t *testing.T, label string, sysA *System, a *ScanResult, sysB *System, b *ScanResult) {
+	t.Helper()
+	if len(a.Violations) == 0 {
+		t.Fatalf("%s: no violations, nothing compared", label)
+	}
+	if len(a.Violations) != len(b.Violations) {
+		t.Fatalf("%s: %d violations vs %d", label, len(a.Violations), len(b.Violations))
+	}
+	for i := range a.Violations {
+		va, vb := a.Violations[i], b.Violations[i]
+		if va.Stmt.Repo != vb.Stmt.Repo || va.Stmt.Path != vb.Stmt.Path ||
+			va.Stmt.Line != vb.Stmt.Line || va.Pattern.Key() != vb.Pattern.Key() ||
+			va.Detail.Original != vb.Detail.Original || va.Detail.Suggested != vb.Detail.Suggested {
+			t.Fatalf("%s: violation %d differs:\n %s\n %s", label, i, va.Report(), vb.Report())
+		}
+		fa, fb := sysA.FeatureVectorIn(a.Stats, va), sysB.FeatureVectorIn(b.Stats, vb)
+		for j := range fa {
+			if fa[j] != fb[j] {
+				t.Fatalf("%s: violation %d feature %d differs: %v vs %v", label, i, j, fa[j], fb[j])
+			}
+		}
+	}
+}
+
+// TestScanFilesTimings: ScanFiles records per-stage wall times
 // (front-end processing vs pattern matching) for the serving layer's
 // latency histograms.
 func TestScanFilesTimings(t *testing.T) {

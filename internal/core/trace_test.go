@@ -40,10 +40,10 @@ func TestPipelineSpanStructure(t *testing.T) {
 	tr.SetMaxSpans(1 << 18)
 	sys.ProcessFilesCtx(ctx, files)
 	sys.MinePatternsCtx(ctx)
-	violations := sys.ScanCtx(ctx)
+	res := sys.ScanCtx(ctx)
 	tr.Finish()
-	if len(sys.Patterns) == 0 || len(violations) == 0 {
-		t.Fatalf("pipeline degenerate: %d patterns, %d violations", len(sys.Patterns), len(violations))
+	if len(sys.Patterns) == 0 || len(res.Violations) == 0 {
+		t.Fatalf("pipeline degenerate: %d patterns, %d violations", len(sys.Patterns), len(res.Violations))
 	}
 	if tr.Dropped() != 0 {
 		t.Fatalf("trace dropped %d spans", tr.Dropped())

@@ -206,7 +206,7 @@ func TestNeuralComparisonShape(t *testing.T) {
 	// sampled table row is too small at this corpus scale).
 	namerTP := 0
 	for _, l := range run.Violations {
-		if l.IsIssue() && run.Sys.Classify(l.V) {
+		if l.IsIssue() && run.Sys.ClassifyIn(run.Stats, l.V) {
 			namerTP++
 		}
 	}

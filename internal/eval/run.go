@@ -14,6 +14,7 @@ import (
 	"namer/internal/ast"
 	"namer/internal/core"
 	"namer/internal/corpus"
+	"namer/internal/features"
 	"namer/internal/ml"
 )
 
@@ -68,18 +69,23 @@ type Run struct {
 	Corpus     *corpus.Corpus
 	Sys        *core.System
 	Violations []*Labeled
-	Files      []*core.InputFile
+	// Stats is the scan's statistics index the violations are scored
+	// against, for training and classification.
+	Stats *features.Index
+	Files []*core.InputFile
 }
 
 // NewRun generates the corpus, builds the system (mining, scanning), and
 // labels every violation with the ground truth.
 func NewRun(opts Options) *Run {
 	c := corpus.Generate(opts.Corpus)
-	sys, files, labeled := buildSystem(c, opts.System)
-	return &Run{Opts: opts, Corpus: c, Sys: sys, Violations: labeled, Files: files}
+	sys, files, stats, labeled := buildSystem(c, opts.System)
+	return &Run{Opts: opts, Corpus: c, Sys: sys, Violations: labeled, Stats: stats, Files: files}
 }
 
-func buildSystem(c *corpus.Corpus, cfg core.Config) (*core.System, []*core.InputFile, []*Labeled) {
+// buildSystem mines the corpus and then scans the mined statements
+// (Scan), sparing a second front-end pass over the same files.
+func buildSystem(c *corpus.Corpus, cfg core.Config) (*core.System, []*core.InputFile, *features.Index, []*Labeled) {
 	sys := core.NewSystem(cfg)
 	sys.MinePairs(c.Commits)
 	var files []*core.InputFile
@@ -92,12 +98,13 @@ func buildSystem(c *corpus.Corpus, cfg core.Config) (*core.System, []*core.Input
 	}
 	sys.ProcessFiles(files)
 	sys.MinePatterns()
+	res := sys.Scan()
 	var labeled []*Labeled
-	for _, v := range core.Dedup(sys.Scan()) {
+	for _, v := range res.Violations {
 		sev, cat := c.Judge(v.Stmt.Repo, v.Stmt.Path, v.Stmt.Line, v.Detail.Original)
 		labeled = append(labeled, &Labeled{V: v, Severity: sev, Category: cat})
 	}
-	return sys, files, labeled
+	return sys, files, res.Stats, labeled
 }
 
 // splitTrainTest picks a balanced training set of up to n labeled
@@ -150,7 +157,7 @@ func (r *Run) TrainClassifier() (test []*Labeled) {
 			ys[i] = 1
 		}
 	}
-	r.Sys.TrainClassifier(vs, ys)
+	r.Sys.TrainClassifier(r.Stats, vs, ys)
 	return test
 }
 
@@ -170,7 +177,7 @@ func (r *Run) CrossValidation(repeats int) (best string, results map[string]ml.M
 	results = make(map[string]ml.Metrics)
 	bestF1 := -1.0
 	for _, model := range []string{"svm", "logreg", "lda"} {
-		m := r.Sys.CrossValidate(vs, ys, model, repeats)
+		m := r.Sys.CrossValidate(r.Stats, vs, ys, model, repeats)
 		results[model] = m
 		if m.F1 > bestF1 || (m.F1 == bestF1 && model < best) {
 			best, bestF1 = model, m.F1

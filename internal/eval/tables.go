@@ -43,8 +43,8 @@ func (r *Run) PrecisionTable() []PrecisionRow {
 	// re-mined on undecorated paths, as in the paper).
 	cfgNoA := r.Opts.System
 	cfgNoA.UseAnalysis = false
-	sysNoA, _, labeledNoA := buildSystem(r.Corpus, cfgNoA)
-	runNoA := &Run{Opts: r.Opts, Corpus: r.Corpus, Sys: sysNoA, Violations: labeledNoA}
+	sysNoA, _, statsNoA, labeledNoA := buildSystem(r.Corpus, cfgNoA)
+	runNoA := &Run{Opts: r.Opts, Corpus: r.Corpus, Sys: sysNoA, Violations: labeledNoA, Stats: statsNoA}
 	testNoA := runNoA.TrainClassifier()
 	rows = append(rows, runNoA.inspect("w/o A", testNoA, true))
 	rows = append(rows, runNoA.inspect("w/o C & A", testNoA, false))
@@ -57,7 +57,7 @@ func (r *Run) PrecisionTable() []PrecisionRow {
 func (r *Run) inspect(name string, sample []*Labeled, useClassifier bool) PrecisionRow {
 	row := PrecisionRow{Name: name}
 	for _, l := range sample {
-		if useClassifier && !r.Sys.Classify(l.V) {
+		if useClassifier && !r.Sys.ClassifyIn(r.Stats, l.V) {
 			continue
 		}
 		row.Reports++
@@ -93,7 +93,7 @@ func (r *Run) ExampleReports(perSeverity int) []ExampleReport {
 	counts := map[corpus.Severity]int{}
 	seen := map[string]bool{}
 	for _, l := range r.Violations {
-		if !r.Sys.Classify(l.V) {
+		if !r.Sys.ClassifyIn(r.Stats, l.V) {
 			continue
 		}
 		if counts[l.Severity] >= perSeverity {
@@ -149,7 +149,7 @@ func (r *Run) PatternBreakdown(perType int) []BreakdownRow {
 		if counts[idx] >= perType {
 			continue
 		}
-		if !r.Sys.Classify(l.V) {
+		if !r.Sys.ClassifyIn(r.Stats, l.V) {
 			continue
 		}
 		counts[idx]++
@@ -186,7 +186,7 @@ func (r *Run) ReportTypeShare() TypeShare {
 	}
 	byStmt := map[key][2]bool{}
 	for _, l := range r.Violations {
-		if !r.Sys.Classify(l.V) {
+		if !r.Sys.ClassifyIn(r.Stats, l.V) {
 			continue
 		}
 		k := key{l.V.Stmt}

@@ -41,7 +41,7 @@ func (r *Run) UserStudyItems() []StudyItem {
 			if l.Severity != corpus.CodeQuality || l.Category != cat {
 				continue
 			}
-			if !r.Sys.Classify(l.V) {
+			if !r.Sys.ClassifyIn(r.Stats, l.V) {
 				continue
 			}
 			items = append(items, StudyItem{

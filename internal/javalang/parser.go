@@ -200,10 +200,12 @@ func (p *parser) skipBalanced(open, close string) {
 	p.eatOp(open)
 	depth := 1
 	for depth > 0 {
-		t := p.next()
-		if t.kind == tokEOF {
+		// Check before advancing: fail reports the current token, which
+		// must still exist.
+		if p.cur().kind == tokEOF {
 			p.fail("unexpected EOF skipping %s...%s", open, close)
 		}
+		t := p.next()
 		if t.kind == tokOp {
 			switch t.text {
 			case open:

@@ -314,6 +314,9 @@ func TestParseErrors(t *testing.T) {
 		"class T { int x = ; }",
 		`class T { String s = "unterminated; }`,
 		"class T { void m() { if } }",
+		// An annotation argument list cut off at EOF once indexed past
+		// the token slice instead of failing.
+		"@A(",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {

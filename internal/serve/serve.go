@@ -1,7 +1,7 @@
 // Package serve implements the HTTP serving layer over mined knowledge:
 // a long-running daemon loads the knowledge artifact once and answers
 // scan requests (source snippet in, classified violations + suggested
-// fixes out) using the read-only detached scan path of internal/core.
+// fixes out) using the read-only scan path of internal/core (ScanFiles).
 //
 // Endpoints:
 //

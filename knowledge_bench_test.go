@@ -33,13 +33,13 @@ func knowledgeBenchPaths() (jsonPath, binPath string, err error) {
 		files := benchCorpusFiles(c)
 		sys.ProcessFiles(files)
 		sys.MinePatterns()
-		violations := sys.Scan()
+		scan := sys.Scan()
 
 		// Train a classifier from ground truth so the artifact carries the
 		// full state (the serving deployment ships trained knowledge).
 		var vs []*core.Violation
 		var ys []int
-		for i, v := range violations {
+		for i, v := range scan.Violations {
 			if i >= 80 {
 				break
 			}
@@ -51,7 +51,7 @@ func knowledgeBenchPaths() (jsonPath, binPath string, err error) {
 			}
 		}
 		if len(vs) > 0 {
-			sys.TrainClassifier(vs, ys)
+			sys.TrainClassifier(scan.Stats, vs, ys)
 		}
 
 		knowledgeDir, knowledgeErr = os.MkdirTemp("", "namer-knowledge-bench-*")

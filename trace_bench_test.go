@@ -57,7 +57,7 @@ func TestWriteTraceBenchJSON(t *testing.T) {
 	tr.SetMaxSpans(1 << 20)
 	sys.ProcessFilesCtx(ctx, files)
 	sys.MinePatternsCtx(ctx)
-	if vs := sys.ScanCtx(ctx); len(vs) == 0 {
+	if res := sys.ScanCtx(ctx); len(res.Violations) == 0 {
 		t.Fatal("no violations")
 	}
 	tr.Finish()
