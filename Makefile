@@ -51,9 +51,11 @@ bench:
 # Short native-fuzzing pass over the three binary decoders that take
 # bytes from disk (the knowledge artifact, the FP-tree codec, and the
 # checkpoint envelope), over the session range-edit splice, which takes
-# positions from editor clients, and over the hand-written Python and
-# Java parsers, which take source from files and requests. Go fuzzes
-# one target per invocation, hence one line each.
+# positions from editor clients, over the hand-written Python and Java
+# parsers, which take source from files and requests, over the unified
+# diff applier, which takes patches from /v1/diff clients, and over the
+# driver's decoding and grafting of worker Result lines. Go fuzzes one
+# target per invocation, hence one line each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeKnowledge$$' -fuzztime 5s ./internal/knowledge
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 5s ./internal/knowledge
@@ -61,6 +63,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyEdit$$' -fuzztime 5s ./internal/session
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePython$$' -fuzztime 5s ./internal/pylang
 	$(GO) test -run '^$$' -fuzz '^FuzzParseJava$$' -fuzztime 5s ./internal/javalang
+	$(GO) test -run '^$$' -fuzz '^FuzzApplyUnifiedDiff$$' -fuzztime 5s ./internal/udiff
+	$(GO) test -run '^$$' -fuzz '^FuzzWorkerResult$$' -fuzztime 5s ./internal/driver
 
 # Runs every example program from the repository root (selfscan reads
 # internal/ from there) and fails on the first non-zero exit, so an API
@@ -138,7 +142,7 @@ obs-gate:
 	done; \
 	grep -cq '"process_name"' "$$tmp/trace.json" || \
 		{ echo "obs-gate: trace has no process_name lane metadata"; exit 1; }; \
-	grep -q '"level":"info"' "$$tmp/mine.err" || \
+	grep -q '"level":"INFO"' "$$tmp/mine.err" || \
 		{ echo "obs-gate: -log-format json produced no JSON records"; head "$$tmp/mine.err"; exit 1; }; \
 	grep -q '"worker_pid":' "$$tmp/mine.err" || \
 		{ echo "obs-gate: no captured worker stderr tagged with worker_pid"; head "$$tmp/mine.err"; exit 1; }; \
@@ -171,8 +175,12 @@ obs-gate:
 # edit after close. Then the knowledge file is overwritten with a file
 # in the retired v1 binary format: POST /debug/reload must answer 500
 # with an error naming version 1, and scans must keep answering 200
-# from the old bundle (/healthz still names the old knowledge hash). A TERM at the end checks clean shutdown. Every
-# histogram on /metrics must have le-ordered, cumulative buckets.
+# from the old bundle (/healthz still names the old knowledge hash). A
+# TERM at the end checks clean shutdown. This server runs with
+# -log-format json, so after the failed reload and the shutdown every
+# non-empty line of its output (access log plus stderr) must be a JSON
+# object. Every histogram on /metrics must have le-ordered, cumulative
+# buckets.
 # Finally a second server with -max-inflight 1: while a deliberately
 # slow scan (tens of thousands of generated statements) holds the only
 # slot — confirmed via the namer_scan_inflight gauge, not a sleep — a
@@ -191,7 +199,7 @@ serve-smoke:
 		grep -qF "\"$$span\"" "$$tmp/mine-trace.json" || \
 			{ echo "serve-smoke: mine trace missing $$span span"; cat "$$tmp/mine-trace.json"; exit 1; }; \
 	done; \
-	"$$tmp/namer-serve" -addr 127.0.0.1:0 -knowledge "$$tmp/knowledge.bin" -traces \
+	"$$tmp/namer-serve" -addr 127.0.0.1:0 -knowledge "$$tmp/knowledge.bin" -traces -log-format json \
 		-ready-file "$$tmp/addr" >"$$tmp/serve.log" 2>&1 & pid=$$!; \
 	for i in $$(seq 1 100); do [ -s "$$tmp/addr" ] && break; sleep 0.1; done; \
 	[ -s "$$tmp/addr" ] || { echo "serve-smoke: server did not start"; cat "$$tmp/serve.log"; exit 1; }; \
@@ -362,6 +370,11 @@ serve-smoke:
 	mv "$$tmp/knowledge.good" "$$tmp/knowledge.bin"; \
 	kill -TERM $$pid; wait $$pid || { echo "serve-smoke: unclean shutdown"; exit 1; }; \
 	pid=; \
+	grep -qF 'knowledge reload failed' "$$tmp/serve.log" || \
+		{ echo "serve-smoke: failed v1 reload was not logged"; cat "$$tmp/serve.log"; exit 1; }; \
+	bad=$$(grep -cvE '^(\{.*\})?$$' "$$tmp/serve.log" || true); \
+	[ "$$bad" = 0 ] || { echo "serve-smoke: $$bad lines of -log-format json output are not JSON objects"; \
+		grep -vE '^(\{.*\})?$$' "$$tmp/serve.log"; exit 1; }; \
 	"$$tmp/namer-serve" -addr 127.0.0.1:0 -knowledge "$$tmp/knowledge.bin" -max-inflight 1 \
 		-ready-file "$$tmp/addr2" >"$$tmp/serve2.log" 2>&1 & pid2=$$!; \
 	for i in $$(seq 1 100); do [ -s "$$tmp/addr2" ] && break; sleep 0.1; done; \

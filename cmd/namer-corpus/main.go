@@ -13,7 +13,7 @@ import (
 	"namer/internal/ast"
 	"namer/internal/buildinfo"
 	"namer/internal/corpus"
-	"namer/internal/obs/log"
+	"namer/internal/obs"
 )
 
 func main() {
@@ -32,7 +32,7 @@ func main() {
 		fmt.Println("namer-corpus", buildinfo.String())
 		return
 	}
-	lg, err := log.FromFlags(os.Stderr, *logLevel, *logFormat)
+	lg, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		fatal(err)
 	}
@@ -50,8 +50,8 @@ func main() {
 	cfg.IssueRate = *issueRate
 	cfg.AnomalyRate = *anomalyRate
 	cfg.Seed = *seed
-	lg.Debug("generating corpus", log.Str("lang", *lang), log.Int("repos", *repos),
-		log.Int("files_per_repo", *files), log.Int64("seed", *seed))
+	lg.Debug("generating corpus", "lang", *lang, "repos", *repos,
+		"files_per_repo", *files, "seed", *seed)
 	c := corpus.Generate(cfg)
 	if err := c.WriteTo(*out); err != nil {
 		fatal(err)

@@ -19,7 +19,7 @@ import (
 	"namer/internal/ast"
 	"namer/internal/buildinfo"
 	"namer/internal/eval"
-	"namer/internal/obs/log"
+	"namer/internal/obs"
 )
 
 func main() {
@@ -35,7 +35,7 @@ func main() {
 		fmt.Println("namer-eval", buildinfo.String())
 		return
 	}
-	lg, err := log.FromFlags(os.Stderr, *logLevel, *logFormat)
+	lg, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "namer-eval:", err)
 		os.Exit(2)
@@ -54,8 +54,7 @@ func main() {
 	}
 
 	for _, l := range langs {
-		lg.Debug("evaluation starting", log.Str("lang", l.String()),
-			log.Int64("seed", *seed))
+		lg.Debug("evaluation starting", "lang", l.String(), "seed", *seed)
 		evaluate(l, *quick, *skipNeural, *seed)
 	}
 }

@@ -43,7 +43,6 @@ import (
 	"namer/internal/driver"
 	"namer/internal/knowledge"
 	"namer/internal/obs"
-	"namer/internal/obs/log"
 	"namer/internal/prof"
 )
 
@@ -84,7 +83,7 @@ func main() {
 		fmt.Println("namer-mine", buildinfo.String())
 		return
 	}
-	lg, err := log.FromFlags(os.Stderr, *logLevel, *logFormat)
+	lg, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		fatal(err)
 	}
@@ -189,7 +188,7 @@ func main() {
 	sp.SetAttrInt("files", len(files))
 	sp.End()
 	for _, e := range errs {
-		lg.Warn("load", log.Err(e))
+		lg.Warn("load", "err", e)
 	}
 	if len(files) == 0 {
 		fatal(fmt.Errorf("no %s files under %s", *lang, *dir))
@@ -210,7 +209,7 @@ func main() {
 	progress := obs.NewProgress(os.Stderr, "analyze", "files")
 	cfg.Progress = progress.Update
 	cfg.Mining.OnTreeBuilt = func(nodes, transactions int) {
-		lg.Info("FP tree built", log.Int("nodes", nodes), log.Int("transactions", transactions))
+		lg.Info("FP tree built", "nodes", nodes, "transactions", transactions)
 	}
 
 	sys := core.NewSystem(cfg)
@@ -219,7 +218,7 @@ func main() {
 		commits, skipped := corpus.ParseCommitSources(l, pairs)
 		if skipped > 0 {
 			lg.Warn("some commit pairs did not parse",
-				log.Int("skipped", skipped), log.Int("total", len(pairs)))
+				"skipped", skipped, "total", len(pairs))
 		}
 		sys.MinePairs(commits)
 		fmt.Printf("mined %d confusing word pairs from %d commits\n", sys.Pairs.Len(), len(pairs))
@@ -231,7 +230,7 @@ func main() {
 
 	start := time.Now()
 	for _, e := range sys.ProcessFilesCtx(ctx, files) {
-		lg.Warn("analyze", log.Err(e))
+		lg.Warn("analyze", "err", e)
 	}
 	fmt.Printf("analyzed %d files, %d statements in %v (%.1f ms/file)\n",
 		len(files), len(sys.Stmts), time.Since(start).Round(time.Millisecond),

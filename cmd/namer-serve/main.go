@@ -28,9 +28,11 @@
 // -traces, a flight recorder keeps the span trees of the slowest recent
 // requests at /debug/traces (JSON list; ?id=<X-Request-Id> or
 // ?id=slowest for a Chrome trace export). Every request gets an
-// X-Request-Id and one JSON access-log line (-access-log, default
-// stdout). Load past -max-inflight concurrent scans is shed with 429 +
-// Retry-After.
+// X-Request-Id and one JSON access-log record (-access-log, default
+// stdout). Everything else — startup, reloads, contained panics, client
+// cancels, net/http's own errors — is logged on stderr through one
+// log/slog logger set by -log-level and -log-format. Load past
+// -max-inflight concurrent scans is shed with 429 + Retry-After.
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener closes, and
 // in-flight scans are given a grace period to finish responding.
 // SIGHUP (or POST /debug/reload) re-reads the knowledge file and
@@ -44,6 +46,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"syscall"
@@ -54,7 +57,6 @@ import (
 	"namer/internal/core"
 	"namer/internal/knowledge"
 	"namer/internal/obs"
-	"namer/internal/obs/log"
 	"namer/internal/serve"
 )
 
@@ -91,20 +93,28 @@ func main() {
 		fmt.Println("namer-serve", buildinfo.String())
 		return
 	}
-	lg, err := log.FromFlags(os.Stderr, *logLevel, *logFormat)
+	lg, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		fatal(err)
 	}
+	// The server's own records (serve.Config.Log left nil) and net/http's
+	// error lines go through the default logger: make it this one, so
+	// -log-level and -log-format govern every line on stderr.
+	slog.SetDefault(lg)
 
 	sys, kinfo, err := loadKnowledgeSystem(*kpath)
 	if err != nil {
 		fatal(fmt.Errorf("loading knowledge: %w (run namer-mine first)", err))
 	}
-	lg.Info("loaded knowledge", log.Str("summary", kinfo.Summary))
+	lg.Info("loaded knowledge", "summary", kinfo.Summary)
 
 	logw, err := obs.OpenLogWriter(*accessLog)
 	if err != nil {
 		fatal(fmt.Errorf("opening access log: %w", err))
+	}
+	var access *slog.Logger
+	if logw != nil {
+		access = slog.New(slog.NewJSONHandler(logw, nil))
 	}
 	entries := *cacheEntries
 	if entries == 0 {
@@ -120,7 +130,7 @@ func main() {
 		Loader: func() (*core.System, serve.KnowledgeInfo, error) {
 			return loadKnowledgeSystem(*kpath)
 		},
-		AccessLog:      logw,
+		AccessLog:      access,
 		EnablePprof:    *pprofFlag,
 		EnableTraces:   *tracesFlag,
 		TraceRingSize:  *traceRing,
@@ -140,8 +150,8 @@ func main() {
 		fatal(err)
 	}
 	bound := ln.Addr().String()
-	lg.Info("listening", log.Str("url", "http://"+bound),
-		log.Str("endpoints", "POST /v1/scan, POST /v1/diff, POST /v1/session, GET /healthz, GET /metrics"))
+	lg.Info("listening", "url", "http://"+bound,
+		"endpoints", "POST /v1/scan, POST /v1/diff, POST /v1/session, GET /healthz, GET /metrics")
 	if *readyFile != "" {
 		if err := os.WriteFile(*readyFile, []byte(bound+"\n"), 0o644); err != nil {
 			ln.Close()

@@ -19,7 +19,7 @@ import (
 	"namer/internal/buildinfo"
 	"namer/internal/core"
 	"namer/internal/corpus"
-	"namer/internal/obs/log"
+	"namer/internal/obs"
 )
 
 func main() {
@@ -39,7 +39,7 @@ func main() {
 		fmt.Println("namer-train", buildinfo.String())
 		return
 	}
-	lg, err := log.FromFlags(os.Stderr, *logLevel, *logFormat)
+	lg, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		fatal(err)
 	}
@@ -58,11 +58,11 @@ func main() {
 	}
 	files, errs := core.LoadDirectory(*dir, l)
 	for _, e := range errs {
-		lg.Warn("load failed", log.Err(e))
+		lg.Warn("load failed", "err", e)
 	}
 	res := sys.ScanFiles(files)
 	for _, e := range res.Errors {
-		lg.Warn("analysis failed", log.Err(e))
+		lg.Warn("analysis failed", "err", e)
 	}
 	violations := res.Violations
 	fmt.Printf("found %d violations over %d files\n", len(violations), len(files))

@@ -18,7 +18,7 @@ import (
 	"namer/internal/ast"
 	"namer/internal/buildinfo"
 	"namer/internal/core"
-	"namer/internal/obs/log"
+	"namer/internal/obs"
 	"namer/internal/pointsto"
 	"namer/internal/prof"
 )
@@ -44,7 +44,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: namer [-lang python|java] [-knowledge file] [-all] path...")
 		os.Exit(2)
 	}
-	lg, err := log.FromFlags(os.Stderr, *logLevel, *logFormat)
+	lg, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		fatal(err)
 	}
@@ -69,7 +69,7 @@ func main() {
 	for _, root := range flag.Args() {
 		fs, errs := core.LoadDirectory(root, l)
 		for _, e := range errs {
-			lg.Warn("load failed", log.Err(e))
+			lg.Warn("load failed", "err", e)
 		}
 		files = append(files, fs...)
 	}
@@ -78,7 +78,7 @@ func main() {
 	}
 	res := sys.ScanFiles(files)
 	for _, e := range res.Errors {
-		lg.Warn("analysis failed", log.Err(e))
+		lg.Warn("analysis failed", "err", e)
 	}
 
 	byFile := make(map[string]*core.InputFile, len(files))
@@ -110,7 +110,7 @@ func main() {
 	if *fix {
 		for _, f := range changed {
 			if err := writeBack(flag.Args(), f); err != nil {
-				lg.Warn("write-back failed", log.Err(err))
+				lg.Warn("write-back failed", "err", err)
 			}
 		}
 		fmt.Printf("\napplied %d fix(es) to %d file(s)\n", fixes, len(changed))

@@ -7,11 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -22,7 +24,6 @@ import (
 	"namer/internal/mining"
 	"namer/internal/namepath"
 	"namer/internal/obs"
-	"namer/internal/obs/log"
 	"namer/internal/pattern"
 )
 
@@ -60,8 +61,9 @@ type Options struct {
 	// stale-checkpoint warnings, and captured worker stderr (tagged with
 	// the worker's PID). Nil logs nothing. With a logger set, spawned
 	// workers' stderr is piped through it line by line instead of
-	// interleaving raw on the driver's stderr.
-	Log *log.Logger
+	// interleaving raw on the driver's stderr; without one, it passes
+	// straight through.
+	Log *slog.Logger
 	// Monitor, when non-nil, observes every shard state transition; the
 	// live status server (StartStatus) serves it. All driver hooks are
 	// nil-safe, so leaving it nil costs one pointer check per event.
@@ -164,7 +166,7 @@ func Run(ctx context.Context, opts Options) (*knowledge.Artifact, Stats, error) 
 		}
 	}
 
-	r := &runner{opts: opts, cfg: cfg, plan: p, stats: &stats}
+	r := &runner{opts: opts, cfg: cfg, plan: p, stats: &stats, log: obs.OrDiscard(opts.Log)}
 	r.usage = make([]ShardUsage, len(p.shards))
 	for i := range r.usage {
 		r.usage[i].Shard = i
@@ -247,6 +249,7 @@ type runner struct {
 	cfg   core.Config
 	plan  plan
 	stats *Stats
+	log   *slog.Logger // opts.Log, or a discarding logger when nil
 
 	mu    sync.Mutex
 	usage []ShardUsage
@@ -316,8 +319,7 @@ func (r *runner) mapStmts(ctx context.Context) ([]*shardStmts, error) {
 			r.opts.Monitor.shardReused(i, "stmts")
 			continue
 		} else if !errors.Is(err, os.ErrNotExist) {
-			r.opts.Log.Warn("invalid stmts checkpoint; re-running shard",
-				log.Int("shard", i), log.Err(err))
+			r.log.Warn("invalid stmts checkpoint; re-running shard", "shard", i, "err", err)
 		}
 		jobs = append(jobs, Job{
 			Phase:                "stmts",
@@ -387,7 +389,7 @@ func (r *runner) reduceCounts(ctx context.Context, arts []*shardStmts) ([]byte, 
 	if payload, err := knowledge.ReadCheckpointCtx(ctx, r.countsPath(), kindCounts); err == nil {
 		if a, err := decodeReduceCounts(payload); err == nil && a.PlanHash == r.plan.hash {
 			sp.SetAttrInt("reused", 1)
-			r.opts.Log.Info("reusing counts checkpoint", log.Str("file", "counts.ck"))
+			r.log.Info("reusing counts checkpoint", "file", "counts.ck")
 			return payload, a, nil
 		}
 	}
@@ -444,11 +446,10 @@ func (r *runner) minePairs() *confusion.PairSet {
 		var skipped int
 		commits, skipped = corpus.ParseCommitSources(r.cfg.Lang, pairs)
 		if skipped > 0 {
-			r.opts.Log.Warn("some commit pairs did not parse",
-				log.Int("skipped", skipped), log.Int("total", len(pairs)))
+			r.log.Warn("some commit pairs did not parse", "skipped", skipped, "total", len(pairs))
 		}
 	} else {
-		r.opts.Log.Warn("no commit history found; confusing-word patterns disabled")
+		r.log.Warn("no commit history found; confusing-word patterns disabled")
 	}
 	ps := confusion.MinePairs(commits)
 	if r.cfg.MinPairCount > 1 {
@@ -664,10 +665,9 @@ func (r *runner) runJobs(ctx context.Context, jobs []Job, label, unit string, to
 					if err == nil {
 						mon.shardDone(job.Shard, job.Phase, res, wall)
 						r.recordUsage(job.Shard, res, wall)
-						r.opts.Log.Debug("shard job done",
-							log.Str("phase", job.Phase), log.Int("shard", job.Shard),
-							log.Int("worker_pid", res.PID), log.Dur("wall", wall),
-							log.Dur("cpu", time.Duration(res.CPUNs)), log.Int64("max_rss_kb", res.MaxRSSKB))
+						r.log.Debug("shard job done", "phase", job.Phase, "shard", job.Shard,
+							"worker_pid", res.PID, "wall", wall,
+							"cpu", time.Duration(res.CPUNs), "max_rss_kb", res.MaxRSSKB)
 						// The shard is done; pin its progress at its total.
 						if agg != nil && job.Phase == "stmts" {
 							agg.Report(job.Shard, len(job.Files), res.Statements)
@@ -725,8 +725,8 @@ func (r *runner) graftJobTrace(tr, jobTr *obs.Trace, job Job, res Result) {
 	if len(res.Spans) > 0 {
 		lane := fmt.Sprintf("worker pid=%d", res.PID)
 		if err := jobTr.AddExternalSpans(res.PID, lane, res.Spans); err != nil {
-			r.opts.Log.Warn("dropping malformed worker span batch",
-				log.Int("shard", job.Shard), log.Int("worker_pid", res.PID), log.Err(err))
+			r.log.Warn("dropping malformed worker span batch",
+				"shard", job.Shard, "worker_pid", res.PID, "err", err)
 		} else if tr != nil {
 			tr.AddExternalSpans(res.PID, lane, res.Spans)
 		}
@@ -766,8 +766,8 @@ type procExecutor struct {
 // newProcExecutor spawns one worker child. With a logger, the child's
 // stderr is captured line by line and re-emitted through it tagged with
 // the worker's PID — no interleaved raw writes on the driver's stderr;
-// without one, stderr passes through untouched (the old behavior).
-func newProcExecutor(ctx context.Context, argv []string, lg *log.Logger, onExit func(WorkerUsage)) (*procExecutor, error) {
+// without one, stderr passes through untouched.
+func newProcExecutor(ctx context.Context, argv []string, lg *slog.Logger, onExit func(WorkerUsage)) (*procExecutor, error) {
 	cmd := exec.CommandContext(ctx, argv[0], argv[1:]...)
 	var stderr io.ReadCloser
 	if lg != nil {
@@ -798,15 +798,20 @@ func newProcExecutor(ctx context.Context, argv []string, lg *log.Logger, onExit 
 		onExit: onExit,
 	}
 	if stderr != nil {
-		wl := lg.With(log.Int("worker_pid", pe.pid))
+		h := lg.With("worker_pid", pe.pid).Handler()
 		pe.stderrDone = make(chan struct{})
 		go func() {
 			defer close(pe.stderrDone)
 			sc := bufio.NewScanner(stderr)
 			sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 			for sc.Scan() {
+				// The worker already filtered its records at its own
+				// -log-level, so every line goes to the handler without
+				// the driver's level check: a worker's warning or panic
+				// trace reaches the log even when the driver runs at
+				// warn or error.
 				if line := sc.Text(); line != "" {
-					wl.Info("worker: " + line)
+					h.Handle(ctx, slog.NewRecord(time.Now(), workerLevel(line), "worker: "+line, 0))
 				}
 			}
 			// A line over the buffer cap errors the scanner; drain the
@@ -815,6 +820,27 @@ func newProcExecutor(ctx context.Context, argv []string, lg *log.Logger, onExit 
 		}()
 	}
 	return pe, nil
+}
+
+// workerLevel is the level of one captured worker stderr line: the
+// level of a slog text or JSON record, or Error for anything else — a
+// Go runtime panic, a fatal message, a raw write.
+func workerLevel(line string) slog.Level {
+	var rest string
+	switch {
+	case strings.HasPrefix(line, "time="):
+		_, rest, _ = strings.Cut(line, " level=")
+	case strings.HasPrefix(line, `{"time":`):
+		_, rest, _ = strings.Cut(line, `,"level":"`)
+	}
+	if i := strings.IndexAny(rest, ` "`); i >= 0 {
+		rest = rest[:i]
+	}
+	var lv slog.Level
+	if lv.UnmarshalText([]byte(rest)) != nil {
+		return slog.LevelError
+	}
+	return lv
 }
 
 func (p *procExecutor) run(ctx context.Context, job Job, report func(done, extra int)) (Result, error) {

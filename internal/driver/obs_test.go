@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"sort"
@@ -16,7 +17,6 @@ import (
 	"time"
 
 	"namer/internal/obs"
-	"namer/internal/obs/log"
 )
 
 // TestObsGate is the tier-1 observability gate (make obs-gate): a
@@ -45,7 +45,7 @@ func TestObsGate(t *testing.T) {
 	t.Setenv("NAMER_DRIVER_WORKER", "1")
 
 	var logBuf syncLog
-	lg := log.New(&logBuf, log.Debug, log.Text)
+	lg := slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	mon := NewMonitor()
 	rec := obs.NewFlightRecorder(8)
 	st, err := StartStatus("127.0.0.1:0", mon, rec, lg)

@@ -3,6 +3,7 @@ package driver
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"namer/internal/obs"
-	"namer/internal/obs/log"
 )
 
 // Live mining status: a Monitor tracks every shard through its state
@@ -248,11 +248,13 @@ type StatusServer struct {
 // StartStatus listens on addr and serves the Monitor's state. rec, when
 // non-nil, is mounted at /debug/traces. The server runs until Close;
 // it is independent of the Run's lifetime so a finished (or crashed)
-// mine can still be inspected until the process exits.
-func StartStatus(addr string, mon *Monitor, rec *obs.FlightRecorder, lg *log.Logger) (*StatusServer, error) {
+// mine can still be inspected until the process exits. lg (nil logs
+// nothing) receives the listening address and any serve failure.
+func StartStatus(addr string, mon *Monitor, rec *obs.FlightRecorder, lg *slog.Logger) (*StatusServer, error) {
 	if mon == nil {
 		return nil, fmt.Errorf("driver: StartStatus needs a Monitor")
 	}
+	lg = obs.OrDiscard(lg)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		round, elapsed, shards := mon.Snapshot()
@@ -285,10 +287,10 @@ func StartStatus(addr string, mon *Monitor, rec *obs.FlightRecorder, lg *log.Log
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	go func() {
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			lg.Error("status server failed", log.Err(err))
+			lg.Error("status server failed", "err", err)
 		}
 	}()
-	lg.Info("status server listening", log.Str("addr", ln.Addr().String()))
+	lg.Info("status server listening", "addr", ln.Addr().String())
 	return &StatusServer{mon: mon, ln: ln, srv: srv}, nil
 }
 

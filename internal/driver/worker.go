@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -18,7 +19,6 @@ import (
 	"namer/internal/knowledge"
 	"namer/internal/mining"
 	"namer/internal/obs"
-	"namer/internal/obs/log"
 	"namer/internal/pattern"
 )
 
@@ -283,7 +283,8 @@ func hashBytes(data []byte) string {
 // local trace and ships the finished span tree back on the done Result —
 // the worker half of the cross-process trace: it never opens a socket or
 // a file, the spans ride the same stdout pipe as the results.
-func ServeWorker(r io.Reader, w io.Writer, lg *log.Logger) error {
+func ServeWorker(r io.Reader, w io.Writer, lg *slog.Logger) error {
+	lg = obs.OrDiscard(lg)
 	dec := json.NewDecoder(r)
 	enc := json.NewEncoder(w)
 	pid := os.Getpid()
@@ -301,8 +302,7 @@ func ServeWorker(r io.Reader, w io.Writer, lg *log.Logger) error {
 			ctx, tr = obs.NewTrace(ctx, fmt.Sprintf("shard-%04d %s", job.Shard, job.Phase), "")
 			tr.SetMaxSpans(1 << 16)
 		}
-		lg.Debug("job start", log.Str("phase", job.Phase), log.Int("shard", job.Shard),
-			log.Int("files", len(job.Files)))
+		lg.Debug("job start", "phase", job.Phase, "shard", job.Shard, "files", len(job.Files))
 		start := time.Now()
 		var reportErr error
 		res := RunJob(ctx, job, func(done, extra int) {
@@ -321,9 +321,8 @@ func ServeWorker(r io.Reader, w io.Writer, lg *log.Logger) error {
 		if reportErr != nil {
 			return fmt.Errorf("driver: worker write: %w", reportErr)
 		}
-		lg.Debug("job done", log.Str("phase", job.Phase), log.Int("shard", job.Shard),
-			log.Dur("wall", time.Since(start)), log.Int64("cpu_ns", res.CPUNs),
-			log.Int("spans", len(res.Spans)))
+		lg.Debug("job done", "phase", job.Phase, "shard", job.Shard,
+			"wall", time.Since(start), "cpu_ns", res.CPUNs, "spans", len(res.Spans))
 		if err := enc.Encode(res); err != nil {
 			return fmt.Errorf("driver: worker write: %w", err)
 		}

@@ -2,12 +2,11 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -36,18 +35,6 @@ func newRequestID() string {
 func RequestID(ctx context.Context) string {
 	id, _ := ctx.Value(requestIDKey{}).(string)
 	return id
-}
-
-// AccessEntry is one structured access-log line.
-type AccessEntry struct {
-	Time      string  `json:"time"`
-	Method    string  `json:"method"`
-	Path      string  `json:"path"`
-	Status    int     `json:"status"`
-	Bytes     int64   `json:"bytes"`
-	DurMillis float64 `json:"duration_ms"`
-	RequestID string  `json:"request_id"`
-	Remote    string  `json:"remote,omitempty"`
 }
 
 // statusWriter captures the response status and byte count.
@@ -83,11 +70,9 @@ func (w *statusWriter) Flush() {
 
 // AccessLog wraps a handler so every request gets a request id (stored
 // in the context, echoed as the X-Request-Id response header) and, when
-// logw is non-nil, one JSON access-log line on completion. Lines are
-// written atomically under a mutex so concurrent requests never
-// interleave output.
-func AccessLog(next http.Handler, logw io.Writer) http.Handler {
-	var mu sync.Mutex
+// logger is non-nil, one Info record on completion carrying method,
+// path, status, bytes, duration_ms, request_id and remote.
+func AccessLog(next http.Handler, logger *slog.Logger) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := newRequestID()
 		w.Header().Set("X-Request-Id", id)
@@ -95,7 +80,7 @@ func AccessLog(next http.Handler, logw io.Writer) http.Handler {
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
 		next.ServeHTTP(sw, r)
-		if logw == nil {
+		if logger == nil {
 			return
 		}
 		if sw.status == 0 {
@@ -103,22 +88,14 @@ func AccessLog(next http.Handler, logw io.Writer) http.Handler {
 			// net/http will send 200 with an empty body.
 			sw.status = http.StatusOK
 		}
-		line, err := json.Marshal(AccessEntry{
-			Time:      start.UTC().Format(time.RFC3339Nano),
-			Method:    r.Method,
-			Path:      r.URL.Path,
-			Status:    sw.status,
-			Bytes:     sw.bytes,
-			DurMillis: float64(time.Since(start).Microseconds()) / 1000,
-			RequestID: id,
-			Remote:    r.RemoteAddr,
-		})
-		if err != nil {
-			return
-		}
-		mu.Lock()
-		logw.Write(append(line, '\n'))
-		mu.Unlock()
+		logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
+			slog.String("method", r.Method),
+			slog.String("path", r.URL.Path),
+			slog.Int("status", sw.status),
+			slog.Int64("bytes", sw.bytes),
+			slog.Float64("duration_ms", float64(time.Since(start).Microseconds())/1000),
+			slog.String("request_id", id),
+			slog.String("remote", r.RemoteAddr))
 	})
 }
 

@@ -1,8 +1,9 @@
 // Package obs is the stdlib-only observability layer of the serving
 // stack: monotonic counters, gauges, fixed-bucket latency histograms
 // with quantile estimation, a registry that renders everything in the
-// Prometheus text exposition format, and an HTTP middleware that
-// assigns request ids and emits structured JSON access logs.
+// Prometheus text exposition format, an HTTP middleware that assigns
+// request ids and logs one access record per request, and NewLogger,
+// which builds the log/slog logger every command writes through.
 //
 // Everything is safe for concurrent use. Counters and histograms are
 // lock-free on the hot path (atomic adds); the registry takes a mutex

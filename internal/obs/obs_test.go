@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -191,7 +192,7 @@ func TestAccessLogMiddleware(t *testing.T) {
 		w.WriteHeader(http.StatusTeapot)
 		w.Write([]byte("short and stout"))
 	})
-	ts := httptest.NewServer(AccessLog(inner, &buf))
+	ts := httptest.NewServer(AccessLog(inner, slog.New(slog.NewJSONHandler(&buf, nil))))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/v1/scan")
@@ -203,11 +204,20 @@ func TestAccessLogMiddleware(t *testing.T) {
 		t.Error("no X-Request-Id response header")
 	}
 
-	var e AccessEntry
+	var e struct {
+		Time      string  `json:"time"`
+		Method    string  `json:"method"`
+		Path      string  `json:"path"`
+		Status    int     `json:"status"`
+		Bytes     int64   `json:"bytes"`
+		DurMillis float64 `json:"duration_ms"`
+		RequestID string  `json:"request_id"`
+		Remote    string  `json:"remote"`
+	}
 	if err := json.Unmarshal(buf.Bytes(), &e); err != nil {
 		t.Fatalf("access line not JSON: %q: %v", buf.String(), err)
 	}
-	if e.Method != "GET" || e.Path != "/v1/scan" || e.Status != http.StatusTeapot {
+	if e.Method != "GET" || e.Path != "/v1/scan" || e.Status != http.StatusTeapot || e.Remote == "" {
 		t.Errorf("bad entry: %+v", e)
 	}
 	if e.Bytes != int64(len("short and stout")) {
@@ -223,7 +233,7 @@ func TestAccessLogMiddleware(t *testing.T) {
 		t.Errorf("bad timestamp %q: %v", e.Time, err)
 	}
 
-	// nil writer: ids still assigned, nothing logged.
+	// nil logger: ids still assigned, nothing logged.
 	buf.Reset()
 	ts2 := httptest.NewServer(AccessLog(inner, nil))
 	defer ts2.Close()
@@ -233,10 +243,10 @@ func TestAccessLogMiddleware(t *testing.T) {
 	}
 	resp2.Body.Close()
 	if resp2.Header.Get("X-Request-Id") == "" {
-		t.Error("nil-writer middleware dropped request ids")
+		t.Error("nil-logger middleware dropped request ids")
 	}
 	if buf.Len() != 0 {
-		t.Errorf("nil-writer middleware logged: %q", buf.String())
+		t.Errorf("nil-logger middleware logged: %q", buf.String())
 	}
 }
 

@@ -315,16 +315,13 @@ func (t *Trace) WireSpans() []WireSpan {
 // the lane in the Chrome export ("worker pid=1234"). The batch is
 // validated first: every parent must be -1 or the index of an earlier
 // span in the same batch, so a corrupt or truncated shipment can never
-// produce orphan parent ids in the merged trace. Safe for concurrent
-// use with span creation.
+// produce orphan parent ids or parent cycles in the merged trace. Safe
+// for concurrent use with span creation.
 func (t *Trace) AddExternalSpans(pid int, label string, spans []WireSpan) error {
 	for i, s := range spans {
-		if s.Parent < -1 || int(s.Parent) >= len(spans) {
-			return fmt.Errorf("obs: external span %d (%q) has orphan parent %d (batch of %d)",
-				i, s.Name, s.Parent, len(spans))
-		}
-		if int(s.Parent) == i {
-			return fmt.Errorf("obs: external span %d (%q) is its own parent", i, s.Name)
+		if s.Parent < -1 || int(s.Parent) >= i {
+			return fmt.Errorf("obs: external span %d (%q) has parent %d, want -1 or an earlier span",
+				i, s.Name, s.Parent)
 		}
 		if s.DurNs < 0 {
 			return fmt.Errorf("obs: external span %d (%q) has negative duration", i, s.Name)

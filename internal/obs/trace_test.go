@@ -469,14 +469,16 @@ func TestWireSpansRoundTrip(t *testing.T) {
 	}
 }
 
-// Corrupt shipments — orphan or self parents, negative durations — must
-// be rejected at the graft point, never silently merged.
+// Corrupt shipments — orphan, self, forward or cyclic parents, negative
+// durations — must be rejected at the graft point, never silently merged.
 func TestAddExternalSpansRejectsOrphans(t *testing.T) {
 	_, tr := NewTrace(context.Background(), "driver", "")
 	cases := map[string][]WireSpan{
 		"parent beyond batch": {{Name: "a", Parent: 5}},
 		"parent below -1":     {{Name: "a", Parent: -2}},
 		"self parent":         {{Name: "a", Parent: -1}, {Name: "b", Parent: 1}},
+		"forward parent":      {{Name: "a", Parent: -1}, {Name: "b", Parent: 2}, {Name: "c", Parent: 0}},
+		"cycle":               {{Name: "a", Parent: 1}, {Name: "b", Parent: 0}},
 		"negative duration":   {{Name: "a", Parent: -1, DurNs: -5}},
 	}
 	for name, batch := range cases {

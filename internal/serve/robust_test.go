@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -45,7 +45,7 @@ func (b *syncBuffer) String() string {
 func newStubServer(t *testing.T, cfg Config) (*Server, *syncBuffer) {
 	t.Helper()
 	logs := &syncBuffer{}
-	cfg.ErrorLog = log.New(logs, "", 0)
+	cfg.Log = slog.New(slog.NewTextHandler(logs, nil))
 	sys := core.NewSystem(core.DefaultConfig(ast.Python))
 	sys.Pairs = confusion.NewPairSet()
 	return New(sys, cfg), logs
@@ -376,8 +376,8 @@ func TestServeSoak(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	sv, sources := newTestServer(t)
 	access := &syncBuffer{}
-	sv.cfg.AccessLog = access
-	sv.handler = obs.AccessLog(sv.mux, access)
+	sv.cfg.AccessLog = slog.New(slog.NewJSONHandler(access, nil))
+	sv.handler = obs.AccessLog(sv.mux, sv.cfg.AccessLog)
 	ts := httptest.NewServer(sv.Handler())
 	defer ts.Close()
 
@@ -432,7 +432,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	if len(lines) < 2 {
 		t.Fatalf("access log has %d lines, want >= 2: %q", len(lines), access.String())
 	}
-	var first obs.AccessEntry
+	var first struct {
+		Method    string `json:"method"`
+		Path      string `json:"path"`
+		Status    int    `json:"status"`
+		Bytes     int64  `json:"bytes"`
+		RequestID string `json:"request_id"`
+	}
 	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
 		t.Fatalf("access line not JSON: %q: %v", lines[0], err)
 	}

@@ -41,11 +41,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -87,13 +85,14 @@ type Config struct {
 	// built system with the new knowledge imported. A Loader error
 	// leaves the currently served bundle untouched.
 	Loader func() (*core.System, KnowledgeInfo, error)
-	// AccessLog, when non-nil, receives one structured JSON line per
-	// request (method, path, status, bytes, duration, request id).
+	// AccessLog, when non-nil, receives one Info record per request
+	// (method, path, status, bytes, duration_ms, request_id, remote).
 	// Request ids are assigned either way.
-	AccessLog io.Writer
-	// ErrorLog receives server-side error messages (panic reports,
-	// dropped responses); nil logs to stderr.
-	ErrorLog *log.Logger
+	AccessLog *slog.Logger
+	// Log receives the server's own events: reloads, scan panics, client
+	// cancels, and response-write errors. Nil means slog.Default(),
+	// which logs to stderr unless the process installed its own.
+	Log *slog.Logger
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 	// EnableTraces records a span tree for every scan request into a
@@ -162,7 +161,6 @@ type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
 	handler http.Handler
-	errlog  *log.Logger
 
 	// cur is the atomically swapped serving bundle. Handlers Load it
 	// once per request; Reload Stores a replacement.
@@ -255,13 +253,12 @@ func New(sys *core.System, cfg Config) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
 	}
-	if cfg.ErrorLog == nil {
-		cfg.ErrorLog = log.New(os.Stderr, "", log.LstdFlags)
+	if cfg.Log == nil {
+		cfg.Log = slog.Default()
 	}
 	sv := &Server{
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
-		errlog:   cfg.ErrorLog,
 		inflight: make(chan struct{}, cfg.MaxInFlight),
 		metrics:  obs.NewRegistry(),
 	}
@@ -441,15 +438,15 @@ func (sv *Server) Reload() (KnowledgeInfo, error) {
 	if err != nil {
 		sv.mReloadNo.Inc()
 		sv.gReloadOK.Set(0)
-		sv.errlog.Printf("serve: knowledge reload failed (still serving %s): %v",
-			sv.cur.Load().info.Summary, err)
+		sv.cfg.Log.Error("knowledge reload failed; still serving the old knowledge",
+			"serving", sv.cur.Load().info.Summary, "err", err)
 		return KnowledgeInfo{}, err
 	}
 	old := sv.cur.Load()
 	sv.install(sv.newBundle(sys, info), old)
 	sv.mReloads.Inc()
 	sv.gReloadOK.Set(1)
-	sv.errlog.Printf("serve: knowledge reloaded: %s -> %s", old.info.Summary, info.Summary)
+	sv.cfg.Log.Info("knowledge reloaded", "from", old.info.Summary, "to", info.Summary)
 	return info, nil
 }
 
@@ -696,7 +693,7 @@ func (sv *Server) finish(w http.ResponseWriter, r *http.Request, tr *obs.Trace, 
 			// A disconnect is not a server error and must not trip
 			// error alerts.
 			sv.mCanceled.Inc()
-			sv.errlog.Printf("serve: scan canceled by client (request %s)", obs.RequestID(r.Context()))
+			sv.cfg.Log.Warn("scan canceled by client", "request_id", obs.RequestID(r.Context()))
 		case errors.Is(err, context.DeadlineExceeded):
 			sv.mTimeouts.Inc()
 			sv.fail(w, http.StatusServiceUnavailable, "scan timed out")
@@ -821,7 +818,7 @@ func (sv *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 }
 
 // errAnalysisPanic is the sanitized client-facing error for a contained
-// analyzer panic: the panic value and stack go to the error log with the
+// analyzer panic: the panic value and stack go to Config.Log with the
 // request id, never over the wire.
 var errAnalysisPanic = errors.New("internal error analyzing request")
 
@@ -846,8 +843,8 @@ func run[T any](sv *Server, ctx context.Context, fn func(context.Context) T) (T,
 		defer func() {
 			if rec := recover(); rec != nil {
 				sv.mPanics.Inc()
-				sv.errlog.Printf("serve: scan panic (request %s): %v\n%s",
-					obs.RequestID(ctx), rec, debug.Stack())
+				sv.cfg.Log.Error("scan panic", "request_id", obs.RequestID(ctx),
+					"panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
 				done <- outcome{err: errAnalysisPanic}
 			}
 		}()
@@ -1013,7 +1010,7 @@ func (sv *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	if err := enc.Encode(v); err != nil {
-		sv.errlog.Printf("serve: writing %d response: %v", code, err)
+		sv.cfg.Log.Warn("writing response failed", "status", code, "err", err)
 	}
 }
 

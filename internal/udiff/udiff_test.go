@@ -1,6 +1,7 @@
 package udiff
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -151,4 +152,56 @@ func TestApplyRejectsMismatch(t *testing.T) {
 			t.Errorf("%s: accepted, produced %q", tc.name, got)
 		}
 	}
+}
+
+// wholeFileHunk is a naive diff writer: one hunk that deletes every line
+// of before and adds every line of after, with "\ No newline at end of
+// file" markers where either side lacks a final newline.
+func wholeFileHunk(before, after string) string {
+	side := func(text, sign string) (body []string, n int) {
+		if text == "" {
+			return nil, 0
+		}
+		lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+		for _, l := range lines {
+			body = append(body, sign+l)
+		}
+		if !strings.HasSuffix(text, "\n") {
+			body = append(body, `\ No newline at end of file`)
+		}
+		return body, len(lines)
+	}
+	del, nb := side(before, "-")
+	add, na := side(after, "+")
+	start := func(n int) int { return min(n, 1) }
+	header := fmt.Sprintf("@@ -%d,%d +%d,%d @@", start(nb), nb, start(na), na)
+	return strings.Join(append(append([]string{"--- a/f", "+++ b/f", header}, del...), add...), "\n") + "\n"
+}
+
+// FuzzApplyUnifiedDiff: Apply never panics on arbitrary (src, patch), and
+// read as (before, after) without carriage returns, a whole-file hunk
+// from the naive writer applies back to exactly after.
+func FuzzApplyUnifiedDiff(f *testing.F) {
+	f.Add("a = 1\nb = 2\nc = 3\n", "--- a/f.py\n+++ b/f.py\n@@ -1,3 +1,3 @@\n a = 1\n-b = 2\n+b = 20\n c = 3\n")
+	f.Add("a = 1\n", "@@ -1,1 +1,2 @@\n a = 1\n+b = 2\n")
+	f.Add("", "@@ -0,0 +1,2 @@\n+a = 1\n+b = 2\n")
+	f.Add("a\n", "@@ -1,1 +1,1 @@\n-a\n+b\n\\ No newline at end of file\n")
+	f.Add("a\nb", "@@ -1,2 +1,2 @@\n a\n-b\n+B\n\\ No newline at end of file\n")
+	f.Add("a", "@@ -1,1 +1,2 @@\n-a\n\\ No newline at end of file\n+a\n+b\n")
+	f.Add("a\r\nb\r\n", "@@ -1,2 +1,2 @@\n a\n-b\n+B\n")
+	f.Add("a\nb\nc\n", "@@ -3,1 +3,1 @@\n-c\n+C\n@@ -1,1 +1,1 @@\n-a\n+A\n")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		Apply(a, b)
+		if strings.Contains(a, "\r") || strings.Contains(b, "\r") {
+			return
+		}
+		patch := wholeFileHunk(a, b)
+		got, err := Apply(a, patch)
+		if err != nil {
+			t.Fatalf("whole-file hunk rejected: %v\npatch:\n%s", err, patch)
+		}
+		if got != b {
+			t.Fatalf("whole-file hunk produced %q, want %q\npatch:\n%s", got, b, patch)
+		}
+	})
 }
