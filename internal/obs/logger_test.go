@@ -9,9 +9,30 @@ import (
 	"time"
 )
 
-// The flag spellings map onto slog levels and handlers; anything else is
-// an error that names the accepted spellings.
+// A logger built from valid flags honours its level; an unknown level or
+// format is an error.
 func TestNewLoggerFlags(t *testing.T) {
+	var buf bytes.Buffer
+	lg, err := NewLogger(&buf, "warn", "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg.Info("dropped")
+	lg.Warn("kept")
+	if n := strings.Count(buf.String(), "\n"); n != 1 {
+		t.Fatalf("lines = %d, want 1", n)
+	}
+	if _, err := NewLogger(&buf, "bogus", "text"); err == nil {
+		t.Error("bad level accepted")
+	}
+	if _, err := NewLogger(&buf, "info", "bogus"); err == nil {
+		t.Error("bad format accepted")
+	}
+}
+
+// The flag spellings map onto slog levels and handlers, case-insensitively;
+// anything else is an error that names the accepted spellings.
+func TestNewLoggerSpellings(t *testing.T) {
 	for _, level := range []string{"debug", "info", "warn", "error", "ERROR"} {
 		for _, format := range []string{"text", "json", "JSON"} {
 			if _, err := NewLogger(&bytes.Buffer{}, level, format); err != nil {
@@ -29,7 +50,10 @@ func TestNewLoggerFlags(t *testing.T) {
 			t.Errorf("NewLogger(%q, %q) error lists no spellings: %v", bad[0], bad[1], err)
 		}
 	}
+}
 
+// Records below the flag's level are dropped; those at or above it kept.
+func TestNewLoggerLevelFiltering(t *testing.T) {
 	var buf bytes.Buffer
 	lg, err := NewLogger(&buf, "warn", "text")
 	if err != nil {
@@ -44,9 +68,9 @@ func TestNewLoggerFlags(t *testing.T) {
 	}
 }
 
-// Both formats carry the level, message and the field keys the commands
-// use, with integers unquoted in JSON.
-func TestNewLoggerFormats(t *testing.T) {
+// The text format carries the level, message and the field keys the
+// commands use as key=value pairs.
+func TestNewLoggerTextFormat(t *testing.T) {
 	var text bytes.Buffer
 	lg, err := NewLogger(&text, "debug", "text")
 	if err != nil {
@@ -57,9 +81,13 @@ func TestNewLoggerFormats(t *testing.T) {
 		!strings.HasSuffix(got, ` level=INFO msg="shard done" shard=3 wall=1.5s phase=stmts`+"\n") {
 		t.Fatalf("text line = %q", got)
 	}
+}
 
+// Each json record parses as one object carrying the level, message,
+// With fields and integers unquoted.
+func TestNewLoggerJSONFormat(t *testing.T) {
 	var js bytes.Buffer
-	lg, err = NewLogger(&js, "debug", "json")
+	lg, err := NewLogger(&js, "debug", "json")
 	if err != nil {
 		t.Fatal(err)
 	}
