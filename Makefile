@@ -35,7 +35,9 @@ race:
 
 # Benchmarks of the parallel pipeline: compare the serial reference path
 # against the all-CPU path (BenchmarkScan, BenchmarkPruneUncommon,
-# BenchmarkMinePatterns show the speedup on multi-core runners), then
+# BenchmarkMinePatterns show the speedup on multi-core runners), time
+# the points-to analysis per sample (BenchmarkAnalyze, with the facts
+# and context-explosion fallbacks it produced), then
 # record the mining-stage numbers (ns/op, allocs/op, FP-tree node count)
 # into BENCH_mining.json and the per-stage span durations of one traced
 # end-to-end run into BENCH_trace.json, so the perf trajectory is
@@ -43,6 +45,7 @@ race:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkScan$$|BenchmarkPruneUncommon|BenchmarkMinePatterns' -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkServeScan$$' -benchmem ./internal/serve
+	$(GO) test -run xxx -bench 'BenchmarkAnalyze$$' -benchmem ./internal/pointsto
 	BENCH_JSON=BENCH_mining.json $(GO) test -run 'TestWriteMiningBenchJSON$$' -count=1 -v .
 	BENCH_TRACE_JSON=BENCH_trace.json $(GO) test -run 'TestWriteTraceBenchJSON$$' -count=1 -v .
 	BENCH_KNOWLEDGE_JSON=BENCH_knowledge.json $(GO) test -run 'TestWriteKnowledgeBenchJSON$$' -count=1 -v .
@@ -120,7 +123,9 @@ driver-gate:
 # worker/checkpoint spans survived shipping, the stderr stream is
 # structured (JSON records, with captured worker lines tagged
 # worker_pid), and stdout ends with the per-shard resource table and
-# per-worker rusage rows.
+# per-worker rusage rows. Every stderr line of that mine, and of a
+# single-process mine with -log-format json, must be a JSON object,
+# progress reports included.
 obs-gate:
 	$(GO) test -run 'TestObsGate$$|TestResultOmitsEmptySpanBatch$$' -count=1 ./internal/driver
 	@set -e; \
@@ -146,6 +151,16 @@ obs-gate:
 		{ echo "obs-gate: -log-format json produced no JSON records"; head "$$tmp/mine.err"; exit 1; }; \
 	grep -q '"worker_pid":' "$$tmp/mine.err" || \
 		{ echo "obs-gate: no captured worker stderr tagged with worker_pid"; head "$$tmp/mine.err"; exit 1; }; \
+	"$$tmp/namer-mine" -lang python -dir "$$tmp/corpus" -out "$$tmp/single.bin" \
+		-log-format json >/dev/null 2>"$$tmp/single.err" || \
+		{ echo "obs-gate: single-process json mine failed"; cat "$$tmp/single.err"; exit 1; }; \
+	for f in mine single; do \
+		grep -q '"msg":"progress"' "$$tmp/$$f.err" || \
+			{ echo "obs-gate: $$f mine logged no progress records"; head "$$tmp/$$f.err"; exit 1; }; \
+		bad=$$(grep -cvE '^(\{.*\})?$$' "$$tmp/$$f.err" || true); \
+		[ "$$bad" = 0 ] || { echo "obs-gate: $$bad stderr lines of the $$f json mine are not JSON objects"; \
+			grep -vE '^(\{.*\})?$$' "$$tmp/$$f.err"; exit 1; }; \
+	done; \
 	grep -q 'driver: per-shard resources:' "$$tmp/mine.out" || \
 		{ echo "obs-gate: stdout missing the per-shard resource table"; cat "$$tmp/mine.out"; exit 1; }; \
 	grep -qE 'driver: worker pid=[0-9]+ cpu=' "$$tmp/mine.out" || \

@@ -8,7 +8,8 @@
 //
 // Long corpus runs are observable three ways: periodic progress lines on
 // stderr (files analyzed, statements, moving rate, ETA; FP-tree shapes
-// as each pass completes); -trace out.json, which records the whole
+// as each pass completes; records under -log-format json, which keeps
+// every stderr line a JSON object); -trace out.json, which records the whole
 // run as a span tree and writes it in the Chrome trace-event format —
 // load it in chrome://tracing or https://ui.perfetto.dev to see where
 // the wall time went, stage by stage and file by file; and, in driver
@@ -32,8 +33,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"namer/internal/ast"
@@ -87,6 +90,19 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// Under -log-format json every stderr line is one JSON object:
+	// progress reports become records, and the -trace span tree, a text
+	// view, goes to stdout with the other results.
+	newProgress := func(label, unit string) *obs.Progress {
+		return obs.NewProgress(os.Stderr, label, unit)
+	}
+	var treeOut io.Writer = os.Stderr
+	if strings.EqualFold(*logFormat, "json") {
+		newProgress = func(label, unit string) *obs.Progress {
+			return obs.NewProgressLog(lg, label, unit)
+		}
+		treeOut = os.Stdout
+	}
 	if *workerMode {
 		if err := driver.ServeWorker(os.Stdin, os.Stdout, lg); err != nil {
 			fatal(err)
@@ -135,7 +151,7 @@ func main() {
 			CheckpointDir: ckdir,
 			Fresh:         *fresh,
 			Workers:       *parallelism,
-			Status:        os.Stderr,
+			Progress:      newProgress,
 			Log:           lg,
 		}
 		if *workerProcs > 0 {
@@ -179,7 +195,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *out)
-		finishTrace(tr, *traceOut)
+		finishTrace(tr, *traceOut, treeOut)
 		return
 	}
 
@@ -206,8 +222,7 @@ func main() {
 			cfg.Mining.MinPatternCount = 5
 		}
 	}
-	progress := obs.NewProgress(os.Stderr, "analyze", "files")
-	cfg.Progress = progress.Update
+	cfg.Progress = newProgress("analyze", "files").Update
 	cfg.Mining.OnTreeBuilt = func(nodes, transactions int) {
 		lg.Info("FP tree built", "nodes", nodes, "transactions", transactions)
 	}
@@ -253,7 +268,7 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("wrote %s\n", *out)
-	finishTrace(tr, *traceOut)
+	finishTrace(tr, *traceOut, treeOut)
 }
 
 // printUsage renders the per-shard resource table (and per-worker
@@ -283,7 +298,9 @@ func printUsage(stats driver.Stats) {
 	}
 }
 
-func finishTrace(tr *obs.Trace, traceOut string) {
+// finishTrace writes the Chrome trace to traceOut and the span tree to
+// treeOut.
+func finishTrace(tr *obs.Trace, traceOut string, treeOut io.Writer) {
 	if tr == nil {
 		return
 	}
@@ -299,7 +316,7 @@ func finishTrace(tr *obs.Trace, traceOut string) {
 	if err := f.Close(); err != nil {
 		fatal(err)
 	}
-	tr.WriteTree(os.Stderr)
+	tr.WriteTree(treeOut)
 	spans, pids := tr.ExternalSpanCount()
 	if pids > 0 {
 		fmt.Printf("wrote trace %s (%d spans + %d worker spans from %d processes, %v; open in chrome://tracing)\n",

@@ -54,9 +54,11 @@ type Options struct {
 	// Workers is the number of concurrent map workers (goroutines or
 	// child processes); 0 means min(Shards, NumCPU).
 	Workers int
-	// Status, when non-nil, receives progress lines (obs.Progress).
-	// cmd/namer-mine passes stderr.
-	Status io.Writer
+	// Progress, when non-nil, makes the reporter of each map round's
+	// cross-worker progress, given the round's label and unit.
+	// cmd/namer-mine's reporters write lines to stderr, or records to
+	// its logger under -log-format json.
+	Progress func(label, unit string) *obs.Progress
 	// Log receives the driver's structured events: resume decisions,
 	// stale-checkpoint warnings, and captured worker stderr (tagged with
 	// the worker's PID). Nil logs nothing. With a logger set, spawned
@@ -605,9 +607,8 @@ func (r *runner) reduceKnowledge(ctx context.Context, stmtArts []*shardStmts,
 func (r *runner) runJobs(ctx context.Context, jobs []Job, label, unit string, total int) error {
 	workers := r.workers(len(jobs))
 	var agg *obs.ProgressAggregator
-	if r.opts.Status != nil {
-		prog := obs.NewProgress(r.opts.Status, label, unit)
-		agg = obs.NewProgressAggregator(prog, len(r.plan.shards), total)
+	if r.opts.Progress != nil {
+		agg = obs.NewProgressAggregator(r.opts.Progress(label, unit), len(r.plan.shards), total)
 	}
 	tr := obs.TraceFromContext(ctx)
 	mon := r.opts.Monitor

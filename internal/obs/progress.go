@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"log/slog"
+	"math"
 	"sync"
 	"time"
 )
@@ -14,9 +16,11 @@ import (
 // the ETA comes from the moving rate between emitted lines, not the
 // lifetime average, so it tracks speedups and slowdowns mid-run. The
 // first Update emits immediately, so short runs are not silent until
-// Final.
+// Final. A report is a line on a writer (NewProgress) or a record on a
+// structured logger (NewProgressLog).
 type Progress struct {
 	w     io.Writer
+	lg    *slog.Logger
 	label string
 	unit  string
 	every time.Duration
@@ -49,6 +53,16 @@ func NewProgress(w io.Writer, label, unit string) *Progress {
 		now:   time.Now,
 		start: now, lastT: now,
 	}
+}
+
+// NewProgressLog returns a progress reporter that emits each report as
+// an info record on lg: message "progress", the label as "stage", and
+// the line's figures as attributes ("done", "total", "unit", and when
+// known "statements", "rate" per second and "eta").
+func NewProgressLog(lg *slog.Logger, label, unit string) *Progress {
+	p := NewProgress(nil, label, unit)
+	p.lg = lg
+	return p
 }
 
 // SetInterval overrides the emit rate limit (tests use a tiny value).
@@ -89,24 +103,46 @@ func (p *Progress) emitLocked(now time.Time, done, total, extra int) {
 	} else if dt := now.Sub(p.start).Seconds(); dt > 0 {
 		rate = float64(done) / dt
 	}
-	line := fmt.Sprintf("%s: %d/%d %s", p.label, done, total, p.unit)
-	if total > 0 {
-		line += fmt.Sprintf(" (%.0f%%)", 100*float64(done)/float64(total))
+	// eta is -1 when unknown (no rate yet) or moot (nothing left).
+	eta := time.Duration(-1)
+	if left := total - done; rate > 0 && left > 0 {
+		eta = time.Duration(float64(left) / rate * float64(time.Second)).Round(time.Second)
 	}
-	if extra > 0 {
-		line += fmt.Sprintf(", %d statements", extra)
-	}
-	if rate > 0 {
-		line += fmt.Sprintf(", %.1f %s/s", rate, p.unit)
-		if left := total - done; left > 0 {
-			eta := time.Duration(float64(left) / rate * float64(time.Second)).Round(time.Second)
+	if p.lg != nil {
+		p.logLocked(done, total, extra, rate, eta)
+	} else {
+		line := fmt.Sprintf("%s: %d/%d %s", p.label, done, total, p.unit)
+		if total > 0 {
+			line += fmt.Sprintf(" (%.0f%%)", 100*float64(done)/float64(total))
+		}
+		if extra > 0 {
+			line += fmt.Sprintf(", %d statements", extra)
+		}
+		if rate > 0 {
+			line += fmt.Sprintf(", %.1f %s/s", rate, p.unit)
+		}
+		if eta >= 0 {
 			line += fmt.Sprintf(", ETA %s", eta)
 		}
+		fmt.Fprintln(p.w, line)
 	}
-	fmt.Fprintln(p.w, line)
 	p.emitted = true
 	p.lastT = now
 	p.lastDone = done
+}
+
+func (p *Progress) logLocked(done, total, extra int, rate float64, eta time.Duration) {
+	attrs := []any{"stage", p.label, "done", done, "total", total, "unit", p.unit}
+	if extra > 0 {
+		attrs = append(attrs, "statements", extra)
+	}
+	if rate > 0 {
+		attrs = append(attrs, "rate", math.Round(rate*10)/10)
+	}
+	if eta >= 0 {
+		attrs = append(attrs, "eta", eta.String())
+	}
+	p.lg.Info("progress", attrs...)
 }
 
 // ProgressAggregator folds per-source progress into one Progress line —

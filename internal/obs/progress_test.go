@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -175,5 +176,47 @@ func TestProgressAggregatorConcurrent(t *testing.T) {
 	last := lines[len(lines)-1]
 	if !strings.HasPrefix(last, "map: 800/800 files (100%)") {
 		t.Fatalf("final aggregate = %q, want 800/800", last)
+	}
+}
+
+// A logger-backed Progress emits each report as one JSON record with the
+// line's figures as attributes, and writes nothing else.
+func TestProgressLogRecords(t *testing.T) {
+	var buf bytes.Buffer
+	lg, err := NewLogger(&buf, "info", "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewProgressLog(lg, "analyze", "files")
+	p.SetInterval(0)
+	clock := p.start
+	p.now = func() time.Time { return clock }
+
+	clock = clock.Add(10 * time.Second)
+	p.Update(500, 1000, 1200)
+	p.Final(1000, 1000, 0)
+
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("got %d lines: %q", len(lines), buf.String())
+	}
+	var recs [2]map[string]any
+	for i, line := range lines {
+		if err := json.Unmarshal([]byte(line), &recs[i]); err != nil {
+			t.Fatalf("line %d is not a JSON object: %v\n%s", i, err, line)
+		}
+	}
+	want := map[string]any{"level": "INFO", "msg": "progress", "stage": "analyze",
+		"done": 500.0, "total": 1000.0, "unit": "files", "statements": 1200.0, "rate": 50.0, "eta": "10s"}
+	for k, v := range want {
+		if recs[0][k] != v {
+			t.Errorf("update record %s = %v, want %v\n%s", k, recs[0][k], v, lines[0])
+		}
+	}
+	// Nothing left: no ETA, and no statements when the count is 0.
+	for _, k := range []string{"eta", "statements"} {
+		if _, ok := recs[1][k]; ok {
+			t.Errorf("final record has %s: %s", k, lines[1])
+		}
 	}
 }

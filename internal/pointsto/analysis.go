@@ -1,7 +1,8 @@
 package pointsto
 
 import (
-	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"namer/internal/ast"
@@ -92,6 +93,9 @@ type analyzer struct {
 	done     map[string]bool // fnID + "@" + ctx
 	numFuncs int
 	fellBack bool
+	// calls lists, per entry point, the fnIDs of the in-file functions
+	// its body calls, one per call site (k≥1 only).
+	calls map[string][]string
 
 	// occ maps identifier terminals to the variable keys holding their
 	// value; recv maps Attr identifier terminals to the variable keys of
@@ -121,6 +125,7 @@ func newAnalyzer(root *ast.Node, info *FileInfo, k int) *analyzer {
 		k:          k,
 		eng:        datalog.NewEngine(),
 		done:       make(map[string]bool),
+		calls:      make(map[string][]string),
 		occ:        make(map[*ast.Node][]string),
 		recv:       make(map[*ast.Node][]string),
 		direct:     make(map[*ast.Node]string),
@@ -136,6 +141,15 @@ func newAnalyzer(root *ast.Node, info *FileInfo, k int) *analyzer {
 // run generates facts for every entry point, expanding call contexts, and
 // evaluates the Datalog program. It returns false if the context explosion
 // guard fired.
+//
+// The guard is decided once the entry points, which come first in the
+// queue, have been generated, before any call context is expanded. The
+// decision is exact because every in-file call takes a fresh site, so
+// with k≥1 each call creates a new (function, context) task, and the
+// calls a body resolves depend on the file, the class and the body's own
+// flow, never on the context. exceedsContexts therefore knows how many
+// tasks the run will reach, and a run that would exceed the limit is
+// abandoned without generating the facts it would throw away.
 func (a *analyzer) run(opts Options) bool {
 	// Entry points: every function and method, plus the module body.
 	a.queue = a.queue[:0]
@@ -144,24 +158,69 @@ func (a *analyzer) run(opts Options) bool {
 	if a.numFuncs == 0 {
 		a.numFuncs = 1
 	}
-	for len(a.queue) > 0 {
+	limit := opts.MaxAvgContexts * float64(a.numFuncs)
+	for dequeued := 0; len(a.queue) > 0; {
 		t := a.queue[0]
 		a.queue = a.queue[1:]
-		key := t.fnID + "@" + t.ctx
-		if a.done[key] {
-			continue
+		if key := t.fnID + "@" + t.ctx; !a.done[key] {
+			a.done[key] = true
+			a.genFunction(t)
 		}
-		a.done[key] = true
-		if float64(len(a.done)) > opts.MaxAvgContexts*float64(a.numFuncs) {
+		if dequeued++; dequeued == a.numFuncs && a.exceedsContexts(limit) {
 			return false
 		}
-		a.genFunction(t)
 	}
 	if err := a.eng.Run(); err != nil {
 		// The rule set is fixed and stratifiable; an error here is a bug.
 		panic("pointsto: " + err.Error())
 	}
 	return true
+}
+
+// exceedsContexts reports whether the run will have generated more than
+// limit (function, context) tasks when its queue drains. It is called
+// once every entry point is done: each recorded call then adds the
+// unfolded size of its callee, one task for the callee plus the unfolded
+// sizes of the callee's own calls. A call cycle unfolds without end and
+// always exceeds the limit. With k=0 no call is recorded, as calls reuse
+// the entry points' contexts.
+func (a *analyzer) exceedsContexts(limit float64) bool {
+	// Sizes saturate at over, the first count above the limit.
+	over := int(math.Min(limit, 1<<62)) + 1
+	const unfolding = -1
+	size := make(map[string]int, len(a.calls))
+	var unfold func(fnID string) int
+	unfold = func(fnID string) int {
+		switch n, ok := size[fnID]; {
+		case n == unfolding:
+			return over
+		case ok:
+			return n
+		}
+		size[fnID] = unfolding
+		n := 1
+		for _, c := range a.calls[fnID] {
+			if m := unfold(c); m < over-n {
+				n += m
+			} else {
+				n = over
+				break
+			}
+		}
+		size[fnID] = n
+		return n
+	}
+	total := len(a.done)
+	for _, callees := range a.calls {
+		for _, c := range callees {
+			if m := unfold(c); m < over-total {
+				total += m
+			} else {
+				return true
+			}
+		}
+	}
+	return total >= over
 }
 
 func (a *analyzer) enqueueEntryPoints() {
@@ -270,7 +329,7 @@ func (s *scope) clone() *scope {
 }
 
 func (a *analyzer) varKey(s *scope, name string, ver int) string {
-	return s.ctx + "/" + s.fnID + "/" + name + "#" + fmt.Sprint(ver)
+	return s.ctx + "/" + s.fnID + "/" + name + "#" + strconv.Itoa(ver)
 }
 
 func (a *analyzer) retKey(fnID, ctx string) string {
@@ -279,7 +338,7 @@ func (a *analyzer) retKey(fnID, ctx string) string {
 
 func (a *analyzer) tmpKey(s *scope) string {
 	a.tmp++
-	return s.ctx + "/" + s.fnID + "/$t" + fmt.Sprint(a.tmp)
+	return s.ctx + "/" + s.fnID + "/$t" + strconv.Itoa(a.tmp)
 }
 
 // genFunction emits facts for one (function, context).
@@ -924,7 +983,7 @@ func (a *analyzer) genExpr(n *ast.Node, s *scope) string {
 // calls with in-file resolution and k-call-site context expansion.
 func (a *analyzer) genCall(n *ast.Node, s *scope) string {
 	a.siteID++
-	site := fmt.Sprint(a.siteID)
+	site := strconv.Itoa(a.siteID)
 	callee := n.Children[0]
 	args := n.Children[1:]
 	var argKeys []string
@@ -1016,7 +1075,7 @@ func (a *analyzer) genNew(n *ast.Node, s *scope) string {
 		a.eng.Assert("Alloc", ret, "I:"+base)
 		a.siteID++
 		if ctor, ok := cls.Methods[base]; ok {
-			a.callInFile(base+"."+base, ctor, cls, ret, argKeys, fmt.Sprint(a.siteID), s)
+			a.callInFile(base+"."+base, ctor, cls, ret, argKeys, strconv.Itoa(a.siteID), s)
 		}
 	} else {
 		a.eng.Assert("Alloc", ret, "H:"+base)
@@ -1030,6 +1089,9 @@ func (a *analyzer) genNew(n *ast.Node, s *scope) string {
 func (a *analyzer) callInFile(fnID string, fnNode *ast.Node, cls *ClassInfo,
 	selfKey string, argKeys []string, site string, s *scope) string {
 	newCtx := pushContext(s.ctx, site, a.k)
+	if a.k > 0 && s.ctx == "" {
+		a.calls[s.fnID] = append(a.calls[s.fnID], fnID)
+	}
 	if key := fnID + "@" + newCtx; !a.done[key] {
 		a.queue = append(a.queue, task{fnID: fnID, ctx: newCtx, node: fnNode, class: cls})
 	}
@@ -1069,15 +1131,18 @@ func pushContext(ctx, site string, k int) string {
 	if k <= 0 {
 		return ""
 	}
-	parts := []string{}
-	if ctx != "" {
-		parts = strings.Split(ctx, "|")
+	if ctx == "" {
+		return site
 	}
-	parts = append(parts, site)
-	if len(parts) > k {
-		parts = parts[len(parts)-k:]
+	ctx += "|" + site
+	for i, seps := len(ctx)-1, 0; i >= 0; i-- {
+		if ctx[i] == '|' {
+			if seps++; seps == k {
+				return ctx[i+1:]
+			}
+		}
 	}
-	return strings.Join(parts, "|")
+	return ctx
 }
 
 func exprNameOfTypeRef(n *ast.Node) string {

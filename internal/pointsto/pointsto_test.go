@@ -1,6 +1,7 @@
 package pointsto
 
 import (
+	"strings"
 	"testing"
 
 	"namer/internal/ast"
@@ -434,5 +435,73 @@ func TestStatsPopulated(t *testing.T) {
 	}
 	if res.Info == nil {
 		t.Error("Info missing")
+	}
+}
+
+// The context-explosion guard at its boundaries. With k≥1 every in-file
+// call expands into its own context, so a file needs 1 context per
+// entry point plus one per call in the unfolded call graph; the guard
+// allows MaxAvgContexts per entry point. Contexts after a fallback are
+// those of the context-insensitive rerun: one per entry point.
+func TestContextGuardBoundaries(t *testing.T) {
+	// Four entry points (the module body, leaf, l1, l2), so the limit is
+	// 32: 4 entries + 4 leaf calls in l1 + 4 l1 calls in l2 (5 contexts
+	// each) + n leaf calls at module level.
+	dag := func(n int) string {
+		return `def leaf(x):
+    return x
+
+def l1(x):
+    return leaf(leaf(leaf(leaf(x))))
+
+def l2(x):
+    return l1(l1(l1(l1(x))))
+` + strings.Repeat("leaf(1)\n", n)
+	}
+	tests := []struct {
+		name     string
+		src      string
+		fellBack bool
+		contexts int
+	}{
+		{"self recursion", "def f(x):\n    return f(x)\n", true, 2},
+		{"mutual recursion", "def a(x):\n    return b(x)\n\ndef b(x):\n    return a(x)\n", true, 3},
+		{"recursion below a DAG", "def r(x):\n    return r(x)\n\ndef g(x):\n    return r(x)\n", true, 3},
+		{"unfolded count at the limit", dag(4), false, 32},
+		{"one call past the limit", dag(5), true, 4},
+	}
+	for _, tc := range tests {
+		root := parsePy(t, tc.src)
+		res := Analyze(root, ast.Python, Options{K: 5, MaxAvgContexts: 8})
+		if res.Stats.FellBack != tc.fellBack || res.Stats.Contexts != tc.contexts {
+			t.Errorf("%s: FellBack=%t Contexts=%d, want FellBack=%t Contexts=%d",
+				tc.name, res.Stats.FellBack, res.Stats.Contexts, tc.fellBack, tc.contexts)
+		}
+	}
+}
+
+// pushContext must build the same context strings as splitting the
+// context on "|", appending the site and keeping the last k parts.
+func TestPushContextKeepsLastK(t *testing.T) {
+	reference := func(ctx, site string, k int) string {
+		if k <= 0 {
+			return ""
+		}
+		parts := []string{}
+		if ctx != "" {
+			parts = strings.Split(ctx, "|")
+		}
+		parts = append(parts, site)
+		if len(parts) > k {
+			parts = parts[len(parts)-k:]
+		}
+		return strings.Join(parts, "|")
+	}
+	for _, ctx := range []string{"", "1", "1|2", "1|2|3", "10|200|3|4", "1|2|3|4|5", "1|2|3|4|5|6|7"} {
+		for k := 0; k <= 6; k++ {
+			if got, want := pushContext(ctx, "42", k), reference(ctx, "42", k); got != want {
+				t.Errorf("pushContext(%q, 42, %d) = %q, want %q", ctx, k, got, want)
+			}
+		}
 	}
 }
