@@ -122,10 +122,13 @@ driver-gate:
 # least three distinct processes (driver lane + two workers), the
 # worker/checkpoint spans survived shipping, the stderr stream is
 # structured (JSON records, with captured worker lines tagged
-# worker_pid), and stdout ends with the per-shard resource table and
-# per-worker rusage rows. Every stderr line of that mine, and of a
-# single-process mine with -log-format json, must be a JSON object,
-# progress reports included.
+# worker_pid, and a worker's JSON records re-emitted with their own keys
+# rather than nested as a "worker: {...}" message string), and stdout
+# ends with the per-shard resource table and per-worker rusage rows.
+# Every stderr line of that mine, of a single-process mine with
+# -log-format json, and of a json mine of a missing corpus, which must
+# fail with an Error record, must be a JSON object, progress reports
+# included.
 obs-gate:
 	$(GO) test -run 'TestObsGate$$|TestResultOmitsEmptySpanBatch$$' -count=1 ./internal/driver
 	@set -e; \
@@ -151,11 +154,18 @@ obs-gate:
 		{ echo "obs-gate: -log-format json produced no JSON records"; head "$$tmp/mine.err"; exit 1; }; \
 	grep -q '"worker_pid":' "$$tmp/mine.err" || \
 		{ echo "obs-gate: no captured worker stderr tagged with worker_pid"; head "$$tmp/mine.err"; exit 1; }; \
+	! grep -F '"msg":"worker: {' "$$tmp/mine.err" || \
+		{ echo "obs-gate: worker JSON records above are nested as message strings"; exit 1; }; \
 	"$$tmp/namer-mine" -lang python -dir "$$tmp/corpus" -out "$$tmp/single.bin" \
 		-log-format json >/dev/null 2>"$$tmp/single.err" || \
 		{ echo "obs-gate: single-process json mine failed"; cat "$$tmp/single.err"; exit 1; }; \
-	for f in mine single; do \
-		grep -q '"msg":"progress"' "$$tmp/$$f.err" || \
+	! "$$tmp/namer-mine" -lang python -dir "$$tmp/missing" -out "$$tmp/missing.bin" \
+		-log-format json >/dev/null 2>"$$tmp/missing.err" || \
+		{ echo "obs-gate: json mine of a missing corpus succeeded"; exit 1; }; \
+	grep -q '"level":"ERROR"' "$$tmp/missing.err" || \
+		{ echo "obs-gate: failed json mine logged no Error record"; cat "$$tmp/missing.err"; exit 1; }; \
+	for f in mine single missing; do \
+		[ "$$f" = missing ] || grep -q '"msg":"progress"' "$$tmp/$$f.err" || \
 			{ echo "obs-gate: $$f mine logged no progress records"; head "$$tmp/$$f.err"; exit 1; }; \
 		bad=$$(grep -cvE '^(\{.*\})?$$' "$$tmp/$$f.err" || true); \
 		[ "$$bad" = 0 ] || { echo "obs-gate: $$bad stderr lines of the $$f json mine are not JSON objects"; \

@@ -629,14 +629,15 @@ func BenchmarkJavaParse(b *testing.B) {
 }
 
 func BenchmarkDatalogTransitiveClosure(b *testing.B) {
+	prog := datalog.MustParse(`
+		Path(X, Y) :- Edge(X, Y).
+		Path(X, Z) :- Path(X, Y), Edge(Y, Z).
+	`)
 	for i := 0; i < b.N; i++ {
-		e := datalog.NewEngine()
-		e.MustParse(`
-			Path(X, Y) :- Edge(X, Y).
-			Path(X, Z) :- Path(X, Y), Edge(Y, Z).
-		`)
-		for v := 0; v < 30; v++ {
-			e.Assert("Edge", fmt.Sprint(v), fmt.Sprint(v+1))
+		e := datalog.NewEngine(prog)
+		edge := e.Relation("Edge")
+		for v := int32(0); v < 30; v++ {
+			edge.Insert(v, v+1)
 		}
 		if err := e.Run(); err != nil {
 			b.Fatal(err)

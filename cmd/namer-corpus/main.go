@@ -34,15 +34,15 @@ func main() {
 	}
 	lg, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
-		fatal(err)
+		obs.Fatal(nil, err)
 	}
 
 	l, err := ast.ParseLanguage(*lang)
 	if err != nil {
-		fatal(err)
+		obs.Fatal(lg, err)
 	}
 	if l == ast.Go {
-		fatal(fmt.Errorf("the synthetic corpus generator emits python and java only"))
+		obs.Fatal(lg, fmt.Errorf("the synthetic corpus generator emits python and java only"))
 	}
 	cfg := corpus.DefaultConfig(l)
 	cfg.Repos = *repos
@@ -54,13 +54,8 @@ func main() {
 		"files_per_repo", *files, "seed", *seed)
 	c := corpus.Generate(cfg)
 	if err := c.WriteTo(*out); err != nil {
-		fatal(err)
+		obs.Fatal(lg, err)
 	}
 	fmt.Printf("wrote %d files in %d repositories to %s (%d ground-truth issues, %d commits)\n",
 		c.TotalFiles(), len(c.Repos), *out, len(c.Issues), len(c.Commits))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "namer-corpus:", err)
-	os.Exit(1)
 }

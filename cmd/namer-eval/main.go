@@ -37,8 +37,7 @@ func main() {
 	}
 	lg, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "namer-eval:", err)
-		os.Exit(2)
+		obs.Fatal(nil, err)
 	}
 
 	langs := []ast.Language{ast.Python, ast.Java}
@@ -49,8 +48,7 @@ func main() {
 		langs = []ast.Language{ast.Java}
 	case "both":
 	default:
-		fmt.Fprintf(os.Stderr, "namer-eval: unknown language %q\n", *lang)
-		os.Exit(2)
+		obs.Fatal(lg, fmt.Errorf("unknown language %q", *lang))
 	}
 
 	for _, l := range langs {

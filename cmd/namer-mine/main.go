@@ -34,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -88,7 +89,7 @@ func main() {
 	}
 	lg, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
-		fatal(err)
+		obs.Fatal(nil, err)
 	}
 	// Under -log-format json every stderr line is one JSON object:
 	// progress reports become records, and the -trace span tree, a text
@@ -105,14 +106,14 @@ func main() {
 	}
 	if *workerMode {
 		if err := driver.ServeWorker(os.Stdin, os.Stdout, lg); err != nil {
-			fatal(err)
+			obs.Fatal(lg, err)
 		}
 		return
 	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
-		fatal(err)
+		obs.Fatal(lg, err)
 	}
 	defer stopProf()
 
@@ -129,7 +130,7 @@ func main() {
 
 	l, err := ast.ParseLanguage(*lang)
 	if err != nil {
-		fatal(err)
+		obs.Fatal(lg, err)
 	}
 
 	if *driverMode {
@@ -157,7 +158,7 @@ func main() {
 		if *workerProcs > 0 {
 			exe, err := os.Executable()
 			if err != nil {
-				fatal(err)
+				obs.Fatal(lg, err)
 			}
 			// Workers inherit the log flags so their (captured) stderr
 			// carries the same level and the driver re-tags it per PID.
@@ -170,18 +171,18 @@ func main() {
 			opts.Recorder = obs.NewFlightRecorder(32)
 			st, err := driver.StartStatus(*statusAddr, opts.Monitor, opts.Recorder, lg)
 			if err != nil {
-				fatal(err)
+				obs.Fatal(lg, err)
 			}
 			defer st.Close()
 			if *statusReadyFile != "" {
 				if err := os.WriteFile(*statusReadyFile, []byte(st.Addr()+"\n"), 0o644); err != nil {
-					fatal(err)
+					obs.Fatal(lg, err)
 				}
 			}
 		}
 		k, stats, err := driver.Run(ctx, opts)
 		if err != nil {
-			fatal(err)
+			obs.Fatal(lg, err)
 		}
 		fmt.Printf("driver: %d shards (%d stmts + %d trees checkpoints reused), %d files, %d statements\n",
 			stats.Shards, stats.StmtsReused, stats.TreesReused, stats.FilesParsed, stats.Statements)
@@ -192,10 +193,10 @@ func main() {
 			stats.MapWall.Round(time.Millisecond), stats.ReduceWall.Round(time.Millisecond))
 		printUsage(stats)
 		if err := knowledge.Save(*out, k); err != nil {
-			fatal(err)
+			obs.Fatal(lg, err)
 		}
 		fmt.Printf("wrote %s\n", *out)
-		finishTrace(tr, *traceOut, treeOut)
+		finishTrace(lg, tr, *traceOut, treeOut)
 		return
 	}
 
@@ -207,7 +208,7 @@ func main() {
 		lg.Warn("load", "err", e)
 	}
 	if len(files) == 0 {
-		fatal(fmt.Errorf("no %s files under %s", *lang, *dir))
+		obs.Fatal(lg, fmt.Errorf("no %s files under %s", *lang, *dir))
 	}
 
 	cfg := core.DefaultConfig(l)
@@ -265,10 +266,10 @@ func main() {
 	}
 	sp.End()
 	if err != nil {
-		fatal(err)
+		obs.Fatal(lg, err)
 	}
 	fmt.Printf("wrote %s\n", *out)
-	finishTrace(tr, *traceOut, treeOut)
+	finishTrace(lg, tr, *traceOut, treeOut)
 }
 
 // printUsage renders the per-shard resource table (and per-worker
@@ -300,21 +301,21 @@ func printUsage(stats driver.Stats) {
 
 // finishTrace writes the Chrome trace to traceOut and the span tree to
 // treeOut.
-func finishTrace(tr *obs.Trace, traceOut string, treeOut io.Writer) {
+func finishTrace(lg *slog.Logger, tr *obs.Trace, traceOut string, treeOut io.Writer) {
 	if tr == nil {
 		return
 	}
 	tr.Finish()
 	f, err := os.Create(traceOut)
 	if err != nil {
-		fatal(err)
+		obs.Fatal(lg, err)
 	}
 	if err := tr.WriteChromeTrace(f); err != nil {
 		f.Close()
-		fatal(err)
+		obs.Fatal(lg, err)
 	}
 	if err := f.Close(); err != nil {
-		fatal(err)
+		obs.Fatal(lg, err)
 	}
 	tr.WriteTree(treeOut)
 	spans, pids := tr.ExternalSpanCount()
@@ -325,9 +326,4 @@ func finishTrace(tr *obs.Trace, traceOut string, treeOut io.Writer) {
 		fmt.Printf("wrote trace %s (%d spans, %v; open in chrome://tracing)\n",
 			traceOut, tr.SpanCount(), tr.Duration().Round(time.Millisecond))
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "namer-mine:", err)
-	os.Exit(1)
 }

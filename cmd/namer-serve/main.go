@@ -95,7 +95,7 @@ func main() {
 	}
 	lg, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
-		fatal(err)
+		obs.Fatal(nil, err)
 	}
 	// The server's own records (serve.Config.Log left nil) and net/http's
 	// error lines go through the default logger: make it this one, so
@@ -104,13 +104,13 @@ func main() {
 
 	sys, kinfo, err := loadKnowledgeSystem(*kpath)
 	if err != nil {
-		fatal(fmt.Errorf("loading knowledge: %w (run namer-mine first)", err))
+		obs.Fatal(lg, fmt.Errorf("loading knowledge: %w (run namer-mine first)", err))
 	}
 	lg.Info("loaded knowledge", "summary", kinfo.Summary)
 
 	logw, err := obs.OpenLogWriter(*accessLog)
 	if err != nil {
-		fatal(fmt.Errorf("opening access log: %w", err))
+		obs.Fatal(lg, fmt.Errorf("opening access log: %w", err))
 	}
 	var access *slog.Logger
 	if logw != nil {
@@ -147,7 +147,7 @@ func main() {
 	defer stopReload()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		obs.Fatal(lg, err)
 	}
 	bound := ln.Addr().String()
 	lg.Info("listening", "url", "http://"+bound,
@@ -155,7 +155,7 @@ func main() {
 	if *readyFile != "" {
 		if err := os.WriteFile(*readyFile, []byte(bound+"\n"), 0o644); err != nil {
 			ln.Close()
-			fatal(err)
+			obs.Fatal(lg, err)
 		}
 	}
 
@@ -170,7 +170,7 @@ func main() {
 		sv.Close()
 	})
 	if err := serve.RunUntilSignal(srv, ln, *grace, os.Interrupt, syscall.SIGTERM); err != nil {
-		fatal(err)
+		obs.Fatal(lg, err)
 	}
 	lg.Info("shut down cleanly")
 }
@@ -212,9 +212,4 @@ func loadKnowledgeSystem(path string) (*core.System, serve.KnowledgeInfo, error)
 		path, format, hash, sys.Config().Lang, len(sys.Patterns),
 		sys.Pairs.Len(), sys.HasClassifier())
 	return sys, ki, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "namer-serve:", err)
-	os.Exit(1)
 }

@@ -41,12 +41,12 @@ func main() {
 	}
 	lg, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
-		fatal(err)
+		obs.Fatal(nil, err)
 	}
 
 	l, err := ast.ParseLanguage(*lang)
 	if err != nil {
-		fatal(err)
+		obs.Fatal(lg, err)
 	}
 	if *issues == "" {
 		*issues = filepath.Join(*dir, "issues.json")
@@ -54,7 +54,7 @@ func main() {
 
 	sys := core.NewSystem(core.DefaultConfig(l))
 	if err := sys.LoadKnowledge(*knowledge); err != nil {
-		fatal(err)
+		obs.Fatal(lg, err)
 	}
 	files, errs := core.LoadDirectory(*dir, l)
 	for _, e := range errs {
@@ -69,7 +69,7 @@ func main() {
 
 	gt, err := corpus.ReadIssues(*issues)
 	if err != nil {
-		fatal(fmt.Errorf("reading labels: %w", err))
+		obs.Fatal(lg, fmt.Errorf("reading labels: %w", err))
 	}
 	judge := indexIssues(gt)
 
@@ -95,7 +95,7 @@ func main() {
 		}
 	}
 	if pos == 0 || neg == 0 {
-		fatal(fmt.Errorf("degenerate labels: %d true, %d false", pos, neg))
+		obs.Fatal(lg, fmt.Errorf("degenerate labels: %d true, %d false", pos, neg))
 	}
 	sys.TrainClassifier(res.Stats, vs, ys)
 	fmt.Printf("trained the defect classifier on %d labeled violations (%d true, %d false)\n",
@@ -110,7 +110,7 @@ func main() {
 	fmt.Printf("classifier keeps %d/%d violations as reports\n", kept, len(violations))
 
 	if err := sys.SaveKnowledge(*out); err != nil {
-		fatal(err)
+		obs.Fatal(lg, err)
 	}
 	fmt.Printf("wrote %s\n", *out)
 }
@@ -138,9 +138,4 @@ func indexIssues(issues []*corpus.Issue) func(repo, path string, line int, origi
 		}
 		return false
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "namer-train:", err)
-	os.Exit(1)
 }

@@ -46,23 +46,23 @@ func main() {
 	}
 	lg, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
-		fatal(err)
+		obs.Fatal(nil, err)
 	}
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
-		fatal(err)
+		obs.Fatal(lg, err)
 	}
 	defer stopProf()
 
 	l, err := ast.ParseLanguage(*lang)
 	if err != nil {
-		fatal(err)
+		obs.Fatal(lg, err)
 	}
 	cfg := core.DefaultConfig(l)
 	cfg.Parallelism = *parallelism
 	sys := core.NewSystem(cfg)
 	if err := sys.LoadKnowledge(*knowledge); err != nil {
-		fatal(fmt.Errorf("loading knowledge: %w (run namer-mine first)", err))
+		obs.Fatal(lg, fmt.Errorf("loading knowledge: %w (run namer-mine first)", err))
 	}
 
 	var files []*core.InputFile
@@ -74,7 +74,7 @@ func main() {
 		files = append(files, fs...)
 	}
 	if len(files) == 0 {
-		fatal(fmt.Errorf("no %s files found", *lang))
+		obs.Fatal(lg, fmt.Errorf("no %s files found", *lang))
 	}
 	res := sys.ScanFiles(files)
 	for _, e := range res.Errors {
@@ -140,9 +140,4 @@ func writeBack(roots []string, f *core.InputFile) error {
 		}
 	}
 	return fmt.Errorf("cannot locate %s under the given roots", f.Path)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "namer:", err)
-	os.Exit(1)
 }

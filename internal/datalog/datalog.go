@@ -13,160 +13,36 @@
 // Identifiers starting with an uppercase letter or '_' inside an atom are
 // variables; everything else (lowercase identifiers, quoted strings,
 // numbers) is a constant. '_' alone is an anonymous variable.
+//
+// A Program is parsed once and shared; each Engine holds one evaluation's
+// tuples. Tuples are vectors of int32 symbols the caller numbers densely
+// from 0. A program's constants are the symbols 0..n-1 in order of first
+// appearance, so a caller that numbers its own symbols should keep
+// constants out of its rules.
 package datalog
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 )
 
-// Engine holds relations, rules, and the symbol table.
-type Engine struct {
-	Syms  *SymTab
-	rels  map[string]*relation
-	rules []*rule
+// Program is a parsed rule set: its relations, rules, ground facts and
+// evaluation plans. It is immutable once parsed, so one Program can back
+// any number of engines in any number of goroutines.
+type Program struct {
+	arity    []int // by relation
+	byName   map[string]int
+	rules    []*rule
+	facts    []fact
+	strata   []stratum
+	stratErr error
+	numVars  int // the most variables any rule binds
+	syms     *symtab
 }
 
-// NewEngine returns an empty engine.
-func NewEngine() *Engine {
-	return &Engine{Syms: NewSymTab(), rels: make(map[string]*relation)}
-}
-
-type relation struct {
-	name   string
-	arity  int
-	seen   map[string]struct{}
-	tuples [][]int32
-	// index[col][value] lists tuple positions with that value in col.
-	index map[int]map[int32][]int
-}
-
-func (e *Engine) relation(name string, arity int) *relation {
-	r, ok := e.rels[name]
-	if !ok {
-		r = &relation{name: name, arity: arity, seen: make(map[string]struct{}),
-			index: make(map[int]map[int32][]int)}
-		e.rels[name] = r
-		return r
-	}
-	if r.arity != arity {
-		panic(fmt.Sprintf("datalog: relation %s used with arity %d and %d", name, r.arity, arity))
-	}
-	return r
-}
-
-func encode(t []int32) string {
-	b := make([]byte, 4*len(t))
-	for i, v := range t {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
-	}
-	return string(b)
-}
-
-// insert adds a tuple if new, returning true if it was added.
-func (r *relation) insert(t []int32) bool {
-	k := encode(t)
-	if _, ok := r.seen[k]; ok {
-		return false
-	}
-	r.seen[k] = struct{}{}
-	pos := len(r.tuples)
-	r.tuples = append(r.tuples, t)
-	for col, idx := range r.index {
-		idx[t[col]] = append(idx[t[col]], pos)
-	}
-	return true
-}
-
-// ensureIndex builds (once) an index on the given column.
-func (r *relation) ensureIndex(col int) map[int32][]int {
-	if idx, ok := r.index[col]; ok {
-		return idx
-	}
-	idx := make(map[int32][]int)
-	for pos, t := range r.tuples {
-		idx[t[col]] = append(idx[t[col]], pos)
-	}
-	r.index[col] = idx
-	return idx
-}
-
-// Assert adds a ground fact.
-func (e *Engine) Assert(rel string, values ...string) {
-	r := e.relation(rel, len(values))
-	t := make([]int32, len(values))
-	for i, v := range values {
-		t[i] = e.Syms.Intern(v)
-	}
-	r.insert(t)
-}
-
-// Count returns the number of tuples in a relation (0 if absent).
-func (e *Engine) Count(rel string) int {
-	if r, ok := e.rels[rel]; ok {
-		return len(r.tuples)
-	}
-	return 0
-}
-
-// Query returns all tuples of rel matching the given pattern, where "_"
-// matches anything. The result tuples are decoded to strings.
-func (e *Engine) Query(rel string, pattern ...string) [][]string {
-	r, ok := e.rels[rel]
-	if !ok {
-		return nil
-	}
-	if len(pattern) != r.arity {
-		panic(fmt.Sprintf("datalog: query %s arity mismatch", rel))
-	}
-	var out [][]string
-	// Use an index on the first bound column if any.
-	boundCol := -1
-	var boundVal int32
-	for i, pv := range pattern {
-		if pv != "_" {
-			sym, okSym := e.Syms.Lookup(pv)
-			if !okSym {
-				return nil
-			}
-			boundCol, boundVal = i, sym
-			break
-		}
-	}
-	check := func(t []int32) bool {
-		for i, pv := range pattern {
-			if pv == "_" {
-				continue
-			}
-			sym, okSym := e.Syms.Lookup(pv)
-			if !okSym || t[i] != sym {
-				return false
-			}
-		}
-		return true
-	}
-	decode := func(t []int32) []string {
-		s := make([]string, len(t))
-		for i, v := range t {
-			s[i] = e.Syms.Name(v)
-		}
-		return s
-	}
-	if boundCol >= 0 {
-		for _, pos := range r.ensureIndex(boundCol)[boundVal] {
-			if t := r.tuples[pos]; check(t) {
-				out = append(out, decode(t))
-			}
-		}
-		return out
-	}
-	for _, t := range r.tuples {
-		if check(t) {
-			out = append(out, decode(t))
-		}
-	}
-	return out
+type fact struct {
+	rel int
+	t   []int32
 }
 
 // term is a constant symbol or a variable slot.
@@ -177,8 +53,7 @@ type term struct {
 }
 
 type atom struct {
-	rel     string
-	arity   int
+	rel     int
 	terms   []term
 	negated bool
 }
@@ -187,26 +62,42 @@ type rule struct {
 	head    atom
 	body    []atom
 	numVars int
-	text    string
 }
 
-// Parse parses a newline- or period-separated list of rules and adds them
-// to the engine. Facts (rules without ':-') are asserted directly.
-func (e *Engine) Parse(program string) error {
-	clauses := splitClauses(program)
-	for _, cl := range clauses {
-		if err := e.parseClause(cl); err != nil {
-			return fmt.Errorf("datalog: %w in clause %q", err, cl)
+// Parse parses a newline- or period-separated list of rules. Facts (rules
+// without ':-') are asserted into every engine the program backs.
+func Parse(src string) (*Program, error) {
+	p := &Program{byName: make(map[string]int), syms: newSymtab()}
+	for _, cl := range splitClauses(src) {
+		if err := p.parseClause(cl); err != nil {
+			return nil, fmt.Errorf("datalog: %w in clause %q", err, cl)
 		}
 	}
-	return nil
+	p.strata, p.stratErr = p.stratify()
+	return p, nil
 }
 
 // MustParse is Parse but panics on error; intended for static rule sets.
-func (e *Engine) MustParse(program string) {
-	if err := e.Parse(program); err != nil {
+func MustParse(src string) *Program {
+	p, err := Parse(src)
+	if err != nil {
 		panic(err)
 	}
+	return p
+}
+
+// relation returns the index of the named relation, declaring it on first
+// use.
+func (p *Program) relation(name string, arity int) (int, error) {
+	if i, ok := p.byName[name]; ok {
+		if p.arity[i] != arity {
+			return 0, fmt.Errorf("relation %s used with arity %d and %d", name, p.arity[i], arity)
+		}
+		return i, nil
+	}
+	p.byName[name] = len(p.arity)
+	p.arity = append(p.arity, arity)
+	return len(p.arity) - 1, nil
 }
 
 func splitClauses(program string) []string {
@@ -252,10 +143,10 @@ func splitClauses(program string) []string {
 	return clean
 }
 
-func (e *Engine) parseClause(cl string) error {
+func (p *Program) parseClause(cl string) error {
 	headText, bodyText, hasBody := strings.Cut(cl, ":-")
 	vars := map[string]int{}
-	head, err := e.parseAtom(strings.TrimSpace(headText), vars)
+	head, err := p.parseAtom(strings.TrimSpace(headText), vars)
 	if err != nil {
 		return err
 	}
@@ -271,12 +162,12 @@ func (e *Engine) parseClause(cl string) error {
 			}
 			t[i] = tm.sym
 		}
-		e.relation(head.rel, head.arity).insert(t)
+		p.facts = append(p.facts, fact{rel: head.rel, t: t})
 		return nil
 	}
 	var body []atom
 	for _, part := range splitAtoms(bodyText) {
-		a, err := e.parseAtom(strings.TrimSpace(part), vars)
+		a, err := p.parseAtom(strings.TrimSpace(part), vars)
 		if err != nil {
 			return err
 		}
@@ -310,12 +201,8 @@ func (e *Engine) parseClause(cl string) error {
 			}
 		}
 	}
-	// Ensure relations exist.
-	e.relation(head.rel, head.arity)
-	for _, a := range body {
-		e.relation(a.rel, a.arity)
-	}
-	e.rules = append(e.rules, &rule{head: head, body: body, numVars: len(vars), text: cl})
+	p.rules = append(p.rules, &rule{head: head, body: body, numVars: len(vars)})
+	p.numVars = max(p.numVars, len(vars))
 	return nil
 }
 
@@ -343,7 +230,7 @@ func splitAtoms(s string) []string {
 	return out
 }
 
-func (e *Engine) parseAtom(s string, vars map[string]int) (atom, error) {
+func (p *Program) parseAtom(s string, vars map[string]int) (atom, error) {
 	var a atom
 	s = strings.TrimSpace(s)
 	if strings.HasPrefix(s, "!") {
@@ -354,8 +241,8 @@ func (e *Engine) parseAtom(s string, vars map[string]int) (atom, error) {
 	if open < 0 || !strings.HasSuffix(s, ")") {
 		return a, fmt.Errorf("malformed atom %q", s)
 	}
-	a.rel = strings.TrimSpace(s[:open])
-	if a.rel == "" {
+	name := strings.TrimSpace(s[:open])
+	if name == "" {
 		return a, fmt.Errorf("atom missing relation name")
 	}
 	args := splitAtoms(s[open+1 : len(s)-1])
@@ -378,42 +265,32 @@ func (e *Engine) parseAtom(s string, vars map[string]int) (atom, error) {
 			if len(arg) < 2 || !strings.HasSuffix(arg, "\"") {
 				return a, fmt.Errorf("malformed string %q", arg)
 			}
-			a.terms = append(a.terms, term{sym: e.Syms.Intern(arg[1 : len(arg)-1])})
+			a.terms = append(a.terms, term{sym: p.syms.intern(arg[1 : len(arg)-1])})
 		default:
-			a.terms = append(a.terms, term{sym: e.Syms.Intern(arg)})
+			a.terms = append(a.terms, term{sym: p.syms.intern(arg)})
 		}
 	}
-	a.arity = len(a.terms)
-	return a, nil
+	rel, err := p.relation(name, len(a.terms))
+	a.rel = rel
+	return a, err
 }
 
-// Run evaluates all rules to fixpoint using stratified semi-naive
-// evaluation. It returns an error if the program cannot be stratified
-// (negation through a cycle).
-func (e *Engine) Run() error {
-	strata, err := e.stratify()
-	if err != nil {
-		return err
-	}
-	for _, stratum := range strata {
-		e.runStratum(stratum)
-	}
-	return nil
+// stratum is one stratum's derived relations and the join plans of its
+// rules.
+type stratum struct {
+	heads []int
+	plans []*plan
 }
 
 // stratify groups rules into strata such that negated dependencies always
-// point to earlier strata.
-func (e *Engine) stratify() ([][]*rule, error) {
+// point to earlier strata, and plans every rule's joins.
+func (p *Program) stratify() ([]stratum, error) {
 	// Compute a stratum number per relation: rel depends on body rels;
 	// through negation the dependency is strict (+1).
-	strat := map[string]int{}
-	for name := range e.rels {
-		strat[name] = 0
-	}
-	n := len(e.rels)
+	strat := make([]int, len(p.arity))
 	for iter := 0; ; iter++ {
 		changed := false
-		for _, r := range e.rules {
+		for _, r := range p.rules {
 			h := strat[r.head.rel]
 			for _, a := range r.body {
 				need := strat[a.rel]
@@ -430,219 +307,315 @@ func (e *Engine) stratify() ([][]*rule, error) {
 		if !changed {
 			break
 		}
-		if iter > n+1 {
+		if iter > len(p.arity)+1 {
 			return nil, fmt.Errorf("datalog: program is not stratifiable")
 		}
 	}
 	maxS := 0
 	for _, s := range strat {
-		if s > maxS {
-			maxS = s
-		}
+		maxS = max(maxS, s)
 	}
-	strata := make([][]*rule, maxS+1)
-	for _, r := range e.rules {
+	byStratum := make([][]*rule, maxS+1)
+	for _, r := range p.rules {
 		s := strat[r.head.rel]
-		strata[s] = append(strata[s], r)
+		byStratum[s] = append(byStratum[s], r)
+	}
+	var strata []stratum
+	for _, rules := range byStratum {
+		if len(rules) == 0 {
+			continue
+		}
+		var st stratum
+		derived := make([]bool, len(p.arity))
+		for _, r := range rules {
+			if !derived[r.head.rel] {
+				derived[r.head.rel] = true
+				st.heads = append(st.heads, r.head.rel)
+			}
+		}
+		// Semi-naive: one plan per positive body atom over a relation
+		// derived here, reading only that relation's previous-round
+		// tuples. A rule over lower strata alone runs once, in the first
+		// round.
+		for _, r := range rules {
+			planned := false
+			for i, a := range r.body {
+				if !a.negated && derived[a.rel] {
+					st.plans = append(st.plans, newPlan(r, i))
+					planned = true
+				}
+			}
+			if !planned {
+				st.plans = append(st.plans, newPlan(r, -1))
+			}
+		}
+		strata = append(strata, st)
 	}
 	return strata, nil
 }
 
-// runStratum evaluates one stratum's rules to fixpoint with semi-naive
-// iteration: each round only considers joins that touch at least one tuple
-// derived in the previous round.
-func (e *Engine) runStratum(rules []*rule) {
-	derived := map[string]bool{}
-	for _, r := range rules {
-		derived[r.head.rel] = true
-	}
-	// delta = tuples added in the previous round, per relation.
-	delta := map[string][][]int32{}
-	// Round 0: all existing tuples count as delta (facts may have been
-	// asserted before Run).
-	for name := range derived {
-		rel := e.rels[name]
-		delta[name] = append([][]int32{}, rel.tuples...)
-	}
-	first := true
-	for {
-		next := map[string][][]int32{}
-		for _, r := range rules {
-			// Choose which body atom uses the delta. On the first round
-			// also run with no delta restriction so rules over pure EDB
-			// relations fire.
-			usedDelta := false
-			for i, a := range r.body {
-				if a.negated || !derived[a.rel] {
-					continue
-				}
-				usedDelta = true
-				e.evalRule(r, i, delta[a.rel], next)
-			}
-			if !usedDelta && first {
-				e.evalRule(r, -1, nil, next)
-			}
-		}
-		first = false
-		empty := true
-		for _, ts := range next {
-			if len(ts) > 0 {
-				empty = false
-			}
-		}
-		if empty {
-			return
-		}
-		delta = next
-	}
+// A plan is one rule's body as a sequence of steps: the delta atom first,
+// then the other positive atoms in body order, then the negated ones.
+// Which variables are bound at each step is known statically, so every
+// term compiles to an op.
+type plan struct {
+	headRel int
+	head    []op // opConst or opCheck
+	delta   bool // the first step reads the previous round's tuples
+	steps   []step
 }
 
-// evalRule joins the rule body, using deltaTuples for body atom deltaPos
-// (or full relations everywhere when deltaPos < 0), and inserts derived
-// head tuples. Newly inserted tuples are appended to next[headRel].
-func (e *Engine) evalRule(r *rule, deltaPos int, deltaTuples [][]int32, next map[string][][]int32) {
-	binding := make([]int32, r.numVars)
-	boundVar := make([]bool, r.numVars)
-	headRel := e.rels[r.head.rel]
+type step struct {
+	rel     int
+	negated bool
+	ground  bool // no anonymous variable
+	// col is the column looked up by key in the relation's index, -1 to
+	// scan every tuple.
+	col   int
+	key   op
+	terms []op
+}
 
-	// Order body atoms: delta atom first for selectivity, negated last.
+type opKind uint8
+
+const (
+	opSkip  opKind = iota // anonymous variable
+	opConst               // equals the constant val
+	opCheck               // equals the value bound to slot val
+	opBind                // binds slot val
+)
+
+type op struct {
+	kind opKind
+	val  int32
+}
+
+func newPlan(r *rule, deltaPos int) *plan {
+	pl := &plan{headRel: r.head.rel, delta: deltaPos >= 0}
 	order := make([]int, 0, len(r.body))
 	if deltaPos >= 0 {
 		order = append(order, deltaPos)
 	}
 	for i, a := range r.body {
-		if i == deltaPos || a.negated {
-			continue
+		if i != deltaPos && !a.negated {
+			order = append(order, i)
 		}
-		order = append(order, i)
 	}
 	for i, a := range r.body {
 		if a.negated {
 			order = append(order, i)
 		}
 	}
-
-	var rec func(k int)
-	rec = func(k int) {
-		if k == len(order) {
-			t := make([]int32, len(r.head.terms))
-			for i, tm := range r.head.terms {
-				if tm.isVar {
-					t[i] = binding[tm.slot]
-				} else {
-					t[i] = tm.sym
-				}
-			}
-			if headRel.insert(t) {
-				next[r.head.rel] = append(next[r.head.rel], t)
-			}
-			return
-		}
-		ai := order[k]
+	bound := make([]bool, r.numVars)
+	for _, ai := range order {
 		a := r.body[ai]
-		rel := e.rels[a.rel]
+		st := step{rel: a.rel, negated: a.negated, ground: true, col: -1}
+		for i, tm := range a.terms {
+			var o op
+			switch {
+			case !tm.isVar:
+				o = op{opConst, tm.sym}
+			case tm.slot < 0:
+				o = op{opSkip, 0}
+				st.ground = false
+			case bound[tm.slot]:
+				o = op{opCheck, int32(tm.slot)}
+			default:
+				o = op{opBind, int32(tm.slot)}
+				bound[tm.slot] = true
+			}
+			if st.col < 0 && (o.kind == opConst || o.kind == opCheck) && ai != deltaPos {
+				st.col, st.key = i, o
+			}
+			st.terms = append(st.terms, o)
+		}
+		pl.steps = append(pl.steps, st)
+	}
+	for _, tm := range r.head.terms {
+		if tm.isVar {
+			pl.head = append(pl.head, op{opCheck, int32(tm.slot)})
+		} else {
+			pl.head = append(pl.head, op{opConst, tm.sym})
+		}
+	}
+	return pl
+}
 
-		if a.negated {
-			// All variables are bound (safety); check absence.
-			t := make([]int32, len(a.terms))
-			ground := true
-			for i, tm := range a.terms {
-				switch {
-				case !tm.isVar:
-					t[i] = tm.sym
-				case tm.slot >= 0 && boundVar[tm.slot]:
-					t[i] = binding[tm.slot]
-				default:
-					ground = false
-				}
+// Engine holds the tuples of one evaluation of a Program.
+type Engine struct {
+	prog *Program
+	rels []Relation
+	// lo and hi bound, per relation, the positions of the tuples derived
+	// in the previous round of the current stratum.
+	lo, hi  []int
+	binding []int32
+	buf     []int32
+}
+
+// NewEngine returns an engine holding the program's ground facts.
+func NewEngine(p *Program) *Engine {
+	e := &Engine{prog: p, rels: make([]Relation, len(p.arity))}
+	for i, n := range p.arity {
+		e.rels[i].arity = n
+	}
+	for _, f := range p.facts {
+		e.rels[f.rel].Insert(f.t...)
+	}
+	return e
+}
+
+// Relation returns the named relation of the program. It panics if the
+// program has no such relation.
+func (e *Engine) Relation(name string) *Relation {
+	i, ok := e.prog.byName[name]
+	if !ok {
+		panic("datalog: unknown relation " + name)
+	}
+	return &e.rels[i]
+}
+
+// Run evaluates all rules to fixpoint using stratified semi-naive
+// evaluation. It returns an error if the program cannot be stratified
+// (negation through a cycle).
+func (e *Engine) Run() error {
+	if e.prog.stratErr != nil {
+		return e.prog.stratErr
+	}
+	e.lo = make([]int, len(e.rels))
+	e.hi = make([]int, len(e.rels))
+	e.binding = make([]int32, e.prog.numVars)
+	for i := range e.prog.strata {
+		e.runStratum(&e.prog.strata[i])
+	}
+	return nil
+}
+
+// runStratum evaluates one stratum's rules to fixpoint with semi-naive
+// iteration: each round only considers joins that touch at least one tuple
+// derived in the previous round. Tuples are only ever appended, so a
+// round's new tuples are a range of positions.
+func (e *Engine) runStratum(s *stratum) {
+	// Round 0: all existing tuples count as delta (facts may have been
+	// inserted before Run).
+	for _, r := range s.heads {
+		e.lo[r], e.hi[r] = 0, e.rels[r].n
+	}
+	for first := true; ; first = false {
+		for _, pl := range s.plans {
+			if pl.delta || first {
+				e.join(pl, 0)
 			}
-			if ground {
-				if _, ok := rel.seen[encode(t)]; ok {
-					return // negated atom holds a match: fail
-				}
-				rec(k + 1)
-				return
-			}
-			// Anonymous variable in negated atom: fail only if any tuple
-			// matches the bound positions.
-			for _, tu := range rel.tuples {
-				match := true
-				for i, tm := range a.terms {
-					if !tm.isVar && tu[i] != tm.sym {
-						match = false
-						break
-					}
-					if tm.isVar && tm.slot >= 0 && boundVar[tm.slot] && tu[i] != binding[tm.slot] {
-						match = false
-						break
-					}
-				}
-				if match {
-					return
-				}
-			}
-			rec(k + 1)
+		}
+		grew := false
+		for _, r := range s.heads {
+			e.lo[r], e.hi[r] = e.hi[r], e.rels[r].n
+			grew = grew || e.lo[r] < e.hi[r]
+		}
+		if !grew {
 			return
 		}
+	}
+}
 
-		var candidates [][]int32
-		if ai == deltaPos {
-			candidates = deltaTuples
-		} else {
-			// Use an index on the first bound column.
-			col := -1
-			var val int32
-			for i, tm := range a.terms {
-				if !tm.isVar {
-					col, val = i, tm.sym
-					break
-				}
-				if tm.slot >= 0 && boundVar[tm.slot] {
-					col, val = i, binding[tm.slot]
-					break
-				}
-			}
-			if col >= 0 {
-				idx := rel.ensureIndex(col)
-				for _, pos := range idx[val] {
-					candidates = append(candidates, rel.tuples[pos])
-				}
-			} else {
-				candidates = rel.tuples
+// join matches steps[k:] of the plan against the relations under the
+// current bindings and inserts every head tuple it derives.
+func (e *Engine) join(pl *plan, k int) {
+	if k == len(pl.steps) {
+		// Insert copies the tuple only when it is new.
+		e.buf = e.fill(e.buf[:0], pl.head)
+		e.rels[pl.headRel].Insert(e.buf...)
+		return
+	}
+	st := &pl.steps[k]
+	r := &e.rels[st.rel]
+	if st.negated {
+		if e.anyMatch(r, st) {
+			return // the negated atom holds: fail
+		}
+		e.join(pl, k+1)
+		return
+	}
+	switch {
+	case k == 0 && pl.delta:
+		for pos := e.lo[st.rel]; pos < e.hi[st.rel]; pos++ {
+			if e.unify(r.tuple(pos), st.terms) {
+				e.join(pl, k+1)
 			}
 		}
-	cand:
-		for _, tu := range candidates {
-			var newlyBound []int
-			for i, tm := range a.terms {
-				switch {
-				case !tm.isVar:
-					if tu[i] != tm.sym {
-						for _, s := range newlyBound {
-							boundVar[s] = false
-						}
-						continue cand
-					}
-				case tm.slot < 0:
-					// anonymous
-				case boundVar[tm.slot]:
-					if tu[i] != binding[tm.slot] {
-						for _, s := range newlyBound {
-							boundVar[s] = false
-						}
-						continue cand
-					}
-				default:
-					binding[tm.slot] = tu[i]
-					boundVar[tm.slot] = true
-					newlyBound = append(newlyBound, tm.slot)
-				}
+	case st.col >= 0:
+		// Tuples inserted while iterating go to the front of the chain
+		// and are not visited; the next round sees them as delta.
+		ix := r.column(st.col)
+		for p := ix.first(e.value(st.key)); p != 0; p = ix.next[p-1] {
+			if e.unify(r.tuple(int(p-1)), st.terms) {
+				e.join(pl, k+1)
 			}
-			rec(k + 1)
-			for _, s := range newlyBound {
-				boundVar[s] = false
+		}
+	default:
+		for pos, n := 0, r.n; pos < n; pos++ {
+			if e.unify(r.tuple(pos), st.terms) {
+				e.join(pl, k+1)
 			}
 		}
 	}
-	rec(0)
+}
+
+func (e *Engine) value(o op) int32 {
+	if o.kind == opConst {
+		return o.val
+	}
+	return e.binding[o.val]
+}
+
+// fill appends the values of ops, all opConst or opCheck, to buf.
+func (e *Engine) fill(buf []int32, ops []op) []int32 {
+	for _, o := range ops {
+		buf = append(buf, e.value(o))
+	}
+	return buf
+}
+
+// unify matches tuple t against the terms, binding the opBind slots.
+// Bindings left by a failed match are overwritten before they are read,
+// as every later read of a slot follows the step that binds it.
+func (e *Engine) unify(t []int32, terms []op) bool {
+	for i, o := range terms {
+		switch o.kind {
+		case opConst:
+			if t[i] != o.val {
+				return false
+			}
+		case opCheck:
+			if t[i] != e.binding[o.val] {
+				return false
+			}
+		case opBind:
+			e.binding[o.val] = t[i]
+		}
+	}
+	return true
+}
+
+// anyMatch reports whether some tuple of r matches a negated step, whose
+// variables are all bound or anonymous.
+func (e *Engine) anyMatch(r *Relation, st *step) bool {
+	if st.ground {
+		e.buf = e.fill(e.buf[:0], st.terms)
+		return r.contains(e.buf)
+	}
+	if st.col < 0 {
+		for pos := 0; pos < r.n; pos++ {
+			if e.unify(r.tuple(pos), st.terms) {
+				return true
+			}
+		}
+		return false
+	}
+	ix := r.column(st.col)
+	for p := ix.first(e.value(st.key)); p != 0; p = ix.next[p-1] {
+		if e.unify(r.tuple(int(p-1)), st.terms) {
+			return true
+		}
+	}
+	return false
 }

@@ -767,7 +767,9 @@ type procExecutor struct {
 // newProcExecutor spawns one worker child. With a logger, the child's
 // stderr is captured line by line and re-emitted through it tagged with
 // the worker's PID — no interleaved raw writes on the driver's stderr;
-// without one, stderr passes through untouched.
+// without one, stderr passes through untouched. A JSON record keeps its
+// own message, level and keys; any other line becomes the message of a
+// "worker: <line>" record.
 func newProcExecutor(ctx context.Context, argv []string, lg *slog.Logger, onExit func(WorkerUsage)) (*procExecutor, error) {
 	cmd := exec.CommandContext(ctx, argv[0], argv[1:]...)
 	var stderr io.ReadCloser
@@ -811,7 +813,10 @@ func newProcExecutor(ctx context.Context, argv []string, lg *slog.Logger, onExit
 				// the driver's level check: a worker's warning or panic
 				// trace reaches the log even when the driver runs at
 				// warn or error.
-				if line := sc.Text(); line != "" {
+				line := sc.Text()
+				if r, ok := workerRecord(line); ok {
+					h.Handle(ctx, r)
+				} else if line != "" {
 					h.Handle(ctx, slog.NewRecord(time.Now(), workerLevel(line), "worker: "+line, 0))
 				}
 			}
@@ -821,6 +826,63 @@ func newProcExecutor(ctx context.Context, argv []string, lg *slog.Logger, onExit
 		}()
 	}
 	return pe, nil
+}
+
+// workerRecord decodes one captured worker stderr line written by a
+// -log-format json worker into a record with the worker's own time,
+// level, message and attributes, in the worker's order. ok is false for
+// a line that is not such a record.
+func workerRecord(line string) (r slog.Record, ok bool) {
+	dec := json.NewDecoder(strings.NewReader(line))
+	dec.UseNumber()
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return r, false
+	}
+	var (
+		when  time.Time
+		level slog.Level
+		msg   string
+		found int
+		attrs []slog.Attr
+	)
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return r, false
+		}
+		key := tok.(string) // object keys are strings
+		var v any
+		if err := dec.Decode(&v); err != nil {
+			return r, false
+		}
+		s, isString := v.(string)
+		switch {
+		case key == slog.TimeKey && isString:
+			if when, err = time.Parse(time.RFC3339Nano, s); err != nil {
+				return r, false
+			}
+			found |= 1
+		case key == slog.LevelKey && isString:
+			if level.UnmarshalText([]byte(s)) != nil {
+				return r, false
+			}
+			found |= 2
+		case key == slog.MessageKey && isString:
+			msg = s
+			found |= 4
+		default:
+			attrs = append(attrs, slog.Any(key, v))
+		}
+	}
+	if _, err := dec.Token(); err != nil || found != 7 {
+		return r, false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return r, false // more after the object
+	}
+	r = slog.NewRecord(when, level, msg, 0)
+	r.AddAttrs(attrs...)
+	return r, true
 }
 
 // workerLevel is the level of one captured worker stderr line: the

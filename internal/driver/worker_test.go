@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -37,6 +38,71 @@ func TestWorkerStderrReachesLogAtAnyLevel(t *testing.T) {
 			if !strings.Contains(got, want) {
 				t.Errorf("driver at %v: log lacks %q:\n%s", level, want, got)
 			}
+		}
+	}
+}
+
+// A -log-format json worker's records reach a JSON driver log as records
+// of their own: the worker's time, message, level and keys, plus
+// worker_pid, so shard, phase and wall stay queryable. Lines that are not
+// records, like a panic, keep the "worker: <line>" Error form.
+func TestWorkerJSONRecordsKeepTheirKeys(t *testing.T) {
+	dir, _ := testCorpus(t)
+	record := `{"time":"2026-01-02T03:04:05.123Z","level":"DEBUG","msg":"job start",` +
+		`"phase":"stmts","shard":1,"wall":0.25,"span":{"id":3}}`
+	var logBuf syncLog
+	opts := driverOptions(dir, t.TempDir(), 1)
+	opts.WorkerCommand = []string{"sh", "-c", "echo '" + record + "' >&2; echo 'panic: boom' >&2; exit 2"}
+	opts.Workers = 1
+	opts.Log = slog.New(slog.NewJSONHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelError}))
+	if _, _, err := Run(context.Background(), opts); err == nil {
+		t.Fatal("run with a dying worker succeeded")
+	}
+	byMsg := map[string]map[string]any{}
+	for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line is not a JSON object: %s", line)
+		}
+		msg, _ := rec["msg"].(string)
+		if strings.HasPrefix(msg, "worker: {") {
+			t.Errorf("worker record nested as a string: %s", line)
+		}
+		byMsg[msg] = rec
+	}
+	job := byMsg["job start"]
+	if job == nil {
+		t.Fatalf("no job start record in:\n%s", logBuf.String())
+	}
+	for key, want := range map[string]any{"time": "2026-01-02T03:04:05.123Z", "level": "DEBUG",
+		"phase": "stmts", "shard": 1.0, "wall": 0.25, "span": map[string]any{"id": 3.0}} {
+		if got := job[key]; !reflect.DeepEqual(got, want) {
+			t.Errorf("job start %s = %v, want %v", key, got, want)
+		}
+	}
+	if _, ok := job["worker_pid"].(float64); !ok {
+		t.Errorf("job start record has no numeric worker_pid: %v", job)
+	}
+	if panicRec := byMsg["worker: panic: boom"]; panicRec == nil || panicRec["level"] != "ERROR" {
+		t.Errorf("panic line not logged as a worker: Error record: %v", panicRec)
+	}
+}
+
+func TestWorkerRecordRejectsNonRecords(t *testing.T) {
+	for _, line := range []string{
+		"",
+		"panic: boom",
+		`time=2026-01-02T03:04:05.000Z level=INFO msg=x`,
+		`[1, 2]`,
+		`{"level":"INFO","msg":"no time"}`,
+		`{"time":"yesterday","level":"INFO","msg":"x"}`,
+		`{"time":"2026-01-02T03:04:05Z","level":"LOUD","msg":"x"}`,
+		`{"time":"2026-01-02T03:04:05Z","level":"INFO","msg":7}`,
+		`{"time":"2026-01-02T03:04:05Z","level":"INFO","msg":"x"} trailing`,
+		`{"time":"2026-01-02T03:04:05Z","level":"INFO","msg":"x"`,
+	} {
+		if _, ok := workerRecord(line); ok {
+			t.Errorf("workerRecord(%q) accepted a line that is not a record", line)
 		}
 	}
 }

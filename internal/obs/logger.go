@@ -5,6 +5,8 @@ import (
 	"io"
 	"log/slog"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 )
 
@@ -48,4 +50,17 @@ func OrDiscard(lg *slog.Logger) *slog.Logger {
 		return discardLogger
 	}
 	return lg
+}
+
+// Fatal reports err and exits with status 1: as one Error record of lg,
+// so a -log-format json run ends in a JSON record too, or, before the
+// command has built its logger (lg nil), as a "<command>: <err>" line on
+// stderr.
+func Fatal(lg *slog.Logger, err error) {
+	if lg == nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", filepath.Base(os.Args[0]), err)
+	} else {
+		lg.Error("fatal", "err", err)
+	}
+	os.Exit(1)
 }

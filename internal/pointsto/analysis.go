@@ -77,10 +77,48 @@ func Analyze(root *ast.Node, lang ast.Language, opts Options) *Result {
 
 // task is one (function, context) pair awaiting fact generation.
 type task struct {
+	scope int32 // interned (fnID, ctx)
 	fnID  string
 	ctx   string
 	node  *ast.Node
 	class *ClassInfo
+}
+
+// Facts name variables, heap objects and fields by int32 IDs, each kind
+// numbered densely from 0; no rule joins two kinds, so they share no
+// space. A variable version is interned by (scope, name, version), where
+// the scope is interned by (fnID, ctx); temporaries are fresh IDs.
+type scopeKey struct{ fnID, ctx string }
+
+type varKey struct {
+	scope int32
+	name  string
+	ver   int32
+}
+
+// heapKey labels a heap object: kind 'I' is an instance of an in-file
+// class, 'C' the class object, 'H' a site labeled by a type, callee or
+// module, and 0 the $none seed.
+type heapKey struct {
+	kind byte
+	name string
+}
+
+// origin is the label a variable pointing only to the object takes.
+func (h heapKey) origin() string {
+	if h.kind == 0 {
+		return ""
+	}
+	return lastComponent(h.name)
+}
+
+// noVar is the variable ID of a value with no tracked origin.
+const noVar int32 = -1
+
+// occurrence notes that an identifier terminal holds a variable's value.
+type occurrence struct {
+	node *ast.Node
+	v    int32
 }
 
 type analyzer struct {
@@ -88,25 +126,36 @@ type analyzer struct {
 	info     *FileInfo
 	k        int
 	eng      *datalog.Engine
-	tmp      int
 	queue    []task
-	done     map[string]bool // fnID + "@" + ctx
 	numFuncs int
 	fellBack bool
 	// calls lists, per entry point, the fnIDs of the in-file functions
 	// its body calls, one per call site (k≥1 only).
 	calls map[string][]string
 
-	// occ maps identifier terminals to the variable keys holding their
-	// value; recv maps Attr identifier terminals to the variable keys of
-	// their receivers. direct holds origins resolved without points-to
-	// (self, imports, class-hierarchy lookups).
-	occ    map[*ast.Node][]string
-	recv   map[*ast.Node][]string
+	alloc, move, store, load, modified, varPointsTo, tainted *datalog.Relation
+
+	scopes   map[scopeKey]int32
+	done     []bool // by scope: facts generated
+	contexts int    // scopes done
+	vars     map[varKey]int32
+	numVars  int32
+	heaps    map[heapKey]int32
+	origins  []string // by heap ID
+	fields   map[string]int32
+
+	// occ lists the variables whose value identifier terminals hold; recv
+	// lists the receivers' variables of Attr identifier terminals. direct
+	// holds origins resolved without points-to (self, imports,
+	// class-hierarchy lookups).
+	occ    []occurrence
+	recv   []occurrence
 	direct map[*ast.Node]string
 
-	moduleKeys map[string]string // import alias -> alloc'ed key
+	moduleVars map[string]int32 // import alias -> alloc'ed variable
+	classVars  map[string]int32 // in-file class -> variable of its class object
 	siteID     int
+	mergeNames []string // scratch of mergeScopes
 }
 
 const rules = `
@@ -118,23 +167,34 @@ const rules = `
 	Tainted(V) :- Move(V, W), Tainted(W).
 `
 
+// program is parsed once; every analysis evaluates it in its own engine.
+var program = datalog.MustParse(rules)
+
 func newAnalyzer(root *ast.Node, info *FileInfo, k int) *analyzer {
 	a := &analyzer{
 		root:       root,
 		info:       info,
 		k:          k,
-		eng:        datalog.NewEngine(),
-		done:       make(map[string]bool),
+		eng:        datalog.NewEngine(program),
 		calls:      make(map[string][]string),
-		occ:        make(map[*ast.Node][]string),
-		recv:       make(map[*ast.Node][]string),
+		scopes:     make(map[scopeKey]int32),
+		vars:       make(map[varKey]int32),
+		heaps:      make(map[heapKey]int32),
+		fields:     make(map[string]int32),
 		direct:     make(map[*ast.Node]string),
-		moduleKeys: make(map[string]string),
+		moduleVars: make(map[string]int32),
+		classVars:  make(map[string]int32),
 	}
-	a.eng.MustParse(rules)
-	// Seed relations referenced before any fact exists.
-	a.eng.Assert("Alloc", "$none", "$none")
-	a.eng.Assert("Modified", "$none")
+	for _, r := range []struct {
+		rel  **datalog.Relation
+		name string
+	}{{&a.alloc, "Alloc"}, {&a.move, "Move"}, {&a.store, "Store"}, {&a.load, "Load"},
+		{&a.modified, "Modified"}, {&a.varPointsTo, "VarPointsTo"}, {&a.tainted, "Tainted"}} {
+		*r.rel = a.eng.Relation(r.name)
+	}
+	// Stats.Facts counts this seed fact, and the counts the origin
+	// oracle pins include it.
+	a.alloc.Insert(a.newVar(), a.heap(0, "$none"))
 	return a
 }
 
@@ -162,8 +222,9 @@ func (a *analyzer) run(opts Options) bool {
 	for dequeued := 0; len(a.queue) > 0; {
 		t := a.queue[0]
 		a.queue = a.queue[1:]
-		if key := t.fnID + "@" + t.ctx; !a.done[key] {
-			a.done[key] = true
+		if !a.done[t.scope] {
+			a.done[t.scope] = true
+			a.contexts++
 			a.genFunction(t)
 		}
 		if dequeued++; dequeued == a.numFuncs && a.exceedsContexts(limit) {
@@ -210,7 +271,7 @@ func (a *analyzer) exceedsContexts(limit float64) bool {
 		size[fnID] = n
 		return n
 	}
-	total := len(a.done)
+	total := a.contexts
 	for _, callees := range a.calls {
 		for _, c := range callees {
 			if m := unfold(c); m < over-total {
@@ -225,65 +286,56 @@ func (a *analyzer) exceedsContexts(limit float64) bool {
 
 func (a *analyzer) enqueueEntryPoints() {
 	// Module body as a pseudo-function (Python top-level statements).
-	a.queue = append(a.queue, task{fnID: "<module>", ctx: "", node: a.root})
+	a.enqueue("<module>", "", a.root, nil)
 	for name, fn := range a.info.Funcs {
-		a.queue = append(a.queue, task{fnID: name, ctx: "", node: fn})
+		a.enqueue(name, "", fn, nil)
 	}
 	for _, cls := range a.info.Classes {
 		for mname, m := range cls.Methods {
-			a.queue = append(a.queue, task{fnID: cls.Name + "." + mname, ctx: "", node: m, class: cls})
+			a.enqueue(cls.Name+"."+mname, "", m, cls)
 		}
 	}
+}
+
+// enqueue queues the task of (fnID, ctx) unless its facts are generated,
+// and returns its scope ID.
+func (a *analyzer) enqueue(fnID, ctx string, node *ast.Node, class *ClassInfo) int32 {
+	id, ok := a.scopes[scopeKey{fnID, ctx}]
+	if !ok {
+		id = int32(len(a.done))
+		a.scopes[scopeKey{fnID, ctx}] = id
+		a.done = append(a.done, false)
+	}
+	if !a.done[id] {
+		a.queue = append(a.queue, task{scope: id, fnID: fnID, ctx: ctx, node: node, class: class})
+	}
+	return id
 }
 
 func (a *analyzer) result() *Result {
 	res := &Result{Info: a.info, origins: make(map[*ast.Node]string)}
 	res.Stats = Stats{
 		Functions: a.numFuncs,
-		Contexts:  len(a.done),
-		Facts:     a.eng.Count("Alloc") + a.eng.Count("Move") + a.eng.Count("Store") + a.eng.Count("Load"),
+		Contexts:  a.contexts,
+		Facts:     a.alloc.Len() + a.move.Len() + a.store.Len() + a.load.Len(),
 		FellBack:  a.fellBack,
 	}
-	cache := make(map[string]string)
-	originOfKeys := func(keys []string) string {
-		label := ""
-		for _, k := range keys {
-			if len(a.eng.Query("Tainted", k)) > 0 {
-				return ""
+	// A node takes the origin all its variables agree on; receivers win
+	// over values.
+	labels := make(map[*ast.Node]string)
+	for _, occs := range [][]occurrence{a.occ, a.recv} {
+		clear(labels)
+		for _, o := range occs {
+			l := a.originOf(o.v)
+			if prev, ok := labels[o.node]; ok && prev != l {
+				l = ""
 			}
-			ck, ok := cache[k]
-			if !ok {
-				seen := map[string]bool{}
-				for _, t := range a.eng.Query("VarPointsTo", k, "_") {
-					seen[t[1]] = true
-				}
-				ck = ""
-				if len(seen) == 1 {
-					for h := range seen {
-						ck = stripHeapLabel(h)
-					}
-				}
-				cache[k] = ck
-			}
-			if ck == "" {
-				return ""
-			}
-			if label == "" {
-				label = ck
-			} else if label != ck {
-				return ""
-			}
+			labels[o.node] = l
 		}
-		return label
-	}
-	for n, keys := range a.occ {
-		if o := originOfKeys(keys); o != "" {
-			res.origins[n] = o
-		}
-	}
-	for n, keys := range a.recv {
-		if o := originOfKeys(keys); o != "" {
-			res.origins[n] = o
+		for n, l := range labels {
+			if l != "" {
+				res.origins[n] = l
+			}
 		}
 	}
 	// Direct resolutions (self, imports, hierarchy lookups) win.
@@ -295,56 +347,129 @@ func (a *analyzer) result() *Result {
 	return res
 }
 
-func stripHeapLabel(h string) string {
-	for _, p := range []string{"I:", "H:", "C:"} {
-		if strings.HasPrefix(h, p) {
-			return lastComponent(h[len(p):])
-		}
-	}
-	if h == "$none" {
+// originOf returns the origin of the one heap object an untainted
+// variable points to, or "".
+func (a *analyzer) originOf(v int32) string {
+	tainted := false
+	a.tainted.Match(0, v, func([]int32) bool {
+		tainted = true
+		return false
+	})
+	if tainted {
 		return ""
 	}
-	return lastComponent(h)
+	heap, n := int32(0), 0
+	a.varPointsTo.Match(0, v, func(t []int32) bool {
+		heap, n = t[1], n+1
+		return n < 2
+	})
+	if n != 1 {
+		return ""
+	}
+	return a.origins[heap]
 }
 
-// scope is the per-(function, context) fact-generation state.
+// scope is the per-(function, context) fact-generation state. A branch
+// is an overlay on the scope it leaves: it holds only the versions and
+// types written in the branch, with "" marking a type deleted there.
 type scope struct {
-	fnID  string
-	ctx   string
-	class *ClassInfo
-	env   map[string]int    // variable -> current version
-	types map[string]string // variable -> statically-known class
+	id     int32
+	fnID   string
+	ctx    string
+	class  *ClassInfo
+	parent *scope
+	env    map[string]int32  // variable -> current version
+	types  map[string]string // variable -> statically-known class
 }
 
-func (s *scope) clone() *scope {
-	c := &scope{fnID: s.fnID, ctx: s.ctx, class: s.class,
-		env: make(map[string]int, len(s.env)), types: make(map[string]string, len(s.types))}
-	for k, v := range s.env {
-		c.env[k] = v
+func (s *scope) branch() *scope {
+	return &scope{id: s.id, fnID: s.fnID, ctx: s.ctx, class: s.class, parent: s}
+}
+
+func (s *scope) version(name string) (int32, bool) {
+	for c := s; c != nil; c = c.parent {
+		if v, ok := c.env[name]; ok {
+			return v, true
+		}
 	}
-	for k, v := range s.types {
-		c.types[k] = v
+	return 0, false
+}
+
+func (s *scope) setVersion(name string, v int32) {
+	if s.env == nil {
+		s.env = make(map[string]int32)
 	}
-	return c
+	s.env[name] = v
 }
 
-func (a *analyzer) varKey(s *scope, name string, ver int) string {
-	return s.ctx + "/" + s.fnID + "/" + name + "#" + strconv.Itoa(ver)
+func (s *scope) typeOf(name string) string {
+	for c := s; c != nil; c = c.parent {
+		if t, ok := c.types[name]; ok {
+			return t
+		}
+	}
+	return ""
 }
 
-func (a *analyzer) retKey(fnID, ctx string) string {
-	return ctx + "/" + fnID + "/$ret"
+// setType records the class of a variable; "" deletes it.
+func (s *scope) setType(name, class string) {
+	switch {
+	case class == "" && s.typeOf(name) == "":
+		return
+	case class == "" && s.parent == nil:
+		delete(s.types, name)
+		return
+	case s.types == nil:
+		s.types = make(map[string]string)
+	}
+	s.types[name] = class
 }
 
-func (a *analyzer) tmpKey(s *scope) string {
-	a.tmp++
-	return s.ctx + "/" + s.fnID + "/$t" + strconv.Itoa(a.tmp)
+func (a *analyzer) varID(scope int32, name string, ver int32) int32 {
+	k := varKey{scope, name, ver}
+	if id, ok := a.vars[k]; ok {
+		return id
+	}
+	id := a.newVar()
+	a.vars[k] = id
+	return id
+}
+
+// retVar is the variable receiving a scope's return values, version -1
+// of the pseudo-variable $ret.
+func (a *analyzer) retVar(scope int32) int32 {
+	return a.varID(scope, "$ret", -1)
+}
+
+// newVar returns a fresh variable: a temporary, or a version on first use.
+func (a *analyzer) newVar() int32 {
+	a.numVars++
+	return a.numVars - 1
+}
+
+func (a *analyzer) heap(kind byte, name string) int32 {
+	k := heapKey{kind, name}
+	if id, ok := a.heaps[k]; ok {
+		return id
+	}
+	id := int32(len(a.origins))
+	a.heaps[k] = id
+	a.origins = append(a.origins, k.origin())
+	return id
+}
+
+func (a *analyzer) field(name string) int32 {
+	if id, ok := a.fields[name]; ok {
+		return id
+	}
+	id := int32(len(a.fields))
+	a.fields[name] = id
+	return id
 }
 
 // genFunction emits facts for one (function, context).
 func (a *analyzer) genFunction(t task) {
-	s := &scope{fnID: t.fnID, ctx: t.ctx, class: t.class,
-		env: make(map[string]int), types: make(map[string]string)}
+	s := &scope{id: t.scope, fnID: t.fnID, ctx: t.ctx, class: t.class}
 	if t.fnID == "<module>" {
 		a.genStmts(t.node.Children, s)
 		return
@@ -357,24 +482,24 @@ func (a *analyzer) genFunction(t task) {
 			if name == "" {
 				continue
 			}
-			s.env[name] = 0
-			key := a.varKey(s, name, 0)
+			s.setVersion(name, 0)
+			key := a.varID(s.id, name, 0)
 			switch {
 			case i == 0 && t.class != nil && isSelfName(name):
-				a.eng.Assert("Alloc", key, "I:"+t.class.Name)
+				a.alloc.Insert(key, a.heap('I', t.class.Name))
 			case typ != "" && !isPrimitiveType(typ):
 				// Java declared parameter type: fresh site of that type.
-				a.eng.Assert("Alloc", key, "H:"+typ)
+				a.alloc.Insert(key, a.heap('H', typ))
 				if _, ok := a.info.Classes[typ]; ok {
-					s.types[name] = typ
+					s.setType(name, typ)
 				}
 			}
 		}
 	}
 	// Java methods have an implicit this.
 	if t.class != nil && a.info.Lang == ast.Java {
-		s.env["this"] = 0
-		a.eng.Assert("Alloc", a.varKey(s, "this", 0), "I:"+t.class.Name)
+		s.setVersion("this", 0)
+		a.alloc.Insert(a.varID(s.id, "this", 0), a.heap('I', t.class.Name))
 	}
 	if body := findChild(t.node, ast.Body); body != nil {
 		a.genStmts(body.Children, s)
@@ -437,13 +562,14 @@ func (a *analyzer) genStmt(n *ast.Node, s *scope) {
 		a.genExpr(n.Children[2], s)
 		if tgt := n.Children[0]; tgt.Kind == ast.NameStore {
 			name := tgt.Children[0].Value
-			old, bound := s.env[name]
-			s.env[name] = verNext(s, name)
-			key := a.varKey(s, name, s.env[name])
+			old, bound := s.version(name)
+			ver := verNext(s, name)
+			s.setVersion(name, ver)
+			key := a.varID(s.id, name, ver)
 			if bound {
-				a.eng.Assert("Move", key, a.varKey(s, name, old))
+				a.move.Insert(key, a.varID(s.id, name, old))
 			}
-			a.eng.Assert("Modified", key)
+			a.modified.Insert(key)
 			a.record(tgt, key, s)
 		}
 	case ast.AnnAssign:
@@ -451,7 +577,7 @@ func (a *analyzer) genStmt(n *ast.Node, s *scope) {
 		if tr := findChild(n, ast.TypeRef); tr != nil {
 			typ = exprNameOfTypeRef(tr)
 		}
-		val := ""
+		val := noVar
 		if len(n.Children) > 2 {
 			val = a.genExpr(n.Children[len(n.Children)-1], s)
 		}
@@ -464,8 +590,8 @@ func (a *analyzer) genStmt(n *ast.Node, s *scope) {
 		}
 	case ast.Return:
 		for _, c := range n.Children {
-			if v := a.genExpr(c, s); v != "" {
-				a.eng.Assert("Move", a.retKey(s.fnID, s.ctx), v)
+			if v := a.genExpr(c, s); v != noVar {
+				a.move.Insert(a.retVar(s.id), v)
 			}
 		}
 	case ast.If:
@@ -475,11 +601,11 @@ func (a *analyzer) genStmt(n *ast.Node, s *scope) {
 		for _, c := range n.Children[1:] {
 			switch c.Kind {
 			case ast.Body:
-				b := s.clone()
+				b := s.branch()
 				a.genStmts(c.Children, b)
 				branches = append(branches, b)
 			case ast.Elif:
-				b := s.clone()
+				b := s.branch()
 				a.genExpr(c.Children[0], b)
 				if body := findChild(c, ast.Body); body != nil {
 					a.genStmts(body.Children, b)
@@ -487,7 +613,7 @@ func (a *analyzer) genStmt(n *ast.Node, s *scope) {
 				branches = append(branches, b)
 			case ast.Else:
 				sawElse = true
-				b := s.clone()
+				b := s.branch()
 				if body := findChild(c, ast.Body); body != nil {
 					a.genStmts(body.Children, b)
 				}
@@ -495,13 +621,13 @@ func (a *analyzer) genStmt(n *ast.Node, s *scope) {
 			}
 		}
 		if !sawElse {
-			branches = append(branches, s.clone()) // fall-through path
+			branches = append(branches, s.branch()) // fall-through path
 		}
 		a.mergeScopes(s, branches)
 	case ast.While, ast.DoWhile:
 		for _, c := range n.Children {
 			if c.Kind == ast.Body || c.Kind == ast.Else {
-				b := s.clone()
+				b := s.branch()
 				body := c
 				if c.Kind == ast.Else {
 					body = findChild(c, ast.Body)
@@ -509,7 +635,7 @@ func (a *analyzer) genStmt(n *ast.Node, s *scope) {
 				if body != nil {
 					a.genStmts(body.Children, b)
 				}
-				a.mergeScopes(s, []*scope{b, s.clone()})
+				a.mergeScopes(s, []*scope{b, s.branch()})
 			} else {
 				a.genExpr(c, s)
 			}
@@ -519,9 +645,9 @@ func (a *analyzer) genStmt(n *ast.Node, s *scope) {
 		// update..., Body).
 		if a.info.Lang == ast.Python && len(n.Children) >= 2 {
 			iter := a.genExpr(n.Children[1], s)
-			elem := a.tmpKey(s)
-			if iter != "" {
-				a.eng.Assert("Load", elem, iter, "[]")
+			elem := a.newVar()
+			if iter != noVar {
+				a.load.Insert(elem, iter, a.field("[]"))
 			}
 			a.bindTarget(n.Children[0], elem, "", s)
 			for _, c := range n.Children[2:] {
@@ -543,9 +669,9 @@ func (a *analyzer) genStmt(n *ast.Node, s *scope) {
 		// ForEach(TypeRef, NameStore, iter, Body)
 		typ := exprNameOfTypeRef(n.Children[0])
 		iter := a.genExpr(n.Children[2], s)
-		elem := a.tmpKey(s)
-		if iter != "" {
-			a.eng.Assert("Load", elem, iter, "[]")
+		elem := a.newVar()
+		if iter != noVar {
+			a.load.Insert(elem, iter, a.field("[]"))
 		}
 		a.bindTargetTyped(n.Children[1], elem, typ, s)
 		for _, c := range n.Children[3:] {
@@ -557,9 +683,9 @@ func (a *analyzer) genStmt(n *ast.Node, s *scope) {
 			case ast.Body:
 				a.genStmts(c.Children, s)
 			case ast.ExceptHandler:
-				b := s.clone()
+				b := s.branch()
 				a.genExceptHandler(c, b)
-				a.mergeScopes(s, []*scope{b, s.clone()})
+				a.mergeScopes(s, []*scope{b, s.branch()})
 			case ast.Else, ast.Finally:
 				if body := findChild(c, ast.Body); body != nil {
 					a.genStmts(body.Children, s)
@@ -585,7 +711,7 @@ func (a *analyzer) genStmt(n *ast.Node, s *scope) {
 			var branches []*scope
 			for _, cc := range body.Children {
 				if cc.Kind == ast.CaseClause {
-					b := s.clone()
+					b := s.branch()
 					for _, stc := range cc.Children {
 						if ast.IsStatementKind(stc.Kind) || stc.Kind == ast.Block ||
 							stc.Kind == ast.Break || stc.Kind == ast.Return {
@@ -597,7 +723,7 @@ func (a *analyzer) genStmt(n *ast.Node, s *scope) {
 					branches = append(branches, b)
 				}
 			}
-			branches = append(branches, s.clone())
+			branches = append(branches, s.branch())
 			a.mergeScopes(s, branches)
 		}
 	case ast.Block, ast.Body, ast.SyncBlock, ast.LabeledStmt, ast.CaseClause:
@@ -632,13 +758,13 @@ func (a *analyzer) genBodyBranch(c *ast.Node, s *scope) {
 	if body == nil {
 		return
 	}
-	b := s.clone()
+	b := s.branch()
 	a.genStmts(body.Children, b)
-	a.mergeScopes(s, []*scope{b, s.clone()})
+	a.mergeScopes(s, []*scope{b, s.branch()})
 }
 
 func (a *analyzer) genWithItem(c *ast.Node, s *scope) {
-	val := ""
+	val := noVar
 	for _, ch := range c.Children {
 		switch ch.Kind {
 		case ast.NameStore, ast.TupleLit:
@@ -662,10 +788,11 @@ func (a *analyzer) genExceptHandler(c *ast.Node, s *scope) {
 			a.genExpr(ch, s)
 		case ast.NameStore:
 			name := ch.Children[0].Value
-			s.env[name] = verNext(s, name)
-			key := a.varKey(s, name, s.env[name])
+			ver := verNext(s, name)
+			s.setVersion(name, ver)
+			key := a.varID(s.id, name, ver)
 			if typ != "" {
-				a.eng.Assert("Alloc", key, "H:"+typ)
+				a.alloc.Insert(key, a.heap('H', typ))
 			}
 			a.record(ch, key, s)
 		case ast.Body:
@@ -677,7 +804,7 @@ func (a *analyzer) genExceptHandler(c *ast.Node, s *scope) {
 func (a *analyzer) genVarDecl(n *ast.Node, s *scope) {
 	typ := ""
 	var target *ast.Node
-	val := ""
+	val := noVar
 	hasInit := false
 	for _, c := range n.Children {
 		switch c.Kind {
@@ -694,8 +821,8 @@ func (a *analyzer) genVarDecl(n *ast.Node, s *scope) {
 	if target == nil {
 		return
 	}
-	if !hasInit || val == "" {
-		a.bindTargetTyped(target, "", typ, s)
+	if !hasInit || val == noVar {
+		a.bindTargetTyped(target, noVar, typ, s)
 		return
 	}
 	a.bindTargetTyped(target, val, typ, s)
@@ -723,36 +850,32 @@ func (a *analyzer) staticTypeOf(n *ast.Node, s *scope) string {
 
 // bindTarget assigns valKey to a target expression (store context),
 // creating a fresh variable version.
-func (a *analyzer) bindTarget(tgt *ast.Node, valKey, typ string, s *scope) {
+func (a *analyzer) bindTarget(tgt *ast.Node, valKey int32, typ string, s *scope) {
 	a.bindTargetTyped(tgt, valKey, typ, s)
 }
 
-func (a *analyzer) bindTargetTyped(tgt *ast.Node, valKey, typ string, s *scope) {
+func (a *analyzer) bindTargetTyped(tgt *ast.Node, valKey int32, typ string, s *scope) {
 	switch tgt.Kind {
 	case ast.NameStore:
 		name := tgt.Children[0].Value
-		s.env[name] = verNext(s, name)
-		key := a.varKey(s, name, s.env[name])
-		if valKey != "" {
-			a.eng.Assert("Move", key, valKey)
+		ver := verNext(s, name)
+		s.setVersion(name, ver)
+		key := a.varID(s.id, name, ver)
+		if valKey != noVar {
+			a.move.Insert(key, valKey)
 		} else if typ != "" && !isPrimitiveType(typ) && a.info.Lang != ast.Python {
 			// Declared type as fallback origin for statically typed
 			// languages (Java, Go).
-			a.eng.Assert("Alloc", key, "H:"+typ)
+			a.alloc.Insert(key, a.heap('H', typ))
 		}
-		if typ != "" {
-			if _, ok := a.info.Classes[typ]; ok {
-				s.types[name] = typ
-			} else {
-				delete(s.types, name)
-			}
-		} else {
-			delete(s.types, name)
+		if _, ok := a.info.Classes[typ]; !ok {
+			typ = ""
 		}
+		s.setType(name, typ)
 		a.record(tgt, key, s)
 	case ast.AttributeStore:
 		obj, attr := tgt.Children[0], attrName(tgt)
-		var objKey string
+		objKey := noVar
 		if obj.Kind == ast.NameLoad && len(obj.Children) == 1 &&
 			isSelfName(obj.Children[0].Value) && s.class != nil {
 			// Stores through self get the generic Object origin (the
@@ -761,38 +884,38 @@ func (a *analyzer) bindTargetTyped(tgt *ast.Node, valKey, typ string, s *scope) 
 			// generalize across classes. The attribute gets no origin.
 			a.setDirect(obj.Children[0], "Object")
 			name := obj.Children[0].Value
-			if v, ok := s.env[name]; ok {
-				objKey = a.varKey(s, name, v)
+			if v, ok := s.version(name); ok {
+				objKey = a.varID(s.id, name, v)
 			}
 		} else {
 			objKey = a.genReceiver(obj, attrLeaf(tgt), attr, s)
 		}
-		if objKey != "" && valKey != "" {
-			a.eng.Assert("Store", objKey, attr, valKey)
+		if objKey != noVar && valKey != noVar {
+			a.store.Insert(objKey, a.field(attr), valKey)
 		}
 	case ast.SubscriptStore:
 		objKey := a.genExpr(tgt.Children[0], s)
 		for _, c := range tgt.Children[1:] {
 			a.genExpr(c, s)
 		}
-		if objKey != "" && valKey != "" {
-			a.eng.Assert("Store", objKey, "[]", valKey)
+		if objKey != noVar && valKey != noVar {
+			a.store.Insert(objKey, a.field("[]"), valKey)
 		}
 	case ast.TupleLit, ast.ListLit:
 		for _, c := range tgt.Children {
-			a.bindTarget(c, "", "", s)
+			a.bindTarget(c, noVar, "", s)
 		}
 	case ast.StarArg:
 		for _, c := range tgt.Children {
-			a.bindTarget(c, "", "", s)
+			a.bindTarget(c, noVar, "", s)
 		}
 	default:
 		a.genExpr(tgt, s)
 	}
 }
 
-func verNext(s *scope, name string) int {
-	if v, ok := s.env[name]; ok {
+func verNext(s *scope, name string) int32 {
+	if v, ok := s.version(name); ok {
 		return v + 1
 	}
 	return 1
@@ -800,7 +923,7 @@ func verNext(s *scope, name string) int {
 
 // record notes that the identifier terminal under a name node holds the
 // value of key (for later origin extraction).
-func (a *analyzer) record(nameNode *ast.Node, key string, s *scope) {
+func (a *analyzer) record(nameNode *ast.Node, key int32, s *scope) {
 	if len(nameNode.Children) == 0 {
 		return
 	}
@@ -812,7 +935,7 @@ func (a *analyzer) record(nameNode *ast.Node, key string, s *scope) {
 		a.setDirect(id, s.class.Name)
 		return
 	}
-	a.occ[id] = append(a.occ[id], key)
+	a.occ = append(a.occ, occurrence{id, key})
 }
 
 func (a *analyzer) setDirect(n *ast.Node, origin string) {
@@ -832,7 +955,7 @@ func attrLeaf(n *ast.Node) *ast.Node {
 // genReceiver evaluates the receiver of an attribute access/call and
 // handles origin decoration of both the receiver identifier and the
 // attribute identifier. attrID may be nil.
-func (a *analyzer) genReceiver(obj *ast.Node, attrID *ast.Node, attr string, s *scope) string {
+func (a *analyzer) genReceiver(obj *ast.Node, attrID *ast.Node, attr string, s *scope) int32 {
 	if obj.Kind == ast.NameLoad && len(obj.Children) == 1 {
 		name := obj.Children[0].Value
 		if isSelfName(name) && s.class != nil {
@@ -842,18 +965,18 @@ func (a *analyzer) genReceiver(obj *ast.Node, attrID *ast.Node, attr string, s *
 			if attrID != nil {
 				a.setDirect(attrID, def)
 			}
-			if v, ok := s.env[name]; ok {
-				return a.varKey(s, name, v)
+			if v, ok := s.version(name); ok {
+				return a.varID(s.id, name, v)
 			}
 			// self outside a parameter binding (module scope): synthesize.
-			s.env[name] = 0
-			key := a.varKey(s, name, 0)
-			a.eng.Assert("Alloc", key, "I:"+s.class.Name)
+			s.setVersion(name, 0)
+			key := a.varID(s.id, name, 0)
+			a.alloc.Insert(key, a.heap('I', s.class.Name))
 			return key
 		}
 		if mod, ok := a.info.Imports[name]; ok {
-			if _, bound := s.env[name]; !bound {
-				key := a.moduleKey(name, mod)
+			if _, bound := s.version(name); !bound {
+				key := a.moduleVar(name, mod)
 				a.setDirect(obj.Children[0], lastComponent(mod))
 				if attrID != nil {
 					a.setDirect(attrID, lastComponent(mod))
@@ -862,67 +985,75 @@ func (a *analyzer) genReceiver(obj *ast.Node, attrID *ast.Node, attr string, s *
 			}
 		}
 		// Statically-typed in-file receiver: hierarchy lookup for the attr.
-		if t, ok := s.types[name]; ok && attrID != nil {
+		if t := s.typeOf(name); t != "" && attrID != nil {
 			a.setDirect(attrID, a.info.DefiningClass(t, attr))
 		}
 	}
 	key := a.genExpr(obj, s)
-	if attrID != nil && key != "" {
-		a.recv[attrID] = append(a.recv[attrID], key)
+	if attrID != nil && key != noVar {
+		a.recv = append(a.recv, occurrence{attrID, key})
 	}
 	return key
 }
 
-func (a *analyzer) moduleKey(alias, mod string) string {
-	if k, ok := a.moduleKeys[alias]; ok {
-		return k
+func (a *analyzer) moduleVar(alias, mod string) int32 {
+	if v, ok := a.moduleVars[alias]; ok {
+		return v
 	}
-	k := "/import/" + alias
-	a.eng.Assert("Alloc", k, "H:"+mod)
-	a.moduleKeys[alias] = k
-	return k
+	v := a.newVar()
+	a.alloc.Insert(v, a.heap('H', mod))
+	a.moduleVars[alias] = v
+	return v
 }
 
-// genExpr emits facts for an expression and returns the variable key
-// holding its value ("" when the value has no tracked origin).
-func (a *analyzer) genExpr(n *ast.Node, s *scope) string {
+func (a *analyzer) classVar(name string) int32 {
+	if v, ok := a.classVars[name]; ok {
+		return v
+	}
+	v := a.newVar()
+	a.alloc.Insert(v, a.heap('C', name))
+	a.classVars[name] = v
+	return v
+}
+
+// genExpr emits facts for an expression and returns the variable holding
+// its value (noVar when the value has no tracked origin).
+func (a *analyzer) genExpr(n *ast.Node, s *scope) int32 {
 	if n == nil {
-		return ""
+		return noVar
 	}
 	switch n.Kind {
 	case ast.NameLoad:
 		name := n.Children[0].Value
 		if isSelfName(name) && s.class != nil {
 			a.setDirect(n.Children[0], s.class.Name)
-			if v, ok := s.env[name]; ok {
-				return a.varKey(s, name, v)
+			if v, ok := s.version(name); ok {
+				return a.varID(s.id, name, v)
 			}
-			return ""
+			return noVar
 		}
-		if v, ok := s.env[name]; ok {
-			key := a.varKey(s, name, v)
-			a.occ[n.Children[0]] = append(a.occ[n.Children[0]], key)
+		if v, ok := s.version(name); ok {
+			key := a.varID(s.id, name, v)
+			a.occ = append(a.occ, occurrence{n.Children[0], key})
 			return key
 		}
 		if mod, ok := a.info.Imports[name]; ok {
 			a.setDirect(n.Children[0], lastComponent(mod))
-			return a.moduleKey(name, mod)
+			return a.moduleVar(name, mod)
 		}
 		if _, ok := a.info.Classes[name]; ok {
-			key := "/class/" + name
-			a.eng.Assert("Alloc", key, "C:"+name)
-			return key
+			return a.classVar(name)
 		}
-		return ""
+		return noVar
 	case ast.Call:
 		return a.genCall(n, s)
 	case ast.New:
 		return a.genNew(n, s)
 	case ast.AttributeLoad:
 		objKey := a.genReceiver(n.Children[0], attrLeaf(n), attrName(n), s)
-		ret := a.tmpKey(s)
-		if objKey != "" {
-			a.eng.Assert("Load", ret, objKey, attrName(n))
+		ret := a.newVar()
+		if objKey != noVar {
+			a.load.Insert(ret, objKey, a.field(attrName(n)))
 		}
 		return ret
 	case ast.SubscriptLoad:
@@ -930,36 +1061,36 @@ func (a *analyzer) genExpr(n *ast.Node, s *scope) string {
 		for _, c := range n.Children[1:] {
 			a.genExpr(c, s)
 		}
-		ret := a.tmpKey(s)
-		if objKey != "" {
-			a.eng.Assert("Load", ret, objKey, "[]")
+		ret := a.newVar()
+		if objKey != noVar {
+			a.load.Insert(ret, objKey, a.field("[]"))
 		}
 		return ret
 	case ast.Ternary:
 		// value if cond else other / cond ? a : b — merge both arms.
-		ret := a.tmpKey(s)
+		ret := a.newVar()
 		for _, c := range n.Children {
-			if v := a.genExpr(c, s); v != "" {
-				a.eng.Assert("Move", ret, v)
+			if v := a.genExpr(c, s); v != noVar {
+				a.move.Insert(ret, v)
 			}
 		}
 		return ret
 	case ast.Cast:
 		typ := exprNameOfTypeRef(n.Children[0])
 		v := a.genExpr(n.Children[1], s)
-		if v != "" {
+		if v != noVar {
 			return v
 		}
 		if typ != "" && !isPrimitiveType(typ) {
-			ret := a.tmpKey(s)
-			a.eng.Assert("Alloc", ret, "H:"+typ)
+			ret := a.newVar()
+			a.alloc.Insert(ret, a.heap('H', typ))
 			return ret
 		}
-		return ""
+		return noVar
 	case ast.Assign, ast.AugAssign:
 		// Assignment used in expression position (Java).
 		a.genStmt(n, s)
-		return ""
+		return noVar
 	case ast.Index, ast.SliceRange, ast.Keyword, ast.StarArg,
 		ast.DoubleStarArg, ast.DictItem, ast.Comprehension, ast.CompFor,
 		ast.CompIf, ast.Lambda, ast.ListLit, ast.TupleLit, ast.DictLit,
@@ -968,25 +1099,25 @@ func (a *analyzer) genExpr(n *ast.Node, s *scope) string {
 		for _, c := range n.Children {
 			a.genExpr(c, s)
 		}
-		return ""
+		return noVar
 	case ast.Num, ast.Str, ast.Bool, ast.Null, ast.TypeRef, ast.Ident,
 		ast.OpTok, ast.NumLit, ast.StrLit, ast.BoolLit, ast.NullLit:
-		return ""
+		return noVar
 	}
 	for _, c := range n.Children {
 		a.genExpr(c, s)
 	}
-	return ""
+	return noVar
 }
 
 // genCall handles Call nodes: direct calls, constructor calls, and method
 // calls with in-file resolution and k-call-site context expansion.
-func (a *analyzer) genCall(n *ast.Node, s *scope) string {
+func (a *analyzer) genCall(n *ast.Node, s *scope) int32 {
 	a.siteID++
-	site := strconv.Itoa(a.siteID)
+	site := a.siteID
 	callee := n.Children[0]
 	args := n.Children[1:]
-	var argKeys []string
+	var argKeys []int32
 	for _, arg := range args {
 		switch arg.Kind {
 		case ast.Keyword:
@@ -997,7 +1128,7 @@ func (a *analyzer) genCall(n *ast.Node, s *scope) string {
 			if len(arg.Children) == 1 {
 				a.genExpr(arg.Children[0], s)
 			}
-			argKeys = append(argKeys, "")
+			argKeys = append(argKeys, noVar)
 		default:
 			argKeys = append(argKeys, a.genExpr(arg, s))
 		}
@@ -1008,8 +1139,8 @@ func (a *analyzer) genCall(n *ast.Node, s *scope) string {
 		name := callee.Children[0].Value
 		if cls, ok := a.info.Classes[name]; ok {
 			// Constructor call to an in-file class.
-			ret := a.tmpKey(s)
-			a.eng.Assert("Alloc", ret, "I:"+name)
+			ret := a.newVar()
+			a.alloc.Insert(ret, a.heap('I', name))
 			if init, ok := cls.Methods["__init__"]; ok {
 				a.callInFile(cls.Name+".__init__", init, cls, ret, argKeys, site, s)
 			} else if ctor, ok := cls.Methods[name]; ok {
@@ -1018,11 +1149,11 @@ func (a *analyzer) genCall(n *ast.Node, s *scope) string {
 			return ret
 		}
 		if fn, ok := a.info.Funcs[name]; ok {
-			return a.callInFile(name, fn, nil, "", argKeys, site, s)
+			return a.callInFile(name, fn, nil, noVar, argKeys, site, s)
 		}
 		// External function: fresh allocation site labeled by callee.
-		ret := a.tmpKey(s)
-		a.eng.Assert("Alloc", ret, "H:"+name)
+		ret := a.newVar()
+		a.alloc.Insert(ret, a.heap('H', name))
 		return ret
 	case ast.AttributeLoad:
 		obj, attr := callee.Children[0], attrName(callee)
@@ -1034,68 +1165,65 @@ func (a *analyzer) genCall(n *ast.Node, s *scope) string {
 			if aID != nil {
 				a.setDirect(aID, def)
 			}
-			selfKey := ""
-			if v, ok := s.env[obj.Children[0].Value]; ok {
-				selfKey = a.varKey(s, obj.Children[0].Value, v)
+			selfKey := noVar
+			if v, ok := s.version(obj.Children[0].Value); ok {
+				selfKey = a.varID(s.id, obj.Children[0].Value, v)
 			}
 			if cls, m := a.info.ResolveMethod(s.class.Name, attr); cls != nil {
 				return a.callInFile(cls.Name+"."+attr, m, cls, selfKey, argKeys, site, s)
 			}
-			ret := a.tmpKey(s)
-			a.eng.Assert("Alloc", ret, "H:"+attr)
+			ret := a.newVar()
+			a.alloc.Insert(ret, a.heap('H', attr))
 			return ret
 		}
 		objKey := a.genReceiver(obj, aID, attr, s)
 		// Statically-typed in-file receiver: resolve the method.
 		if obj.Kind == ast.NameLoad {
-			if t, ok := s.types[obj.Children[0].Value]; ok {
+			if t := s.typeOf(obj.Children[0].Value); t != "" {
 				if cls, m := a.info.ResolveMethod(t, attr); cls != nil {
 					return a.callInFile(cls.Name+"."+attr, m, cls, objKey, argKeys, site, s)
 				}
 			}
 		}
-		ret := a.tmpKey(s)
-		a.eng.Assert("Alloc", ret, "H:"+attr)
+		ret := a.newVar()
+		a.alloc.Insert(ret, a.heap('H', attr))
 		return ret
 	default:
 		a.genExpr(callee, s)
-		return a.tmpKey(s)
+		return a.newVar()
 	}
 }
 
-func (a *analyzer) genNew(n *ast.Node, s *scope) string {
+func (a *analyzer) genNew(n *ast.Node, s *scope) int32 {
 	typ := exprNameOfTypeRef(n.Children[0])
 	base := strings.TrimSuffix(typ, "[]")
-	var argKeys []string
+	var argKeys []int32
 	for _, arg := range n.Children[1:] {
 		argKeys = append(argKeys, a.genExpr(arg, s))
 	}
-	ret := a.tmpKey(s)
+	ret := a.newVar()
 	if cls, ok := a.info.Classes[base]; ok {
-		a.eng.Assert("Alloc", ret, "I:"+base)
+		a.alloc.Insert(ret, a.heap('I', base))
 		a.siteID++
 		if ctor, ok := cls.Methods[base]; ok {
-			a.callInFile(base+"."+base, ctor, cls, ret, argKeys, strconv.Itoa(a.siteID), s)
+			a.callInFile(base+"."+base, ctor, cls, ret, argKeys, a.siteID, s)
 		}
 	} else {
-		a.eng.Assert("Alloc", ret, "H:"+base)
+		a.alloc.Insert(ret, a.heap('H', base))
 	}
 	return ret
 }
 
 // callInFile wires an interprocedural call to a function or method defined
-// in the file, pushing a k-limited call-site context, and returns the key
-// receiving the return value.
+// in the file, pushing a k-limited call-site context, and returns the
+// variable receiving the return value.
 func (a *analyzer) callInFile(fnID string, fnNode *ast.Node, cls *ClassInfo,
-	selfKey string, argKeys []string, site string, s *scope) string {
+	selfKey int32, argKeys []int32, site int, s *scope) int32 {
 	newCtx := pushContext(s.ctx, site, a.k)
 	if a.k > 0 && s.ctx == "" {
 		a.calls[s.fnID] = append(a.calls[s.fnID], fnID)
 	}
-	if key := fnID + "@" + newCtx; !a.done[key] {
-		a.queue = append(a.queue, task{fnID: fnID, ctx: newCtx, node: fnNode, class: cls})
-	}
-	callee := &scope{fnID: fnID, ctx: newCtx, class: cls}
+	callee := a.enqueue(fnID, newCtx, fnNode, cls)
 	params := findChild(fnNode, ast.Params)
 	pi := 0
 	if params != nil {
@@ -1104,37 +1232,37 @@ func (a *analyzer) callInFile(fnID string, fnNode *ast.Node, cls *ClassInfo,
 			if name == "" {
 				continue
 			}
-			formal := a.varKey(callee, name, 0)
+			formal := a.varID(callee, name, 0)
 			if i == 0 && cls != nil && isSelfName(name) && a.info.Lang == ast.Python {
-				if selfKey != "" {
-					a.eng.Assert("Move", formal, selfKey)
+				if selfKey != noVar {
+					a.move.Insert(formal, selfKey)
 				}
 				continue
 			}
-			if pi < len(argKeys) && argKeys[pi] != "" {
-				a.eng.Assert("Move", formal, argKeys[pi])
+			if pi < len(argKeys) && argKeys[pi] != noVar {
+				a.move.Insert(formal, argKeys[pi])
 			}
 			pi++
 		}
 	}
-	if cls != nil && a.info.Lang == ast.Java && selfKey != "" {
-		a.eng.Assert("Move", a.varKey(callee, "this", 0), selfKey)
+	if cls != nil && a.info.Lang == ast.Java && selfKey != noVar {
+		a.move.Insert(a.varID(callee, "this", 0), selfKey)
 	}
-	ret := a.tmpKey(s)
-	a.eng.Assert("Move", ret, a.retKey(fnID, newCtx))
+	ret := a.newVar()
+	a.move.Insert(ret, a.retVar(callee))
 	return ret
 }
 
 // pushContext appends a call site to a context string, keeping at most k
 // sites (most recent last).
-func pushContext(ctx, site string, k int) string {
+func pushContext(ctx string, site, k int) string {
 	if k <= 0 {
 		return ""
 	}
 	if ctx == "" {
-		return site
+		return strconv.Itoa(site)
 	}
-	ctx += "|" + site
+	ctx += "|" + strconv.Itoa(site)
 	for i, seps := len(ctx)-1, 0; i >= 0; i-- {
 		if ctx[i] == '|' {
 			if seps++; seps == k {
@@ -1153,45 +1281,56 @@ func exprNameOfTypeRef(n *ast.Node) string {
 }
 
 func (a *analyzer) mergeScopes(s *scope, branches []*scope) {
-	// Union of assigned variables across branches.
-	names := map[string]bool{}
-	for _, b := range branches {
+	// Union of the variables the branches assigned: each branch is an
+	// overlay on s, so only its own writes can differ from s (where an
+	// unbound variable reads as version 0).
+	names := a.mergeNames[:0]
+	for i, b := range branches {
+	written:
 		for n, v := range b.env {
-			if s.env[n] != v {
-				names[n] = true
+			sv, _ := s.version(n)
+			if v == sv {
+				continue
 			}
+			for _, prev := range branches[:i] {
+				if pv, ok := prev.env[n]; ok && pv != sv {
+					continue written
+				}
+			}
+			names = append(names, n)
 		}
 	}
-	for n := range names {
+	a.mergeNames = names
+	for _, n := range names {
 		// The merged version must exceed every branch's version (branches
 		// share the function-scoped key space).
 		merged := verNext(s, n)
 		for _, b := range branches {
-			if v, ok := b.env[n]; ok && v >= merged {
+			if v, ok := b.version(n); ok && v >= merged {
 				merged = v + 1
 			}
 		}
+		to := a.varID(s.id, n, merged)
 		for _, b := range branches {
-			if v, ok := b.env[n]; ok {
-				a.eng.Assert("Move", a.varKey(s, n, merged), a.varKey(s, n, v))
+			if v, ok := b.version(n); ok {
+				a.move.Insert(to, a.varID(s.id, n, v))
 			}
 		}
-		s.env[n] = merged
+		s.setVersion(n, merged)
 		// Types diverge: keep only if all branches agree.
 		t := ""
 		agree := true
 		for _, b := range branches {
-			bt := b.types[n]
+			bt := b.typeOf(n)
 			if t == "" {
 				t = bt
 			} else if bt != t {
 				agree = false
 			}
 		}
-		if agree && t != "" {
-			s.types[n] = t
-		} else {
-			delete(s.types, n)
+		if !agree {
+			t = ""
 		}
+		s.setType(n, t)
 	}
 }

@@ -170,20 +170,19 @@ func TestJavaKitchenSink(t *testing.T) {
 	}
 }
 
-func TestStripHeapLabel(t *testing.T) {
-	tests := map[string]string{
-		"H:numpy":      "numpy",
-		"H:a.b.c":      "c",
-		"I:Widget":     "Widget",
-		"C:Widget":     "Widget",
-		"$none":        "",
-		"plain":        "plain",
-		"H:os.path":    "path",
-		"I:pkg.Widget": "Widget",
+func TestHeapOrigin(t *testing.T) {
+	tests := map[heapKey]string{
+		{'H', "numpy"}:      "numpy",
+		{'H', "a.b.c"}:      "c",
+		{'I', "Widget"}:     "Widget",
+		{'C', "Widget"}:     "Widget",
+		{0, "$none"}:        "",
+		{'H', "os.path"}:    "path",
+		{'I', "pkg.Widget"}: "Widget",
 	}
 	for in, want := range tests {
-		if got := stripHeapLabel(in); got != want {
-			t.Errorf("stripHeapLabel(%q) = %q, want %q", in, got, want)
+		if got := in.origin(); got != want {
+			t.Errorf("%c:%s origin = %q, want %q", in.kind, in.name, got, want)
 		}
 	}
 }

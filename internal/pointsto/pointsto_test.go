@@ -499,7 +499,7 @@ func TestPushContextKeepsLastK(t *testing.T) {
 	}
 	for _, ctx := range []string{"", "1", "1|2", "1|2|3", "10|200|3|4", "1|2|3|4|5", "1|2|3|4|5|6|7"} {
 		for k := 0; k <= 6; k++ {
-			if got, want := pushContext(ctx, "42", k), reference(ctx, "42", k); got != want {
+			if got, want := pushContext(ctx, 42, k), reference(ctx, "42", k); got != want {
 				t.Errorf("pushContext(%q, 42, %d) = %q, want %q", ctx, k, got, want)
 			}
 		}
