@@ -20,7 +20,6 @@ import (
 	"namer/internal/astplus"
 	"namer/internal/core"
 	"namer/internal/corpus"
-	"namer/internal/datalog"
 	"namer/internal/driver"
 	"namer/internal/eval"
 	"namer/internal/fptree"
@@ -623,23 +622,6 @@ func BenchmarkJavaParse(b *testing.B) {
 	b.SetBytes(int64(len(src)))
 	for i := 0; i < b.N; i++ {
 		if _, err := javalang.Parse(src); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDatalogTransitiveClosure(b *testing.B) {
-	prog := datalog.MustParse(`
-		Path(X, Y) :- Edge(X, Y).
-		Path(X, Z) :- Path(X, Y), Edge(Y, Z).
-	`)
-	for i := 0; i < b.N; i++ {
-		e := datalog.NewEngine(prog)
-		edge := e.Relation("Edge")
-		for v := int32(0); v < 30; v++ {
-			edge.Insert(v, v+1)
-		}
-		if err := e.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}

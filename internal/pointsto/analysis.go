@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"namer/internal/ast"
-	"namer/internal/datalog"
 )
 
 // Options configures the analysis.
@@ -27,10 +26,18 @@ func DefaultOptions() Options {
 
 // Stats reports what the analysis did.
 type Stats struct {
+	// Functions counts the entry points: every function and method,
+	// plus the module body.
 	Functions int
-	Contexts  int
-	Facts     int
-	FellBack  bool
+	// Contexts counts the (function, context) pairs whose facts were
+	// generated.
+	Contexts int
+	// Facts counts the distinct Alloc, Move, Store and Load tuples the
+	// rules were solved over, including the Alloc seed of the $none heap.
+	Facts int
+	// FellBack reports that the context explosion guard fired, so the
+	// origins come from the context-insensitive (k=0) run.
+	FellBack bool
 }
 
 // Result holds origin labels per identifier occurrence in the original
@@ -125,7 +132,6 @@ type analyzer struct {
 	root     *ast.Node
 	info     *FileInfo
 	k        int
-	eng      *datalog.Engine
 	queue    []task
 	numFuncs int
 	fellBack bool
@@ -133,7 +139,8 @@ type analyzer struct {
 	// its body calls, one per call site (k≥1 only).
 	calls map[string][]string
 
-	alloc, move, store, load, modified, varPointsTo, tainted *datalog.Relation
+	facts facts
+	sol   *solver
 
 	scopes   map[scopeKey]int32
 	done     []bool // by scope: facts generated
@@ -158,24 +165,11 @@ type analyzer struct {
 	mergeNames []string // scratch of mergeScopes
 }
 
-const rules = `
-	VarPointsTo(V, H) :- Alloc(V, H).
-	VarPointsTo(V, H) :- Move(V, W), VarPointsTo(W, H).
-	FieldPointsTo(H, F, H2) :- Store(V, F, W), VarPointsTo(V, H), VarPointsTo(W, H2).
-	VarPointsTo(V, H2) :- Load(V, W, F), VarPointsTo(W, H1), FieldPointsTo(H1, F, H2).
-	Tainted(V) :- Modified(V).
-	Tainted(V) :- Move(V, W), Tainted(W).
-`
-
-// program is parsed once; every analysis evaluates it in its own engine.
-var program = datalog.MustParse(rules)
-
 func newAnalyzer(root *ast.Node, info *FileInfo, k int) *analyzer {
 	a := &analyzer{
 		root:       root,
 		info:       info,
 		k:          k,
-		eng:        datalog.NewEngine(program),
 		calls:      make(map[string][]string),
 		scopes:     make(map[scopeKey]int32),
 		vars:       make(map[varKey]int32),
@@ -185,22 +179,15 @@ func newAnalyzer(root *ast.Node, info *FileInfo, k int) *analyzer {
 		moduleVars: make(map[string]int32),
 		classVars:  make(map[string]int32),
 	}
-	for _, r := range []struct {
-		rel  **datalog.Relation
-		name string
-	}{{&a.alloc, "Alloc"}, {&a.move, "Move"}, {&a.store, "Store"}, {&a.load, "Load"},
-		{&a.modified, "Modified"}, {&a.varPointsTo, "VarPointsTo"}, {&a.tainted, "Tainted"}} {
-		*r.rel = a.eng.Relation(r.name)
-	}
 	// Stats.Facts counts this seed fact, and the counts the origin
 	// oracle pins include it.
-	a.alloc.Insert(a.newVar(), a.heap(0, "$none"))
+	a.facts.alloc = append(a.facts.alloc, [2]int32{a.newVar(), a.heap(0, "$none")})
 	return a
 }
 
 // run generates facts for every entry point, expanding call contexts, and
-// evaluates the Datalog program. It returns false if the context explosion
-// guard fired.
+// solves the points-to rules over them. It returns false if the context
+// explosion guard fired.
 //
 // The guard is decided once the entry points, which come first in the
 // queue, have been generated, before any call context is expanded. The
@@ -231,10 +218,7 @@ func (a *analyzer) run(opts Options) bool {
 			return false
 		}
 	}
-	if err := a.eng.Run(); err != nil {
-		// The rule set is fixed and stratifiable; an error here is a bug.
-		panic("pointsto: " + err.Error())
-	}
+	a.sol = solve(&a.facts, int(a.numVars))
 	return true
 }
 
@@ -317,7 +301,7 @@ func (a *analyzer) result() *Result {
 	res.Stats = Stats{
 		Functions: a.numFuncs,
 		Contexts:  a.contexts,
-		Facts:     a.alloc.Len() + a.move.Len() + a.store.Len() + a.load.Len(),
+		Facts:     len(a.facts.alloc) + len(a.facts.move) + len(a.facts.store) + len(a.facts.load),
 		FellBack:  a.fellBack,
 	}
 	// A node takes the origin all its variables agree on; receivers win
@@ -350,23 +334,15 @@ func (a *analyzer) result() *Result {
 // originOf returns the origin of the one heap object an untainted
 // variable points to, or "".
 func (a *analyzer) originOf(v int32) string {
-	tainted := false
-	a.tainted.Match(0, v, func([]int32) bool {
-		tainted = true
-		return false
-	})
-	if tainted {
+	if v == noVar || a.sol.tainted[v] {
 		return ""
 	}
-	heap, n := int32(0), 0
-	a.varPointsTo.Match(0, v, func(t []int32) bool {
-		heap, n = t[1], n+1
-		return n < 2
-	})
-	if n != 1 {
+	pts := &a.sol.pts
+	p := pts.first(v)
+	if p == 0 || pts.next[p-1] != 0 {
 		return ""
 	}
-	return a.origins[heap]
+	return a.origins[pts.val[p-1]]
 }
 
 // scope is the per-(function, context) fact-generation state. A branch
@@ -486,10 +462,10 @@ func (a *analyzer) genFunction(t task) {
 			key := a.varID(s.id, name, 0)
 			switch {
 			case i == 0 && t.class != nil && isSelfName(name):
-				a.alloc.Insert(key, a.heap('I', t.class.Name))
+				a.facts.alloc = append(a.facts.alloc, [2]int32{key, a.heap('I', t.class.Name)})
 			case typ != "" && !isPrimitiveType(typ):
 				// Java declared parameter type: fresh site of that type.
-				a.alloc.Insert(key, a.heap('H', typ))
+				a.facts.alloc = append(a.facts.alloc, [2]int32{key, a.heap('H', typ)})
 				if _, ok := a.info.Classes[typ]; ok {
 					s.setType(name, typ)
 				}
@@ -499,7 +475,7 @@ func (a *analyzer) genFunction(t task) {
 	// Java methods have an implicit this.
 	if t.class != nil && a.info.Lang == ast.Java {
 		s.setVersion("this", 0)
-		a.alloc.Insert(a.varID(s.id, "this", 0), a.heap('I', t.class.Name))
+		a.facts.alloc = append(a.facts.alloc, [2]int32{a.varID(s.id, "this", 0), a.heap('I', t.class.Name)})
 	}
 	if body := findChild(t.node, ast.Body); body != nil {
 		a.genStmts(body.Children, s)
@@ -567,9 +543,9 @@ func (a *analyzer) genStmt(n *ast.Node, s *scope) {
 			s.setVersion(name, ver)
 			key := a.varID(s.id, name, ver)
 			if bound {
-				a.move.Insert(key, a.varID(s.id, name, old))
+				a.facts.move = append(a.facts.move, [2]int32{key, a.varID(s.id, name, old)})
 			}
-			a.modified.Insert(key)
+			a.facts.modified = append(a.facts.modified, key)
 			a.record(tgt, key, s)
 		}
 	case ast.AnnAssign:
@@ -591,7 +567,7 @@ func (a *analyzer) genStmt(n *ast.Node, s *scope) {
 	case ast.Return:
 		for _, c := range n.Children {
 			if v := a.genExpr(c, s); v != noVar {
-				a.move.Insert(a.retVar(s.id), v)
+				a.facts.move = append(a.facts.move, [2]int32{a.retVar(s.id), v})
 			}
 		}
 	case ast.If:
@@ -647,7 +623,7 @@ func (a *analyzer) genStmt(n *ast.Node, s *scope) {
 			iter := a.genExpr(n.Children[1], s)
 			elem := a.newVar()
 			if iter != noVar {
-				a.load.Insert(elem, iter, a.field("[]"))
+				a.facts.load = append(a.facts.load, [3]int32{elem, iter, a.field("[]")})
 			}
 			a.bindTarget(n.Children[0], elem, "", s)
 			for _, c := range n.Children[2:] {
@@ -671,7 +647,7 @@ func (a *analyzer) genStmt(n *ast.Node, s *scope) {
 		iter := a.genExpr(n.Children[2], s)
 		elem := a.newVar()
 		if iter != noVar {
-			a.load.Insert(elem, iter, a.field("[]"))
+			a.facts.load = append(a.facts.load, [3]int32{elem, iter, a.field("[]")})
 		}
 		a.bindTargetTyped(n.Children[1], elem, typ, s)
 		for _, c := range n.Children[3:] {
@@ -792,7 +768,7 @@ func (a *analyzer) genExceptHandler(c *ast.Node, s *scope) {
 			s.setVersion(name, ver)
 			key := a.varID(s.id, name, ver)
 			if typ != "" {
-				a.alloc.Insert(key, a.heap('H', typ))
+				a.facts.alloc = append(a.facts.alloc, [2]int32{key, a.heap('H', typ)})
 			}
 			a.record(ch, key, s)
 		case ast.Body:
@@ -862,11 +838,11 @@ func (a *analyzer) bindTargetTyped(tgt *ast.Node, valKey int32, typ string, s *s
 		s.setVersion(name, ver)
 		key := a.varID(s.id, name, ver)
 		if valKey != noVar {
-			a.move.Insert(key, valKey)
+			a.facts.move = append(a.facts.move, [2]int32{key, valKey})
 		} else if typ != "" && !isPrimitiveType(typ) && a.info.Lang != ast.Python {
 			// Declared type as fallback origin for statically typed
 			// languages (Java, Go).
-			a.alloc.Insert(key, a.heap('H', typ))
+			a.facts.alloc = append(a.facts.alloc, [2]int32{key, a.heap('H', typ)})
 		}
 		if _, ok := a.info.Classes[typ]; !ok {
 			typ = ""
@@ -891,7 +867,7 @@ func (a *analyzer) bindTargetTyped(tgt *ast.Node, valKey int32, typ string, s *s
 			objKey = a.genReceiver(obj, attrLeaf(tgt), attr, s)
 		}
 		if objKey != noVar && valKey != noVar {
-			a.store.Insert(objKey, a.field(attr), valKey)
+			a.facts.store = append(a.facts.store, [3]int32{objKey, a.field(attr), valKey})
 		}
 	case ast.SubscriptStore:
 		objKey := a.genExpr(tgt.Children[0], s)
@@ -899,7 +875,7 @@ func (a *analyzer) bindTargetTyped(tgt *ast.Node, valKey int32, typ string, s *s
 			a.genExpr(c, s)
 		}
 		if objKey != noVar && valKey != noVar {
-			a.store.Insert(objKey, a.field("[]"), valKey)
+			a.facts.store = append(a.facts.store, [3]int32{objKey, a.field("[]"), valKey})
 		}
 	case ast.TupleLit, ast.ListLit:
 		for _, c := range tgt.Children {
@@ -971,7 +947,7 @@ func (a *analyzer) genReceiver(obj *ast.Node, attrID *ast.Node, attr string, s *
 			// self outside a parameter binding (module scope): synthesize.
 			s.setVersion(name, 0)
 			key := a.varID(s.id, name, 0)
-			a.alloc.Insert(key, a.heap('I', s.class.Name))
+			a.facts.alloc = append(a.facts.alloc, [2]int32{key, a.heap('I', s.class.Name)})
 			return key
 		}
 		if mod, ok := a.info.Imports[name]; ok {
@@ -1001,7 +977,7 @@ func (a *analyzer) moduleVar(alias, mod string) int32 {
 		return v
 	}
 	v := a.newVar()
-	a.alloc.Insert(v, a.heap('H', mod))
+	a.facts.alloc = append(a.facts.alloc, [2]int32{v, a.heap('H', mod)})
 	a.moduleVars[alias] = v
 	return v
 }
@@ -1011,7 +987,7 @@ func (a *analyzer) classVar(name string) int32 {
 		return v
 	}
 	v := a.newVar()
-	a.alloc.Insert(v, a.heap('C', name))
+	a.facts.alloc = append(a.facts.alloc, [2]int32{v, a.heap('C', name)})
 	a.classVars[name] = v
 	return v
 }
@@ -1053,7 +1029,7 @@ func (a *analyzer) genExpr(n *ast.Node, s *scope) int32 {
 		objKey := a.genReceiver(n.Children[0], attrLeaf(n), attrName(n), s)
 		ret := a.newVar()
 		if objKey != noVar {
-			a.load.Insert(ret, objKey, a.field(attrName(n)))
+			a.facts.load = append(a.facts.load, [3]int32{ret, objKey, a.field(attrName(n))})
 		}
 		return ret
 	case ast.SubscriptLoad:
@@ -1063,7 +1039,7 @@ func (a *analyzer) genExpr(n *ast.Node, s *scope) int32 {
 		}
 		ret := a.newVar()
 		if objKey != noVar {
-			a.load.Insert(ret, objKey, a.field("[]"))
+			a.facts.load = append(a.facts.load, [3]int32{ret, objKey, a.field("[]")})
 		}
 		return ret
 	case ast.Ternary:
@@ -1071,7 +1047,7 @@ func (a *analyzer) genExpr(n *ast.Node, s *scope) int32 {
 		ret := a.newVar()
 		for _, c := range n.Children {
 			if v := a.genExpr(c, s); v != noVar {
-				a.move.Insert(ret, v)
+				a.facts.move = append(a.facts.move, [2]int32{ret, v})
 			}
 		}
 		return ret
@@ -1083,7 +1059,7 @@ func (a *analyzer) genExpr(n *ast.Node, s *scope) int32 {
 		}
 		if typ != "" && !isPrimitiveType(typ) {
 			ret := a.newVar()
-			a.alloc.Insert(ret, a.heap('H', typ))
+			a.facts.alloc = append(a.facts.alloc, [2]int32{ret, a.heap('H', typ)})
 			return ret
 		}
 		return noVar
@@ -1140,7 +1116,7 @@ func (a *analyzer) genCall(n *ast.Node, s *scope) int32 {
 		if cls, ok := a.info.Classes[name]; ok {
 			// Constructor call to an in-file class.
 			ret := a.newVar()
-			a.alloc.Insert(ret, a.heap('I', name))
+			a.facts.alloc = append(a.facts.alloc, [2]int32{ret, a.heap('I', name)})
 			if init, ok := cls.Methods["__init__"]; ok {
 				a.callInFile(cls.Name+".__init__", init, cls, ret, argKeys, site, s)
 			} else if ctor, ok := cls.Methods[name]; ok {
@@ -1153,7 +1129,7 @@ func (a *analyzer) genCall(n *ast.Node, s *scope) int32 {
 		}
 		// External function: fresh allocation site labeled by callee.
 		ret := a.newVar()
-		a.alloc.Insert(ret, a.heap('H', name))
+		a.facts.alloc = append(a.facts.alloc, [2]int32{ret, a.heap('H', name)})
 		return ret
 	case ast.AttributeLoad:
 		obj, attr := callee.Children[0], attrName(callee)
@@ -1173,7 +1149,7 @@ func (a *analyzer) genCall(n *ast.Node, s *scope) int32 {
 				return a.callInFile(cls.Name+"."+attr, m, cls, selfKey, argKeys, site, s)
 			}
 			ret := a.newVar()
-			a.alloc.Insert(ret, a.heap('H', attr))
+			a.facts.alloc = append(a.facts.alloc, [2]int32{ret, a.heap('H', attr)})
 			return ret
 		}
 		objKey := a.genReceiver(obj, aID, attr, s)
@@ -1186,7 +1162,7 @@ func (a *analyzer) genCall(n *ast.Node, s *scope) int32 {
 			}
 		}
 		ret := a.newVar()
-		a.alloc.Insert(ret, a.heap('H', attr))
+		a.facts.alloc = append(a.facts.alloc, [2]int32{ret, a.heap('H', attr)})
 		return ret
 	default:
 		a.genExpr(callee, s)
@@ -1203,13 +1179,13 @@ func (a *analyzer) genNew(n *ast.Node, s *scope) int32 {
 	}
 	ret := a.newVar()
 	if cls, ok := a.info.Classes[base]; ok {
-		a.alloc.Insert(ret, a.heap('I', base))
+		a.facts.alloc = append(a.facts.alloc, [2]int32{ret, a.heap('I', base)})
 		a.siteID++
 		if ctor, ok := cls.Methods[base]; ok {
 			a.callInFile(base+"."+base, ctor, cls, ret, argKeys, a.siteID, s)
 		}
 	} else {
-		a.alloc.Insert(ret, a.heap('H', base))
+		a.facts.alloc = append(a.facts.alloc, [2]int32{ret, a.heap('H', base)})
 	}
 	return ret
 }
@@ -1235,21 +1211,21 @@ func (a *analyzer) callInFile(fnID string, fnNode *ast.Node, cls *ClassInfo,
 			formal := a.varID(callee, name, 0)
 			if i == 0 && cls != nil && isSelfName(name) && a.info.Lang == ast.Python {
 				if selfKey != noVar {
-					a.move.Insert(formal, selfKey)
+					a.facts.move = append(a.facts.move, [2]int32{formal, selfKey})
 				}
 				continue
 			}
 			if pi < len(argKeys) && argKeys[pi] != noVar {
-				a.move.Insert(formal, argKeys[pi])
+				a.facts.move = append(a.facts.move, [2]int32{formal, argKeys[pi]})
 			}
 			pi++
 		}
 	}
 	if cls != nil && a.info.Lang == ast.Java && selfKey != noVar {
-		a.move.Insert(a.varID(callee, "this", 0), selfKey)
+		a.facts.move = append(a.facts.move, [2]int32{a.varID(callee, "this", 0), selfKey})
 	}
 	ret := a.newVar()
-	a.move.Insert(ret, a.retVar(callee))
+	a.facts.move = append(a.facts.move, [2]int32{ret, a.retVar(callee)})
 	return ret
 }
 
@@ -1313,7 +1289,7 @@ func (a *analyzer) mergeScopes(s *scope, branches []*scope) {
 		to := a.varID(s.id, n, merged)
 		for _, b := range branches {
 			if v, ok := b.version(n); ok {
-				a.move.Insert(to, a.varID(s.id, n, v))
+				a.facts.move = append(a.facts.move, [2]int32{to, a.varID(s.id, n, v)})
 			}
 		}
 		s.setVersion(n, merged)

@@ -1,7 +1,8 @@
 // Package pointsto implements the per-file static analyses of §4.1: a
 // flow- and context-sensitive Andersen-style points-to analysis with
-// k-call-site sensitivity expressed in Datalog, plus a value-origin
-// dataflow for primitives. Its product is an origin label per identifier
+// k-call-site sensitivity, plus a value-origin dataflow for primitives.
+// The analysis generates facts and solves six Datalog rules over them
+// (see solve) with a dedicated least-fixpoint solver. Its product is an origin label per identifier
 // occurrence, which the AST+ transformation (package astplus) inserts as
 // origin nodes.
 //

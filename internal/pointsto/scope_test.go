@@ -200,10 +200,11 @@ func TestMergedVersionExceedsBranches(t *testing.T) {
 		t.Fatalf("highest version of x is %s, want x#4 (the then branch ends at x#3)", got)
 	}
 	var from []string
-	a.move.Match(0, merged, func(t []int32) bool {
-		from = append(from, names[t[1]])
-		return true
-	})
+	for _, m := range a.facts.move {
+		if m[0] == merged {
+			from = append(from, names[m[1]])
+		}
+	}
 	sort.Strings(from)
 	// The else branch's x = 4 is its own version 2, sharing the key of
 	// the then branch's first assignment.
