@@ -37,7 +37,8 @@ race:
 # against the all-CPU path (BenchmarkScan, BenchmarkPruneUncommon,
 # BenchmarkMinePatterns show the speedup on multi-core runners), time
 # the points-to analysis per sample (BenchmarkAnalyze, with the facts
-# and context-explosion fallbacks it produced), then
+# and context-explosion fallbacks it produced) and the whole per-file
+# front end with its allocations (BenchmarkFrontEnd), then
 # record the mining-stage numbers (ns/op, allocs/op, FP-tree node count)
 # into BENCH_mining.json and the per-stage span durations of one traced
 # end-to-end run into BENCH_trace.json, so the perf trajectory is
@@ -46,6 +47,7 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkScan$$|BenchmarkPruneUncommon|BenchmarkMinePatterns' -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkServeScan$$' -benchmem ./internal/serve
 	$(GO) test -run xxx -bench 'BenchmarkAnalyze$$' -benchmem ./internal/pointsto
+	$(GO) test -run xxx -bench 'BenchmarkFrontEnd$$' -benchmem ./internal/core
 	BENCH_JSON=BENCH_mining.json $(GO) test -run 'TestWriteMiningBenchJSON$$' -count=1 -v .
 	BENCH_TRACE_JSON=BENCH_trace.json $(GO) test -run 'TestWriteTraceBenchJSON$$' -count=1 -v .
 	BENCH_KNOWLEDGE_JSON=BENCH_knowledge.json $(GO) test -run 'TestWriteKnowledgeBenchJSON$$' -count=1 -v .

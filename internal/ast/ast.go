@@ -353,8 +353,19 @@ func (n *Node) CountNodes() int {
 // as a map key for statement-identity counting (features 2–3 of Table 1).
 func (n *Node) Fingerprint() string {
 	var b strings.Builder
+	b.Grow(n.fingerprintLen())
 	n.fingerprint(&b)
 	return b.String()
+}
+
+// fingerprintLen is the length of n's fingerprint, so Fingerprint
+// allocates its string once.
+func (n *Node) fingerprintLen() int {
+	l := 2 + len(n.Value) + len(n.Children)
+	for _, c := range n.Children {
+		l += c.fingerprintLen()
+	}
+	return l
 }
 
 func (n *Node) fingerprint(b *strings.Builder) {
@@ -422,15 +433,12 @@ func isBodyKind(k Kind) bool {
 // is a separate sequence of statements), plus the enclosing context needed
 // by the analyses.
 type Statement struct {
-	// Root is the pruned statement AST.
+	// Root is the statement header. Only the spine of nodes that lost a
+	// pruned child is copied; every other subtree, and so every terminal,
+	// is the file AST's own node, so per-node analysis results (origin
+	// labels) are looked up on the header's nodes directly. Root is
+	// shared with the file AST and must not be mutated.
 	Root *Node
-	// Orig points to the node inside the full file AST that Root was
-	// projected from, so analyses can map decorations back.
-	Orig *Node
-	// OrigNodes maps each node of Root to the node of the full file AST it
-	// was cloned from; per-node analysis results (origin labels) are looked
-	// up through it.
-	OrigNodes map[*Node]*Node
 	// EnclosingClass and EnclosingFunc name the lexical context ("" if
 	// none).
 	EnclosingClass string
@@ -481,29 +489,46 @@ func Statements(root *Node) []*Statement {
 }
 
 func projectStatement(n *Node, class, fn string) *Statement {
-	origNodes := make(map[*Node]*Node)
 	return &Statement{
-		Root:           pruneBodies(n, origNodes),
-		Orig:           n,
-		OrigNodes:      origNodes,
+		Root:           pruneBodies(n),
 		EnclosingClass: class,
 		EnclosingFunc:  fn,
 		Line:           n.Line,
 	}
 }
 
-// pruneBodies copies n, dropping any Body/Block children so the statement
-// AST is the header only, recording the clone-to-original mapping.
-func pruneBodies(n *Node, origNodes map[*Node]*Node) *Node {
-	c := &Node{Kind: n.Kind, Value: n.Value, Line: n.Line}
-	origNodes[c] = n
-	for _, ch := range n.Children {
-		if isBodyKind(ch.Kind) || ch.Kind == Elif || ch.Kind == ExceptHandler {
+// isPruned reports whether a child of kind k is left out of a statement
+// header: a body container, or a clause (elif, except) that is its own
+// statement.
+func isPruned(k Kind) bool {
+	return isBodyKind(k) || k == Elif || k == ExceptHandler
+}
+
+// pruneBodies returns the header of n: n without its pruned children, at
+// any depth. A node that keeps all its children, and whose subtrees need
+// no pruning, is returned as is; only the spine above a pruned child is
+// copied.
+func pruneBodies(n *Node) *Node {
+	var kept []*Node // nil until some child is dropped or copied
+	for i, ch := range n.Children {
+		p := ch
+		if !isPruned(ch.Kind) {
+			p = pruneBodies(ch)
+		}
+		if kept == nil && p == ch && !isPruned(ch.Kind) {
 			continue
 		}
-		c.Children = append(c.Children, pruneBodies(ch, origNodes))
+		if kept == nil {
+			kept = append(make([]*Node, 0, len(n.Children)), n.Children[:i]...)
+		}
+		if !isPruned(ch.Kind) {
+			kept = append(kept, p)
+		}
 	}
-	return c
+	if kept == nil {
+		return n
+	}
+	return &Node{Kind: n.Kind, Value: n.Value, Line: n.Line, Children: kept}
 }
 
 func className(c *Node) string {

@@ -9,7 +9,7 @@
 package astplus
 
 import (
-	"fmt"
+	"strconv"
 
 	"namer/internal/ast"
 	"namer/internal/subtoken"
@@ -21,8 +21,9 @@ import (
 type OriginFunc func(orig *ast.Node) (string, bool)
 
 // Transform produces the AST+ for a projected statement. The input
-// statement is not mutated. When origin is non-nil, it is consulted
-// through stmt.OrigNodes for every identifier terminal.
+// statement is not mutated. When origin is non-nil, it is consulted for
+// every identifier terminal, which ast.Statements shares with the file
+// AST.
 func Transform(stmt *ast.Statement, origin OriginFunc) *ast.Node {
 	root := stmt.Root
 	// The paper draws statement trees rooted at the expression: an
@@ -31,44 +32,35 @@ func Transform(stmt *ast.Statement, origin OriginFunc) *ast.Node {
 	if root.Kind == ast.ExprStmt && len(root.Children) == 1 {
 		root = root.Children[0]
 	}
-	t := &transformer{stmt: stmt, origin: origin}
+	t := transformer{origin: origin}
 	return t.node(root)
 }
 
 type transformer struct {
-	stmt   *ast.Statement
 	origin OriginFunc
 }
 
-func (t *transformer) originOf(clone *ast.Node) (string, bool) {
+func (t *transformer) originOf(n *ast.Node) string {
 	if t.origin == nil {
-		return "", false
+		return ""
 	}
-	orig, ok := t.stmt.OrigNodes[clone]
-	if !ok {
-		// The caller may pass a statement whose Root nodes are original
-		// nodes themselves.
-		orig = clone
-	}
-	return t.origin(orig)
+	o, _ := t.origin(n)
+	return o
 }
 
 func (t *transformer) node(n *ast.Node) *ast.Node {
 	if n.IsTerminal() {
 		return t.terminal(n)
 	}
-	out := &ast.Node{Kind: n.Kind, Value: n.Value, Line: n.Line}
-	for _, c := range n.Children {
-		out.Children = append(out.Children, t.node(c))
+	out := &ast.Node{Kind: n.Kind, Value: n.Value, Line: n.Line,
+		Children: make([]*ast.Node, len(n.Children))}
+	for i, c := range n.Children {
+		out.Children[i] = t.node(c)
 	}
 	// Rule 2: NumArgs(k) above calls and function definitions.
 	switch n.Kind {
 	case ast.Call:
-		k := len(n.Children) - 1
-		if k < 0 {
-			k = 0
-		}
-		return wrapNumArgs(out, k)
+		return wrapNumArgs(out, max(len(n.Children)-1, 0))
 	case ast.New:
 		k := 0
 		for _, c := range n.Children[1:] {
@@ -87,10 +79,29 @@ func (t *transformer) node(n *ast.Node) *ast.Node {
 	return out
 }
 
+// numArgsLabels and numSTLabels hold the NumArgs(k)/NumST(k) labels for
+// the small k nearly every call and identifier has.
+var numArgsLabels, numSTLabels = labels("NumArgs"), labels("NumST")
+
+func labels(name string) []string {
+	out := make([]string, 64)
+	for k := range out {
+		out[k] = kLabel(nil, name, k)
+	}
+	return out
+}
+
+// kLabel returns name(k), from table when it covers k.
+func kLabel(table []string, name string, k int) string {
+	if k < len(table) {
+		return table[k]
+	}
+	return name + "(" + strconv.Itoa(k) + ")"
+}
+
 func wrapNumArgs(n *ast.Node, k int) *ast.Node {
-	w := &ast.Node{Kind: ast.NumArgs, Value: fmt.Sprintf("NumArgs(%d)", k), Line: n.Line}
-	w.Children = []*ast.Node{n}
-	return w
+	return &ast.Node{Kind: ast.NumArgs, Value: kLabel(numArgsLabels, "NumArgs", k), Line: n.Line,
+		Children: []*ast.Node{n}}
 }
 
 func findParams(n *ast.Node) *ast.Node {
@@ -117,26 +128,37 @@ func (t *transformer) terminal(n *ast.Node) *ast.Node {
 		if len(subs) == 0 {
 			subs = []string{n.Value}
 		}
-		orig, _ := t.originOf(n)
-		return wrapNumST(subs, orig, n.Line)
+		return wrapNumST(subs, t.originOf(n), n.Line)
 	default:
 		// Operators and other token leaves stay as-is.
 		return &ast.Node{Kind: n.Kind, Value: n.Value, Line: n.Line}
 	}
 }
 
-// wrapNumST builds NumST(k) -> [origin ->] subtoken leaves.
+// wrapNumST builds NumST(k) -> [origin ->] subtoken leaves. The group's
+// nodes, and the child lists of its origin nodes, are each allocated in
+// one slab.
 func wrapNumST(subs []string, origin string, line int) *ast.Node {
-	w := &ast.Node{Kind: ast.NumST, Value: fmt.Sprintf("NumST(%d)", len(subs)), Line: line}
-	for _, s := range subs {
-		leaf := &ast.Node{Kind: ast.Subtoken, Value: s, Line: line}
-		if origin != "" {
-			o := &ast.Node{Kind: ast.Origin, Value: origin, Line: line,
-				Children: []*ast.Node{leaf}}
-			w.Children = append(w.Children, o)
-		} else {
-			w.Children = append(w.Children, leaf)
+	k := len(subs)
+	perSub := 1
+	if origin != "" {
+		perSub = 2
+	}
+	nodes := make([]ast.Node, 1+perSub*k)
+	kids := make([]*ast.Node, perSub*k)
+	w := &nodes[0]
+	*w = ast.Node{Kind: ast.NumST, Value: kLabel(numSTLabels, "NumST", k), Line: line, Children: kids[:k:k]}
+	for i, s := range subs {
+		leaf := &nodes[1+i]
+		*leaf = ast.Node{Kind: ast.Subtoken, Value: s, Line: line}
+		if origin == "" {
+			w.Children[i] = leaf
+			continue
 		}
+		o := &nodes[1+k+i]
+		kids[k+i] = leaf
+		*o = ast.Node{Kind: ast.Origin, Value: origin, Line: line, Children: kids[k+i : k+i+1 : k+i+1]}
+		w.Children[i] = o
 	}
 	return w
 }

@@ -146,6 +146,7 @@ func TestNumArgsVariadicCalls(t *testing.T) {
 		{"f(a, b, c)\n", "NumArgs(3)"},
 		{"f(a, b=1)\n", "NumArgs(2)"},
 		{"f(*args, **kwargs)\n", "NumArgs(2)"},
+		{"f(" + strings.Repeat("a, ", 63) + "a)\n", "NumArgs(64)"}, // past the label table
 	} {
 		root, err := pylang.Parse(tt.src)
 		if err != nil {

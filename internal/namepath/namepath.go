@@ -111,6 +111,15 @@ func fullKey(prefixKey, end string) string {
 	return prefixKey + " " + end
 }
 
+// fullKeyBytes is fullKey over a prefix encoding held in buf; it may
+// append to buf.
+func fullKeyBytes(buf []byte, end string) string {
+	if end == Epsilon {
+		return string(append(buf, " ε"...))
+	}
+	return string(append(append(buf, ' '), end...))
+}
+
 // PrefixKey returns a canonical encoding of the prefix, used to group and
 // compare paths cheaply.
 func (p Path) PrefixKey() string {
@@ -142,46 +151,94 @@ func (p Path) String() string {
 // Operator token leaves are skipped: name paths end at code-name subtokens
 // and abstracted literals (NUM/STR/BOOL/NULL). At most limit paths are
 // returned (the paper keeps the first 10); limit <= 0 means no limit.
+//
+// A first walk counts the paths and their total prefix length, so the
+// paths, their prefixes and their memos each take one allocation per
+// call. Each Prefix is a capacity-clipped window of the shared prefix
+// slab, so appending to one never writes into another. Each path's key
+// is one string, and its PrefixKey is a prefix of it.
 func Extract(root *ast.Node, limit int) []Path {
-	var out []Path
-	var prefix []Elem
-	// The canonical prefix encoding is grown incrementally alongside the
-	// walk, so every emitted path carries its PrefixKey/Key memo without a
-	// per-path re-encoding of the whole prefix.
-	var keyBuf []byte
-	var walk func(n *ast.Node)
-	walk = func(n *ast.Node) {
-		if limit > 0 && len(out) >= limit {
-			return
-		}
-		if n.IsTerminal() {
-			if n.Kind == ast.Subtoken {
-				pk := string(keyBuf)
-				p := Path{
-					Prefix: append([]Elem(nil), prefix...),
-					End:    n.Value,
-					memo:   &pathMemo{prefixKey: pk, key: fullKey(pk, n.Value)},
-				}
-				out = append(out, p)
-			}
-			return
-		}
-		for i, c := range n.Children {
-			prefix = append(prefix, Elem{Value: n.Value, Index: i})
-			mark := len(keyBuf)
-			if mark > 0 {
-				keyBuf = append(keyBuf, ' ')
-			}
-			keyBuf = append(keyBuf, n.Value...)
-			keyBuf = append(keyBuf, ' ')
-			keyBuf = strconv.AppendInt(keyBuf, int64(i), 10)
-			walk(c)
-			keyBuf = keyBuf[:mark]
-			prefix = prefix[:len(prefix)-1]
-		}
+	c := extractCounter{limit: limit}
+	c.walk(root, 0)
+	if c.paths == 0 {
+		return nil
 	}
-	walk(root)
-	return out
+	e := extractor{
+		limit: c.paths,
+		out:   make([]Path, 0, c.paths),
+		memos: make([]pathMemo, c.paths),
+		slab:  make([]Elem, 0, c.elems),
+	}
+	var prefix [32]Elem
+	var keyBuf [256]byte
+	e.walk(root, prefix[:0], keyBuf[:0])
+	return e.out
+}
+
+// extractCounter is Extract's first walk: the number of paths it will
+// emit and the sum of their prefix lengths.
+type extractCounter struct {
+	limit, paths, elems int
+}
+
+func (c *extractCounter) walk(n *ast.Node, depth int) {
+	if c.limit > 0 && c.paths >= c.limit {
+		return
+	}
+	if n.IsTerminal() {
+		if n.Kind == ast.Subtoken {
+			c.paths++
+			c.elems += depth
+		}
+		return
+	}
+	for _, ch := range n.Children {
+		c.walk(ch, depth+1)
+	}
+}
+
+// extractor is Extract's second walk. The prefix of the node being
+// visited, and its canonical encoding, are grown alongside the walk in
+// scratch buffers that start out on Extract's stack.
+type extractor struct {
+	limit int
+	out   []Path
+	memos []pathMemo
+	slab  []Elem // the emitted paths' prefixes, back to back
+}
+
+func (e *extractor) walk(n *ast.Node, prefix []Elem, keyBuf []byte) {
+	if len(e.out) >= e.limit {
+		return
+	}
+	if n.IsTerminal() {
+		if n.Kind == ast.Subtoken {
+			e.emit(prefix, keyBuf, n.Value)
+		}
+		return
+	}
+	for i, c := range n.Children {
+		kb := keyBuf
+		if len(kb) > 0 {
+			kb = append(kb, ' ')
+		}
+		kb = append(kb, n.Value...)
+		kb = append(kb, ' ')
+		kb = strconv.AppendInt(kb, int64(i), 10)
+		e.walk(c, append(prefix, Elem{Value: n.Value, Index: i}), kb)
+	}
+}
+
+// emit records the path with the given prefix and its encoding to the
+// subtoken end.
+func (e *extractor) emit(prefix []Elem, prefixKey []byte, end string) {
+	lo := len(e.slab)
+	e.slab = append(e.slab, prefix...)
+	hi := len(e.slab)
+	key := fullKeyBytes(prefixKey, end)
+	m := &e.memos[len(e.out)]
+	*m = pathMemo{prefixKey: key[:len(prefixKey)], key: key}
+	e.out = append(e.out, Path{Prefix: e.slab[lo:hi:hi], End: end, memo: m})
 }
 
 // Dedup removes duplicate paths (by Key), preserving order. Statement path

@@ -190,3 +190,166 @@ func TestOperatorProperties(t *testing.T) {
 		t.Error("key faithfulness:", err)
 	}
 }
+
+// extractReference is the one-walk reference Extract is checked
+// against: every path gets a fresh copy of the prefix stack and no memo.
+func extractReference(root *ast.Node, limit int) []Path {
+	var out []Path
+	var prefix []Elem
+	var walk func(n *ast.Node)
+	walk = func(n *ast.Node) {
+		if limit > 0 && len(out) >= limit {
+			return
+		}
+		if n.IsTerminal() {
+			if n.Kind == ast.Subtoken {
+				out = append(out, Path{Prefix: append([]Elem(nil), prefix...), End: n.Value})
+			}
+			return
+		}
+		for i, c := range n.Children {
+			prefix = append(prefix, Elem{Value: n.Value, Index: i})
+			walk(c)
+			prefix = prefix[:len(prefix)-1]
+		}
+	}
+	walk(root)
+	return out
+}
+
+// genTree builds a small AST+-shaped tree from fuzz bytes: non-terminals
+// with up to three children, subtoken leaves (some with an empty value,
+// the symbolic-end spelling), and operator leaves that end no path.
+func genTree(data []uint8) *ast.Node {
+	pos := 0
+	next := func() uint8 {
+		if pos >= len(data) {
+			return 0
+		}
+		pos++
+		return data[pos-1]
+	}
+	var build func(depth int) *ast.Node
+	build = func(depth int) *ast.Node {
+		b := next()
+		switch {
+		case depth >= 6 || b%4 == 0:
+			if b%8 == 4 {
+				return &ast.Node{Kind: ast.OpTok, Value: "+"}
+			}
+			return &ast.Node{Kind: ast.Subtoken, Value: []string{"", "a", "b", "get"}[b/8%4]}
+		default:
+			n := &ast.Node{Kind: ast.Call, Value: []string{"Call", "NumST(2)", "Attr"}[b/4%3]}
+			for i := 0; i < 1+int(b/16%3); i++ {
+				n.Children = append(n.Children, build(depth+1))
+			}
+			return n
+		}
+	}
+	return build(0)
+}
+
+// Property: Extract returns the reference's paths, and every path's
+// memoized Key/PrefixKey equal the encodings recomputed from an
+// un-memoized Path{Prefix, End}, at any limit (<= 0 meaning none) and
+// with empty-valued subtokens taking the " ε" key branch.
+func TestExtractMatchesReference(t *testing.T) {
+	f := func(data []uint8, limit int8) bool {
+		root := genTree(data)
+		got, want := Extract(root, int(limit%12)), extractReference(root, int(limit%12))
+		if len(got) != len(want) {
+			return false
+		}
+		for i, p := range got {
+			plain := Path{Prefix: p.Prefix, End: p.End}
+			if !p.Same(want[i]) || p.End != want[i].End ||
+				p.Key() != want[i].Key() || p.PrefixKey() != want[i].PrefixKey() ||
+				p.Key() != plain.Key() || p.PrefixKey() != plain.PrefixKey() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestExtractEpsilonEnd(t *testing.T) {
+	tree := ast.NewNode(ast.Assign,
+		&ast.Node{Kind: ast.NumST, Value: "NumST(1)", Children: []*ast.Node{
+			{Kind: ast.Subtoken, Value: ""},
+		}})
+	for _, limit := range []int{-1, 0, 1} {
+		paths := Extract(tree, limit)
+		if len(paths) != 1 {
+			t.Fatalf("limit %d: got %d paths, want 1", limit, len(paths))
+		}
+		p := paths[0]
+		if want := "Assign 0 NumST(1) 0 ε"; p.Key() != want {
+			t.Errorf("limit %d: Key = %q, want %q", limit, p.Key(), want)
+		}
+		if plain := (Path{Prefix: p.Prefix, End: p.End}); p.Key() != plain.Key() || p.PrefixKey() != plain.PrefixKey() {
+			t.Errorf("limit %d: memo %q/%q, recomputed %q/%q", limit, p.Key(), p.PrefixKey(), plain.Key(), plain.PrefixKey())
+		}
+	}
+}
+
+// tenPathStatement is `self.assertEqual(first_name, last_name, 90, x)`
+// as AST+: NumArgs(4) over a Call whose callee and arguments end in ten
+// subtokens.
+func tenPathStatement() *ast.Node {
+	numST := func(subs ...string) *ast.Node {
+		n := &ast.Node{Kind: ast.NumST, Value: "NumST(" + string(rune('0'+len(subs))) + ")"}
+		for _, s := range subs {
+			n.Children = append(n.Children, &ast.Node{Kind: ast.Subtoken, Value: s})
+		}
+		return n
+	}
+	call := ast.NewNode(ast.Call,
+		ast.NewNode(ast.AttributeLoad,
+			ast.NewNode(ast.NameLoad, numST("self")),
+			ast.NewNode(ast.Attr, numST("assert", "Equal"))),
+		ast.NewNode(ast.NameLoad, numST("first", "name")),
+		ast.NewNode(ast.NameLoad, numST("last", "name")),
+		ast.NewNode(ast.Num, numST("NUM")),
+		ast.NewNode(ast.NameLoad, numST("x", "y")))
+	return &ast.Node{Kind: ast.NumArgs, Value: "NumArgs(4)", Children: []*ast.Node{call}}
+}
+
+// Appending to one extracted path's Prefix must not write into a
+// sibling's: the prefixes share one slab, each capacity-clipped.
+func TestExtractPrefixesDoNotAlias(t *testing.T) {
+	paths := Extract(tenPathStatement(), 10)
+	if len(paths) != 10 {
+		t.Fatalf("got %d paths, want 10", len(paths))
+	}
+	before := make([]string, len(paths))
+	for i, p := range paths {
+		before[i] = (Path{Prefix: p.Prefix, End: p.End}).Key()
+	}
+	for i := range paths {
+		grown := append(paths[i].Prefix, Elem{Value: "X", Index: 9}, Elem{Value: "Y", Index: 9})
+		grown[0] = Elem{Value: "Z", Index: 7}
+		for j, p := range paths {
+			if got := (Path{Prefix: p.Prefix, End: p.End}).Key(); got != before[j] {
+				t.Fatalf("growing path %d changed path %d: %q, was %q", i, j, got, before[j])
+			}
+		}
+	}
+}
+
+// Extract allocates once per path (its key string) plus three slabs per
+// call; a prefix copy, memo and prefix-key string per path would make
+// about five.
+func TestExtractAllocsPerPath(t *testing.T) {
+	root := tenPathStatement()
+	var n int
+	allocs := testing.AllocsPerRun(100, func() { n = len(Extract(root, 10)) })
+	if n != 10 {
+		t.Fatalf("got %d paths, want 10", n)
+	}
+	if perPath := allocs / float64(n); perPath >= 2 {
+		t.Errorf("Extract made %.1f allocations per path, want < 2", perPath)
+	}
+}

@@ -2,46 +2,55 @@ package pattern
 
 import "namer/internal/namepath"
 
-// Statement is an indexed view of a statement's name paths that answers
-// Matches/Satisfied/Violated queries in O(|C| + |D|) set lookups instead of
-// scanning all paths. Mining and matching over the whole corpus run
-// through this representation.
+// Statement is a statement's name paths as mining and matching over the
+// whole corpus see them. It answers Matches/Satisfied/Violated/Explain
+// by scanning its paths (at most MaxPathsPerStatement of them) and
+// comparing memoized keys, which for so few paths is cheaper than
+// building an index. Paths from namepath.Extract, namepath.ParsePath and
+// knowledge decoding are memoized; other paths give the same answers but
+// re-encode their keys on every comparison.
 type Statement struct {
 	Paths []namepath.Path
-	full  map[string]bool     // full path keys present
-	ends  map[string][]string // prefix key -> end subtokens (in order)
 }
 
-// NewStatement indexes a statement's (concrete) name paths.
+// NewStatement wraps a statement's (concrete) name paths.
 func NewStatement(paths []namepath.Path) *Statement {
-	s := &Statement{
-		Paths: paths,
-		full:  make(map[string]bool, len(paths)),
-		ends:  make(map[string][]string, len(paths)),
+	return &Statement{Paths: paths}
+}
+
+// hasPrefix reports whether some path has the prefix encoded by pk.
+func (s *Statement) hasPrefix(pk string) bool {
+	for _, x := range s.Paths {
+		if x.PrefixKey() == pk {
+			return true
+		}
 	}
-	for _, p := range paths {
-		s.full[p.Key()] = true
-		pk := p.PrefixKey()
-		s.ends[pk] = append(s.ends[pk], p.End)
+	return false
+}
+
+// hasPath reports whether some path has the full key k.
+func (s *Statement) hasPath(k string) bool {
+	for _, x := range s.Paths {
+		if x.Key() == k {
+			return true
+		}
 	}
-	return s
+	return false
 }
 
 // Matches mirrors Pattern.Matches.
 func (s *Statement) Matches(p *Pattern) bool {
 	for _, c := range p.Condition {
 		if c.Symbolic() {
-			if _, ok := s.ends[c.PrefixKey()]; !ok {
+			if !s.hasPrefix(c.PrefixKey()) {
 				return false
 			}
-			continue
-		}
-		if !s.full[c.Key()] {
+		} else if !s.hasPath(c.Key()) {
 			return false
 		}
 	}
 	for _, d := range p.Deduction {
-		if _, ok := s.ends[d.PrefixKey()]; !ok {
+		if !s.hasPrefix(d.PrefixKey()) {
 			return false
 		}
 	}
@@ -50,31 +59,11 @@ func (s *Statement) Matches(p *Pattern) bool {
 
 // Satisfied mirrors Pattern.Satisfied.
 func (s *Statement) Satisfied(p *Pattern) bool {
-	if !s.Matches(p) {
+	if !s.Matches(p) || (p.Type != Consistency && p.Type != ConfusingWord) {
 		return false
 	}
-	switch p.Type {
-	case Consistency:
-		e1 := s.ends[p.Deduction[0].PrefixKey()]
-		e2 := s.ends[p.Deduction[1].PrefixKey()]
-		for _, a := range e1 {
-			for _, b := range e2 {
-				if a != b {
-					return false
-				}
-			}
-		}
-		return true
-	case ConfusingWord:
-		d := p.Deduction[0]
-		for _, e := range s.ends[d.PrefixKey()] {
-			if e != d.End {
-				return false
-			}
-		}
-		return true
-	}
-	return false
+	_, violated := s.offender(p)
+	return !violated
 }
 
 // Violated mirrors Pattern.Violated.
@@ -84,8 +73,37 @@ func (s *Statement) Violated(p *Pattern) bool {
 
 // Explain mirrors Pattern.Explain.
 func (s *Statement) Explain(p *Pattern) (Violation, bool) {
-	if !s.Violated(p) {
+	if !s.Matches(p) {
 		return Violation{}, false
 	}
-	return p.Explain(s.Paths)
+	return s.offender(p)
+}
+
+// offender finds, for a statement that matches p, the first violation
+// in the order Pattern.Explain visits the paths, or ok=false when there
+// is none (always, for a pattern of neither type).
+func (s *Statement) offender(p *Pattern) (Violation, bool) {
+	switch p.Type {
+	case Consistency:
+		pk1, pk2 := p.Deduction[0].PrefixKey(), p.Deduction[1].PrefixKey()
+		for _, a1 := range s.Paths {
+			if a1.PrefixKey() != pk1 {
+				continue
+			}
+			for _, a2 := range s.Paths {
+				if a2.PrefixKey() == pk2 && a1.End != a2.End {
+					return Violation{Pattern: p, Path: a2, Original: a2.End, Suggested: a1.End}, true
+				}
+			}
+		}
+	case ConfusingWord:
+		d := p.Deduction[0]
+		pk := d.PrefixKey()
+		for _, x := range s.Paths {
+			if x.PrefixKey() == pk && x.End != d.End {
+				return Violation{Pattern: p, Path: x, Original: x.End, Suggested: d.End}, true
+			}
+		}
+	}
+	return Violation{}, false
 }

@@ -3,7 +3,7 @@ package pointsto
 import (
 	"testing"
 
-	"namer/internal/ast"
+	"namer/internal/samples"
 )
 
 // BenchmarkAnalyze times one serial Analyze pass over each sample (the
@@ -11,20 +11,21 @@ import (
 // hash matches the pinned one) and reports the facts generated and the
 // files that fell back to the context-insensitive run.
 func BenchmarkAnalyze(b *testing.B) {
-	samples := []sample{syntheticSample(b, ast.Python), syntheticSample(b, ast.Java)}
-	if s, ok, reason := gorootSample(b); ok {
-		samples = append(samples, s)
-	} else {
-		b.Logf("goroot sample skipped: %s", reason)
+	all, skipped, err := samples.All()
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, s := range samples {
-		b.Run(s.name, func(b *testing.B) {
+	if skipped != "" {
+		b.Logf("goroot sample skipped: %s", skipped)
+	}
+	for _, s := range all {
+		b.Run(s.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			facts, fallbacks := 0, 0
 			for i := 0; i < b.N; i++ {
 				facts, fallbacks = 0, 0
-				for _, f := range s.files {
-					st := Analyze(f.root, s.lang, DefaultOptions()).Stats
+				for _, f := range s.Files {
+					st := Analyze(f.Root, s.Lang, DefaultOptions()).Stats
 					facts += st.Facts
 					if st.FellBack {
 						fallbacks++

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"namer/internal/ast"
+	"namer/internal/samples"
 )
 
 var update = flag.Bool("update", false, "rewrite the origin oracle's golden files under testdata")
@@ -38,19 +39,20 @@ func oracleLine(path string, root *ast.Node, lang ast.Language) string {
 // testdata/origins_<sample>.golden. Run it with -update to re-record
 // after a change that is meant to alter origins.
 func TestOriginOracle(t *testing.T) {
-	samples := []sample{syntheticSample(t, ast.Python), syntheticSample(t, ast.Java)}
-	if s, ok, reason := gorootSample(t); ok {
-		samples = append(samples, s)
-	} else {
-		t.Logf("goroot oracle skipped: %s", reason)
+	all, skipped, err := samples.All()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, s := range samples {
-		t.Run(s.name, func(t *testing.T) {
+	if skipped != "" {
+		t.Logf("goroot oracle skipped: %s", skipped)
+	}
+	for _, s := range all {
+		t.Run(s.Name, func(t *testing.T) {
 			var got []string
-			for _, f := range s.files {
-				got = append(got, oracleLine(f.path, f.root, s.lang))
+			for _, f := range s.Files {
+				got = append(got, oracleLine(f.Path, f.Root, s.Lang))
 			}
-			golden := filepath.Join("testdata", "origins_"+s.name+".golden")
+			golden := filepath.Join("testdata", "origins_"+s.Name+".golden")
 			if *update {
 				if err := os.WriteFile(golden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 					t.Fatal(err)

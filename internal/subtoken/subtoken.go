@@ -20,48 +20,42 @@ import "unicode"
 //   - letter<->digit transitions start a new subtoken (utf8 -> ["utf","8"]).
 //
 // The empty string yields nil. An identifier with no splittable structure
-// yields a single subtoken equal to itself.
+// yields a single subtoken equal to itself. Subtokens are substrings of
+// name, so the only allocation is the returned slice.
 func Split(name string) []string {
 	if name == "" {
 		return nil
 	}
-	runes := []rune(name)
 	var out []string
-	var cur []rune
-	flush := func() {
-		if len(cur) > 0 {
-			out = append(out, string(cur))
-			cur = cur[:0]
-		}
-	}
-	for i := 0; i < len(runes); i++ {
-		r := runes[i]
+	start := -1 // byte offset where the current subtoken starts; -1: none
+	runes := 0  // runes in the current subtoken
+	var prev rune
+	prevAt := 0 // byte offset of prev, the current subtoken's last rune
+	for i, r := range name {
 		switch {
 		case !unicode.IsLetter(r) && !unicode.IsDigit(r):
-			flush()
-		case len(cur) == 0:
-			cur = append(cur, r)
-		default:
-			prev := cur[len(cur)-1]
-			switch {
-			case unicode.IsDigit(r) != unicode.IsDigit(prev):
-				flush()
-				cur = append(cur, r)
-			case unicode.IsUpper(r) && unicode.IsLower(prev):
-				flush()
-				cur = append(cur, r)
-			case unicode.IsLower(r) && unicode.IsUpper(prev) && len(cur) > 1:
-				// Acronym followed by a word: split before the last upper.
-				last := cur[len(cur)-1]
-				cur = cur[:len(cur)-1]
-				flush()
-				cur = append(cur, last, r)
-			default:
-				cur = append(cur, r)
+			if start >= 0 {
+				out = append(out, name[start:i])
+				start = -1
 			}
+		case start < 0:
+			start, runes = i, 1
+		case unicode.IsDigit(r) != unicode.IsDigit(prev),
+			unicode.IsUpper(r) && unicode.IsLower(prev):
+			out = append(out, name[start:i])
+			start, runes = i, 1
+		case unicode.IsLower(r) && unicode.IsUpper(prev) && runes > 1:
+			// Acronym followed by a word: split before the last upper.
+			out = append(out, name[start:prevAt])
+			start, runes = prevAt, 2
+		default:
+			runes++
 		}
+		prev, prevAt = r, i
 	}
-	flush()
+	if start >= 0 {
+		out = append(out, name[start:])
+	}
 	return out
 }
 

@@ -2,8 +2,10 @@ package subtoken
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestSplit(t *testing.T) {
@@ -127,5 +129,73 @@ func TestSplitJoinRoundTrip(t *testing.T) {
 		if got := Split(snake); !reflect.DeepEqual(got, ws) {
 			t.Errorf("Split(Join snake %v) = %v", ws, got)
 		}
+	}
+}
+
+// splitRunes is the rune-buffer reference Split was written from: it
+// builds each subtoken rune by rune instead of slicing the input.
+func splitRunes(name string) []string {
+	if name == "" {
+		return nil
+	}
+	runes := []rune(name)
+	var out []string
+	var cur []rune
+	flush := func() {
+		if len(cur) > 0 {
+			out = append(out, string(cur))
+			cur = cur[:0]
+		}
+	}
+	for _, r := range runes {
+		switch {
+		case !unicode.IsLetter(r) && !unicode.IsDigit(r):
+			flush()
+		case len(cur) == 0:
+			cur = append(cur, r)
+		default:
+			prev := cur[len(cur)-1]
+			switch {
+			case unicode.IsDigit(r) != unicode.IsDigit(prev):
+				flush()
+				cur = append(cur, r)
+			case unicode.IsUpper(r) && unicode.IsLower(prev):
+				flush()
+				cur = append(cur, r)
+			case unicode.IsLower(r) && unicode.IsUpper(prev) && len(cur) > 1:
+				last := cur[len(cur)-1]
+				cur = cur[:len(cur)-1]
+				flush()
+				cur = append(cur, last, r)
+			default:
+				cur = append(cur, r)
+			}
+		}
+	}
+	flush()
+	return out
+}
+
+// Property: Split agrees with the rune-buffer reference, on arbitrary
+// strings and on identifiers drawn from an alphabet dense in case, digit,
+// separator, non-ASCII and invalid UTF-8 transitions.
+func TestSplitMatchesRuneReference(t *testing.T) {
+	agree := func(s string) bool {
+		got, want := Split(s), splitRunes(s)
+		return reflect.DeepEqual(got, want)
+	}
+	if err := quick.Check(agree, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	alphabet := []string{"a", "b", "A", "B", "1", "2", "_", "$", "é", "É", "ß", "\xff", "٣", "ǅ"}
+	fromAlphabet := func(picks []uint8) bool {
+		var b strings.Builder
+		for _, p := range picks {
+			b.WriteString(alphabet[int(p)%len(alphabet)])
+		}
+		return agree(b.String())
+	}
+	if err := quick.Check(fromAlphabet, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
 	}
 }
