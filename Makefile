@@ -202,7 +202,9 @@ obs-gate:
 # edit after close. Then the knowledge file is overwritten with a file
 # in the retired v1 binary format: POST /debug/reload must answer 500
 # with an error naming version 1, and scans must keep answering 200
-# from the old bundle (/healthz still names the old knowledge hash). A
+# from the old bundle (/healthz still names the old knowledge hash).
+# The same holds for a file in the retired JSON knowledge format, whose
+# reload error must name JSON. A
 # TERM at the end checks clean shutdown. This server runs with
 # -log-format json, so after the failed reload and the shutdown every
 # non-empty line of its output (access log plus stderr) must be a JSON
@@ -394,6 +396,19 @@ serve-smoke:
 		{ echo "serve-smoke: failed v1 reload changed the served knowledge ($$hash1 -> $$hash2)"; exit 1; }; \
 	curl -s "http://$$addr/metrics" | grep -qE '^namer_knowledge_reload_last_success 0' || \
 		{ echo "serve-smoke: failed v1 reload not reflected in namer_knowledge_reload_last_success"; exit 1; }; \
+	printf '{\n "lang": "Python",\n "pairs": [{"mistaken": "cnt", "correct": "count", "count": 3}],\n "patterns": []\n}\n' \
+		>"$$tmp/knowledge.bin"; \
+	code=$$(curl -s -o "$$tmp/reload-json.json" -w '%{http_code}' -X POST "http://$$addr/debug/reload"); \
+	[ "$$code" = 500 ] || { echo "serve-smoke: reload of a JSON file returned $$code, want 500"; cat "$$tmp/reload-json.json"; exit 1; }; \
+	grep -qF 'JSON knowledge is no longer read' "$$tmp/reload-json.json" || \
+		{ echo "serve-smoke: JSON reload error does not name JSON"; cat "$$tmp/reload-json.json"; exit 1; }; \
+	code=$$(curl -s -o "$$tmp/scan6.json" -w '%{http_code}' -X POST \
+		-d '{"lang":"python","source":"upload_cnt = upload_count + 1\n","all":true}' \
+		"http://$$addr/v1/scan"); \
+	[ "$$code" = 200 ] || { echo "serve-smoke: scan after a failed JSON reload returned $$code"; cat "$$tmp/scan6.json"; exit 1; }; \
+	hash3=$$(curl -s "http://$$addr/healthz" | grep -o '"knowledge_hash": *"[0-9a-f]*"'); \
+	[ "$$hash1" = "$$hash3" ] || \
+		{ echo "serve-smoke: failed JSON reload changed the served knowledge ($$hash1 -> $$hash3)"; exit 1; }; \
 	mv "$$tmp/knowledge.good" "$$tmp/knowledge.bin"; \
 	kill -TERM $$pid; wait $$pid || { echo "serve-smoke: unclean shutdown"; exit 1; }; \
 	pid=; \

@@ -2,9 +2,8 @@
 // over a corpus directory: it mines confusing word pairs from the commit
 // history (§3.2) and name patterns from the code (§3.3, Algorithms 1–2),
 // writing the result as a knowledge file for cmd/namer and
-// cmd/namer-train. The -out extension picks the encoding: a .json path
-// writes the pretty-printed debug format, anything else the checksummed
-// flat binary format that namer, namer-train, and namer-serve load.
+// cmd/namer-train in the checksummed flat binary format that namer,
+// namer-train, and namer-serve load.
 //
 // Long corpus runs are observable three ways: periodic progress lines on
 // stderr (files analyzed, statements, moving rate, ETA; FP-tree shapes
@@ -46,6 +45,7 @@ import (
 	"namer/internal/corpus"
 	"namer/internal/driver"
 	"namer/internal/knowledge"
+	"namer/internal/mining"
 	"namer/internal/obs"
 	"namer/internal/prof"
 )
@@ -53,8 +53,7 @@ import (
 func main() {
 	lang := flag.String("lang", "python", "language: python, java, or go")
 	dir := flag.String("dir", "corpus", "corpus directory (repositories as subdirectories)")
-	out := flag.String("out", "knowledge.bin",
-		"output knowledge file (flat binary; use a .json extension for the debug format)")
+	out := flag.String("out", "knowledge.bin", "output knowledge file (flat binary)")
 	minPatternCount := flag.Int("min-pattern-count", 0,
 		"FP-tree support threshold (0 = scale with corpus size)")
 	minPairCount := flag.Int("min-pair-count", 3, "confusing-pair support threshold")
@@ -215,13 +214,9 @@ func main() {
 	cfg.UseAnalysis = !*noAnalysis
 	cfg.MinPairCount = *minPairCount
 	cfg.Parallelism = *parallelism
-	if *minPatternCount > 0 {
-		cfg.Mining.MinPatternCount = *minPatternCount
-	} else {
-		cfg.Mining.MinPatternCount = len(files) / 3
-		if cfg.Mining.MinPatternCount < 5 {
-			cfg.Mining.MinPatternCount = 5
-		}
+	cfg.Mining.MinPatternCount = *minPatternCount
+	if *minPatternCount <= 0 {
+		cfg.Mining.MinPatternCount = mining.AutoMinPatternCount(len(files))
 	}
 	cfg.Progress = newProgress("analyze", "files").Update
 	cfg.Mining.OnTreeBuilt = func(nodes, transactions int) {

@@ -1,6 +1,6 @@
 // Command namer-serve is the always-on serving daemon over mined
-// knowledge: it loads a knowledge artifact (binary or JSON, produced by
-// namer-mine / namer-train) once at startup and answers HTTP scan
+// knowledge: it loads a knowledge artifact (produced by namer-mine /
+// namer-train) once at startup and answers HTTP scan
 // requests until terminated.
 //
 //	namer-serve -knowledge knowledge.bin -addr :8737
@@ -195,21 +195,17 @@ func loadKnowledgeSystem(path string) (*core.System, serve.KnowledgeInfo, error)
 	}
 	ki := serve.KnowledgeInfo{
 		Path:          path,
-		Format:        info.Format.String(),
-		FormatVersion: info.FormatVersion,
+		Format:        "binary",
+		FormatVersion: knowledge.Version,
 		ContentHash:   info.ContentHash,
 		LoadedAt:      info.LoadedAt,
-	}
-	format := info.Format.String()
-	if info.Format == knowledge.FormatBinary {
-		format = fmt.Sprintf("%s v%d", format, info.FormatVersion)
 	}
 	hash := info.ContentHash
 	if len(hash) > 12 {
 		hash = hash[:12]
 	}
-	ki.Summary = fmt.Sprintf("%s (%s format, sha256 %s, %s, %d patterns, %d pairs, classifier=%v)",
-		path, format, hash, sys.Config().Lang, len(sys.Patterns),
+	ki.Summary = fmt.Sprintf("%s (binary v%d format, sha256 %s, %s, %d patterns, %d pairs, classifier=%v)",
+		path, knowledge.Version, hash, sys.Config().Lang, len(sys.Patterns),
 		sys.Pairs.Len(), sys.HasClassifier())
 	return sys, ki, nil
 }

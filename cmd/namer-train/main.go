@@ -27,8 +27,7 @@ func main() {
 	dir := flag.String("dir", "corpus", "corpus directory")
 	knowledge := flag.String("knowledge", "knowledge.bin", "input knowledge file (from namer-mine)")
 	issues := flag.String("issues", "", "ground-truth labels (default <dir>/issues.json)")
-	out := flag.String("out", "knowledge-trained.bin",
-		"output knowledge file (compact binary; use a .json extension for the debug format)")
+	out := flag.String("out", "knowledge-trained.bin", "output knowledge file (flat binary)")
 	trainSize := flag.Int("train", 120, "labeled violations to train on (balanced)")
 	seed := flag.Int64("seed", 1, "sampling seed")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")

@@ -6,7 +6,7 @@
 // It needs a knowledge file produced by namer-mine (and optionally
 // namer-train, which adds the false-positive-pruning classifier):
 //
-//	namer -lang python -knowledge knowledge-trained.json path/to/code
+//	namer -lang python -knowledge knowledge-trained.bin path/to/code
 package main
 
 import (

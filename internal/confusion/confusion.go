@@ -41,8 +41,8 @@ func (ps *PairSet) Add(mistaken, correct string) {
 }
 
 // AddN records n observations of mistaken -> correct at once (n <= 0 is
-// treated as one, matching the JSON decoder); used when restoring a pair
-// set from a serialized artifact.
+// treated as one); used when restoring a pair set from a serialized
+// artifact.
 func (ps *PairSet) AddN(mistaken, correct string, n int) {
 	if mistaken == "" || correct == "" || mistaken == correct {
 		return

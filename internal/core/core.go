@@ -362,15 +362,12 @@ func (s *System) matchStmts(stmts []*ProcStmt) (*features.Index, []*Violation) {
 // Must only run with a loaded pattern index.
 func (s *System) matchStmt(ps *ProcStmt, seen []StmtObservation, vs []*Violation) ([]StmtObservation, []*Violation) {
 	for _, p := range s.index.Candidates(ps.PS) {
-		if !ps.PS.Matches(p) {
+		matched, satisfied, detail, violated := ps.PS.Check(p)
+		if !matched {
 			continue
 		}
-		satisfied := ps.PS.Satisfied(p)
 		seen = append(seen, StmtObservation{Pattern: p, Satisfied: satisfied})
-		if satisfied {
-			continue
-		}
-		if detail, ok := ps.PS.Explain(p); ok {
+		if violated {
 			vs = append(vs, &Violation{Stmt: ps, Pattern: p, Detail: detail})
 		}
 	}

@@ -92,9 +92,8 @@ func (s *System) ImportKnowledge(k *Knowledge) error {
 	return nil
 }
 
-// SaveKnowledge writes the exported state to path atomically. The format
-// follows the extension: ".json" produces the pretty-printed debug format,
-// anything else the compact binary format.
+// SaveKnowledge writes the exported state to path atomically, in the
+// binary knowledge format.
 func (s *System) SaveKnowledge(path string) error {
 	k, err := s.ExportKnowledge()
 	if err != nil {
@@ -103,8 +102,7 @@ func (s *System) SaveKnowledge(path string) error {
 	return knowledge.Save(path, k)
 }
 
-// LoadKnowledge reads exported state from path, auto-detecting the binary
-// or JSON format by content.
+// LoadKnowledge reads exported state from a binary knowledge file.
 func (s *System) LoadKnowledge(path string) error {
 	k, err := knowledge.Load(path)
 	if err != nil {

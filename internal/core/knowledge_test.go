@@ -30,7 +30,7 @@ func TestKnowledgeRoundTrip(t *testing.T) {
 	}
 	sys.TrainClassifier(res.Stats, vs, ys)
 
-	path := filepath.Join(t.TempDir(), "knowledge.json")
+	path := filepath.Join(t.TempDir(), "knowledge.bin")
 	if err := sys.SaveKnowledge(path); err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func TestToolchainFlow(t *testing.T) {
 	if len(sys.Patterns) == 0 {
 		t.Fatal("no patterns mined from on-disk corpus")
 	}
-	knowledgePath := filepath.Join(dir, "knowledge.json")
+	knowledgePath := filepath.Join(dir, "knowledge.bin")
 	if err := sys.SaveKnowledge(knowledgePath); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestToolchainFlow(t *testing.T) {
 		t.Skipf("degenerate labels pos=%d neg=%d", pos, neg)
 	}
 	sys.TrainClassifier(scan.Stats, train, labels)
-	trained := filepath.Join(dir, "knowledge-trained.json")
+	trained := filepath.Join(dir, "knowledge-trained.bin")
 	if err := sys.SaveKnowledge(trained); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,11 +15,10 @@ import (
 	"namer/internal/pattern"
 )
 
-// TestKnowledgeRoundTripBinary checks the acceptance criterion that the
-// binary format round-trips byte-identical semantics with JSON: the same
-// mined system saved as JSON and as binary loads into systems that agree
-// on every pattern, pair, violation, and classifier decision, and the
-// binary file is the smaller one.
+// TestKnowledgeRoundTripBinary checks the knowledge format against the
+// system that mined the knowledge: after Save → Load, a fresh system
+// holds the same patterns and pairs, and its scan of the mined corpus
+// finds the same violations with the same classifier decisions.
 func TestKnowledgeRoundTripBinary(t *testing.T) {
 	sys, c, res := buildSystem(t, ast.Python, smallSystemConfig(ast.Python), smallCorpusConfig(ast.Python))
 	violations := res.Violations
@@ -41,23 +41,33 @@ func TestKnowledgeRoundTripBinary(t *testing.T) {
 	}
 	sys.TrainClassifier(res.Stats, vs, ys)
 
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "knowledge.json")
-	binPath := filepath.Join(dir, "knowledge.bin")
-	if err := sys.SaveKnowledge(jsonPath); err != nil {
+	path := filepath.Join(t.TempDir(), "knowledge.bin")
+	if err := sys.SaveKnowledge(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.SaveKnowledge(binPath); err != nil {
+	loaded := NewSystem(DefaultConfig(ast.Python))
+	if err := loaded.LoadKnowledge(path); err != nil {
 		t.Fatal(err)
 	}
 
-	jinfo, _ := os.Stat(jsonPath)
-	binfo, _ := os.Stat(binPath)
-	t.Logf("knowledge sizes: json=%d bytes, binary=%d bytes (%.1fx)",
-		jinfo.Size(), binfo.Size(), float64(jinfo.Size())/float64(binfo.Size()))
-	if binfo.Size() >= jinfo.Size() {
-		t.Errorf("binary knowledge (%d bytes) is not smaller than JSON (%d bytes)",
-			binfo.Size(), jinfo.Size())
+	if len(loaded.Patterns) != len(sys.Patterns) {
+		t.Fatalf("patterns: loaded %d vs mined %d", len(loaded.Patterns), len(sys.Patterns))
+	}
+	for i, p := range sys.Patterns {
+		q := loaded.Patterns[i]
+		if p.Key() != q.Key() || p.Count != q.Count || p.MatchCount != q.MatchCount ||
+			p.SatisfyCount != q.SatisfyCount {
+			t.Fatalf("pattern %d diverged: loaded %v vs mined %v", i, q, p)
+		}
+	}
+	if got, want := loaded.Pairs.Pairs(), sys.Pairs.Pairs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("pairs: loaded %v vs mined %v", got, want)
+	}
+	for _, p := range sys.Pairs.Pairs() {
+		if loaded.Pairs.Count(p[0], p[1]) != sys.Pairs.Count(p[0], p[1]) {
+			t.Fatalf("pair %v count: loaded %d vs mined %d", p,
+				loaded.Pairs.Count(p[0], p[1]), sys.Pairs.Count(p[0], p[1]))
+		}
 	}
 
 	var files []*InputFile
@@ -66,46 +76,72 @@ func TestKnowledgeRoundTripBinary(t *testing.T) {
 			files = append(files, &InputFile{Repo: r.Name, Path: f.Path, Source: f.Source, Root: f.Root})
 		}
 	}
-	load := func(path string) (*System, *ScanResult) {
-		s := NewSystem(DefaultConfig(ast.Python))
-		if err := s.LoadKnowledge(path); err != nil {
-			t.Fatalf("load %s: %v", path, err)
+	resL := loaded.ScanFiles(files)
+	if len(resL.Errors) != 0 {
+		t.Fatalf("scan errors: %v", resL.Errors)
+	}
+	vL := resL.Violations
+	if len(vL) != len(violations) {
+		t.Fatalf("violations: loaded %d vs mined %d", len(vL), len(violations))
+	}
+	for i, v := range violations {
+		l := vL[i]
+		if l.Stmt.Repo != v.Stmt.Repo || l.Stmt.Path != v.Stmt.Path || l.Stmt.Line != v.Stmt.Line ||
+			l.Pattern.Key() != v.Pattern.Key() ||
+			l.Detail.Original != v.Detail.Original || l.Detail.Suggested != v.Detail.Suggested {
+			t.Fatalf("violation %d diverged: loaded %v vs mined %v", i, l.Detail, v.Detail)
 		}
-		res := s.ScanFiles(files)
-		if len(res.Errors) != 0 {
-			t.Fatalf("scan errors: %v", res.Errors)
-		}
-		return s, res
-	}
-	sysJ, resJ := load(jsonPath)
-	sysB, resB := load(binPath)
-	vJ, vB := resJ.Violations, resB.Violations
-
-	if len(sysJ.Patterns) != len(sysB.Patterns) {
-		t.Fatalf("patterns: json %d vs binary %d", len(sysJ.Patterns), len(sysB.Patterns))
-	}
-	for i := range sysJ.Patterns {
-		if sysJ.Patterns[i].Key() != sysB.Patterns[i].Key() {
-			t.Fatalf("pattern %d keys diverged", i)
-		}
-	}
-	if sysJ.Pairs.Len() != sysB.Pairs.Len() {
-		t.Fatalf("pairs: json %d vs binary %d", sysJ.Pairs.Len(), sysB.Pairs.Len())
-	}
-	if len(vJ) != len(vB) || len(vJ) != len(violations) {
-		t.Fatalf("violations: original %d, json %d, binary %d", len(violations), len(vJ), len(vB))
-	}
-	for i := range vJ {
-		a, b := vJ[i], vB[i]
-		if a.Stmt.Path != b.Stmt.Path || a.Stmt.Line != b.Stmt.Line ||
-			a.Detail.Original != b.Detail.Original || a.Detail.Suggested != b.Detail.Suggested {
-			t.Fatalf("violation %d diverged between json and binary: %v vs %v", i, a.Detail, b.Detail)
-		}
-		if sysJ.ClassifyIn(resJ.Stats, vJ[i]) != sysB.ClassifyIn(resB.Stats, vB[i]) {
+		if loaded.ClassifyIn(resL.Stats, l) != sys.ClassifyIn(res.Stats, v) {
 			t.Fatalf("classification diverged at violation %d", i)
 		}
 	}
 }
+
+// TestLoadKnowledgeRejectsJSON: a JSON artifact, as older builds wrote
+// it, fails LoadKnowledge with the re-mine error and leaves the system's
+// knowledge as it was.
+func TestLoadKnowledgeRejectsJSON(t *testing.T) {
+	sys, _, _ := buildSystem(t, ast.Python, smallSystemConfig(ast.Python), smallCorpusConfig(ast.Python))
+	patterns := sys.Patterns
+	path := filepath.Join(t.TempDir(), "knowledge.json")
+	if err := os.WriteFile(path, []byte(legacyJSONKnowledge), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := sys.LoadKnowledge(path)
+	if err == nil || !strings.Contains(err.Error(), "JSON knowledge is no longer read") ||
+		!strings.Contains(err.Error(), "re-run namer-mine") {
+		t.Fatalf("LoadKnowledge of a JSON artifact: got %v, want the re-mine error", err)
+	}
+	if len(sys.Patterns) != len(patterns) || (len(patterns) > 0 && sys.Patterns[0] != patterns[0]) {
+		t.Fatal("failed load replaced the system's patterns")
+	}
+}
+
+// legacyJSONKnowledge is a small artifact in the JSON format older
+// builds wrote to a ".json" destination.
+const legacyJSONKnowledge = `{
+ "lang": "Python",
+ "pairs": [
+  {
+   "mistaken": "recieve",
+   "correct": "receive",
+   "count": 7
+  }
+ ],
+ "patterns": [
+  {
+   "type": "confusing-word",
+   "condition": null,
+   "deduction": [
+    "Expr 0 Call 0 AttributeLoad 1 receive"
+   ],
+   "count": 12,
+   "match_count": 12,
+   "satisfy_count": 9
+  }
+ ]
+}
+`
 
 // TestImportKnowledgeAllOrNothing: a failed import must leave the system
 // exactly as it was — same patterns, same index, same scan output — so a

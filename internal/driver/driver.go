@@ -35,7 +35,8 @@ type Options struct {
 	// Config is the full mining configuration, as a single-process run
 	// would use (core.DefaultConfig plus flag overrides). A
 	// Mining.MinPatternCount of zero auto-scales with the parsed file
-	// count after the map phase, mirroring cmd/namer-mine.
+	// count after the map phase (mining.AutoMinPatternCount), as
+	// cmd/namer-mine does.
 	Config core.Config
 	// Shards is the number of corpus shards; 0 means NumCPU. Shards in
 	// excess of the corpus's repository count are dropped (repos never
@@ -195,10 +196,7 @@ func Run(ctx context.Context, opts Options) (*knowledge.Artifact, Stats, error) 
 	stats.FilesSkipped = counts.FilesSkipped
 	stats.Statements = counts.Statements
 	if cfg.Mining.MinPatternCount <= 0 {
-		cfg.Mining.MinPatternCount = counts.FilesParsed / 3
-		if cfg.Mining.MinPatternCount < 5 {
-			cfg.Mining.MinPatternCount = 5
-		}
+		cfg.Mining.MinPatternCount = mining.AutoMinPatternCount(counts.FilesParsed)
 		r.cfg = cfg
 	}
 

@@ -1,6 +1,7 @@
 package knowledge
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -48,7 +49,8 @@ import (
 // FP-tree already uses in memory.
 
 // magic identifies a binary knowledge file. The first byte is outside
-// ASCII so binary artifacts can never be confused with JSON.
+// ASCII so a binary artifact can never be taken for a text file, such as
+// the JSON artifacts older builds wrote.
 var magic = [4]byte{0x9E, 'N', 'K', 'B'}
 
 // Version is the binary format version. Decoders reject every other
@@ -374,6 +376,9 @@ type view struct {
 // bounds.
 func openView(data []byte) (*view, error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic[:]) {
+		if t := bytes.TrimLeft(data, " \t\r\n"); len(t) > 0 && t[0] == '{' {
+			return nil, fmt.Errorf("knowledge: JSON knowledge is no longer read; re-run namer-mine to write the binary format")
+		}
 		return nil, fmt.Errorf("knowledge: not a binary knowledge file (bad magic)")
 	}
 	if len(data) == len(magic) {
@@ -599,7 +604,12 @@ func (v *view) artifact() *Artifact {
 			a.Patterns[i] = &slab[i]
 		}
 	}
-	warmPatterns(a.Patterns)
+	// Precompute every identity key from this one goroutine, so the
+	// patterns can be shared across concurrent scans without racing on
+	// the lazy key cache.
+	for _, p := range a.Patterns {
+		p.Key()
+	}
 	if v.h[hdrClsFlags]&clsPresent != 0 {
 		c := &ml.PipelineState{UsePCA: v.h[hdrClsFlags]&clsUsePCA != 0}
 		off := v.h[hdrFloatsOff]

@@ -2,6 +2,7 @@ package knowledge
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"namer/internal/confusion"
@@ -35,38 +36,51 @@ func seedArtifact() *Artifact {
 }
 
 // fuzzSeedArtifacts returns the raw encodings seeded into the fuzz
-// corpus: binary and JSON renderings of a fully populated artifact, an
-// empty one, and one whose classifier is well formed but too short for
-// the feature extractor (the decoder accepts it; core rejects it).
+// corpus: the binary encodings of a fully populated artifact, an empty
+// one, and one whose classifier is well formed but too short for the
+// feature extractor (the decoder accepts it; core rejects it), each
+// followed by the same artifact as the JSON that older builds wrote,
+// which must now be rejected.
 func fuzzSeedArtifacts(t testing.TB) [][]byte {
 	t.Helper()
 	full := seedArtifact()
 	empty := &Artifact{Lang: "Go", Pairs: confusion.NewPairSet()}
 	short := &Artifact{Lang: "Python", Pairs: confusion.NewPairSet(),
 		Classifier: &ml.PipelineState{Mean: []float64{0}, Std: []float64{1}, Weights: []float64{1}}}
+	legacy := []string{
+		`{"lang":"Python","pairs":[{"mistaken":"wrng2","correct":"wrong2","count":3},` +
+			`{"mistaken":"wrng1","correct":"wrong1","count":2},{"mistaken":"wrng0","correct":"wrong0","count":1}],` +
+			`"patterns":[{"type":"consistency","condition":["Call0 0 load0"],"deduction":["Assign 0 ϵ","Assign 1 ϵ"],` +
+			`"count":3,"match_count":2,"satisfy_count":1},` +
+			`{"type":"consistency","condition":["Call1 1 load1"],"deduction":["Assign 0 ϵ","Assign 1 ϵ"],` +
+			`"count":4,"match_count":3,"satisfy_count":2},` +
+			`{"type":"consistency","condition":["Call2 2 load2"],"deduction":["Assign 0 ϵ","Assign 1 ϵ"],` +
+			`"count":5,"match_count":4,"satisfy_count":3},` +
+			`{"type":"confusing-word","condition":null,"deduction":["AttributeLoad 1 receive"],` +
+			`"count":12,"match_count":12,"satisfy_count":9}],` +
+			`"classifier":{"mean":[0.5,1.25,-3],"std":[1,2,0.25],"use_pca":true,"pca_mean":[0.1,0.2,0.3],` +
+			`"pca_components":[[1,0],[0,1],[0.5,0.5]],"weights":[0.75,-0.25],"bias":-0.125}}`,
+		`{"lang":"Go","pairs":null,"patterns":null}`,
+		`{"lang":"Python","pairs":null,"patterns":null,"classifier":{"mean":[0],"std":[1],"use_pca":false,"weights":[1],"bias":0}}`,
+	}
 	var seeds [][]byte
-	for _, a := range []*Artifact{full, empty, short} {
+	for i, a := range []*Artifact{full, empty, short} {
 		bin, err := EncodeBinary(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		j, err := EncodeJSON(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seeds = append(seeds, bin, j)
+		seeds = append(seeds, bin, []byte(legacy[i]))
 	}
-	// A ragged PCA matrix parses as JSON but cannot be re-encoded, so the
-	// classifier shape check must reject it.
+	// A ragged PCA matrix, which no binary file can encode.
 	seeds = append(seeds, []byte(`{"lang":"Python","classifier":{"mean":[0,1],"std":[1,1],"use_pca":true,`+
 		`"pca_mean":[0,0],"pca_components":[[1,0],[0]],"weights":[1,1],"bias":0}}`))
 	return seeds
 }
 
-// FuzzDecodeKnowledge throws arbitrary bytes at the decode entry point.
-// The invariants: no panic, no decode of garbage into something that
-// fails to re-encode, and a successful decode must survive a binary
-// re-encode → re-decode round trip losslessly.
+// FuzzDecodeKnowledge throws arbitrary bytes at the decoder. The
+// invariants: no panic, JSON is rejected as JSON, no decode of garbage
+// into something that fails to re-encode, and a successful decode must
+// survive a re-encode → re-decode round trip losslessly.
 func FuzzDecodeKnowledge(f *testing.F) {
 	for _, seed := range fuzzSeedArtifacts(f) {
 		f.Add(seed)
@@ -85,7 +99,11 @@ func FuzzDecodeKnowledge(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, err := Decode(data)
+		a, err := DecodeBinary(data)
+		if text := bytes.TrimLeft(data, " \t\r\n"); len(text) > 0 && text[0] == '{' &&
+			(err == nil || !strings.Contains(err.Error(), "JSON")) {
+			t.Fatalf("JSON-looking input not rejected as JSON: %v", err)
+		}
 		if err != nil {
 			return
 		}

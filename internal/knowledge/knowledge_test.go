@@ -1,6 +1,7 @@
 package knowledge
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -102,58 +103,88 @@ func assertEqualArtifacts(t *testing.T, want, got *Artifact) {
 	}
 }
 
-func TestRoundTripAllLanguagesAndFormats(t *testing.T) {
+func TestRoundTripAllLanguages(t *testing.T) {
 	for _, lang := range []string{"Python", "Java", "Go"} {
 		for _, classifier := range []bool{false, true} {
-			for _, format := range []Format{FormatBinary, FormatJSON} {
-				a := sampleArtifact(t, lang, classifier)
-				data, err := Encode(a, format)
-				if err != nil {
-					t.Fatalf("%s/%v/classifier=%v: encode: %v", lang, format, classifier, err)
-				}
-				if got := DetectFormat(data); got != format {
-					t.Fatalf("%v encoded bytes detected as %v", format, got)
-				}
-				back, err := Decode(data)
-				if err != nil {
-					t.Fatalf("%s/%v/classifier=%v: decode: %v", lang, format, classifier, err)
-				}
-				assertEqualArtifacts(t, a, back)
+			a := sampleArtifact(t, lang, classifier)
+			data, err := EncodeBinary(a)
+			if err != nil {
+				t.Fatalf("%s/classifier=%v: encode: %v", lang, classifier, err)
 			}
+			back, err := DecodeBinary(data)
+			if err != nil {
+				t.Fatalf("%s/classifier=%v: decode: %v", lang, classifier, err)
+			}
+			assertEqualArtifacts(t, a, back)
 		}
 	}
 }
 
+// legacyJSON is sampleArtifact(t, "Python", true) as older builds wrote
+// it to a ".json" destination.
+const legacyJSON = `{
+ "lang": "Python",
+ "pairs": [
+  {"mistaken": "recieve", "correct": "receive", "count": 7},
+  {"mistaken": "cnt", "correct": "count", "count": 3}
+ ],
+ "patterns": [
+  {
+   "type": "consistency",
+   "condition": ["Assign 1 Call 0 load"],
+   "deduction": ["Assign 0 NameStore 0 ϵ", "Assign 1 Call 1 NameLoad 0 ϵ"],
+   "count": 42,
+   "match_count": 40,
+   "satisfy_count": 38
+  },
+  {
+   "type": "confusing-word",
+   "condition": null,
+   "deduction": ["Expr 0 Call 0 AttributeLoad 1 receive"],
+   "count": 12,
+   "match_count": 12,
+   "satisfy_count": 9
+  }
+ ],
+ "classifier": {
+  "mean": [0.5, 1.25, -3],
+  "std": [1, 2, 0.25],
+  "use_pca": true,
+  "pca_mean": [0.1, 0.2, 0.3],
+  "pca_components": [[1, 0], [0, 1], [0.5, 0.5]],
+  "weights": [0.75, -0.25],
+  "bias": -0.125
+ }
+}
+`
+
+// TestSaveLoadByExtensionAndSniffing: the extension does not pick the
+// format, so Save gives a ".json" destination the same binary bytes as a
+// ".bin" one, and both load. Load judges a file by its bytes: a JSON
+// artifact, as older builds wrote it, fails with an error that names
+// JSON and says to re-mine, whatever its name and however it starts.
 func TestSaveLoadByExtensionAndSniffing(t *testing.T) {
 	dir := t.TempDir()
 	a := sampleArtifact(t, "Python", true)
-
-	jsonPath := filepath.Join(dir, "knowledge.json")
-	binPath := filepath.Join(dir, "knowledge.bin")
-	if err := Save(jsonPath, a); err != nil {
+	want, err := EncodeBinary(a)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Save(binPath, a); err != nil {
-		t.Fatal(err)
-	}
-	jdata, _ := os.ReadFile(jsonPath)
-	bdata, _ := os.ReadFile(binPath)
-	if DetectFormat(jdata) != FormatJSON {
-		t.Fatal(".json file did not encode as JSON")
-	}
-	if DetectFormat(bdata) != FormatBinary {
-		t.Fatal(".bin file did not encode as binary")
-	}
-	// Load must sniff content, not trust the name: binary bytes under a
-	// .json name still load.
-	disguised := filepath.Join(dir, "disguised.json")
-	if err := os.WriteFile(disguised, bdata, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []string{jsonPath, binPath, disguised} {
-		back, err := Load(p)
+	for _, name := range []string{"knowledge.json", "knowledge.bin"} {
+		path := filepath.Join(dir, name)
+		if err := Save(path, a); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("load %s: %v", p, err)
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: saved %d bytes that are not the binary encoding (%d bytes)", name, len(got), len(want))
+		}
+		back, err := Load(path)
+		if err != nil {
+			t.Fatalf("load %s: %v", name, err)
 		}
 		assertEqualArtifacts(t, a, back)
 	}
@@ -167,6 +198,23 @@ func TestSaveLoadByExtensionAndSniffing(t *testing.T) {
 			t.Fatalf("leftover temp file %s", e.Name())
 		}
 	}
+
+	for _, name := range []string{"legacy.json", "legacy.bin"} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(legacyJSON), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(path)
+		if err == nil || !strings.Contains(err.Error(), "JSON knowledge is no longer read") ||
+			!strings.Contains(err.Error(), "re-run namer-mine") {
+			t.Fatalf("load of a JSON artifact named %s: got %v, want the re-mine error", name, err)
+		}
+	}
+	for _, data := range []string{`{"lang":"Go"}`, "\n\t {", `{]`} {
+		if _, err := DecodeBinary([]byte(data)); err == nil || !strings.Contains(err.Error(), "JSON") {
+			t.Errorf("decode of %q: got %v, want the JSON error", data, err)
+		}
+	}
 }
 
 func TestAtomicSavePreservesOldFileOnBadDir(t *testing.T) {
@@ -175,21 +223,6 @@ func TestAtomicSavePreservesOldFileOnBadDir(t *testing.T) {
 	path := filepath.Join(dir, "does", "not", "exist", "k.bin")
 	if err := Save(path, a); err == nil {
 		t.Fatal("expected error saving into a missing directory")
-	}
-}
-
-func TestBinarySmallerThanJSON(t *testing.T) {
-	a := sampleArtifact(t, "Python", true)
-	jdata, err := EncodeJSON(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bdata, err := EncodeBinary(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bdata) >= len(jdata) {
-		t.Fatalf("binary (%d bytes) not smaller than JSON (%d bytes)", len(bdata), len(jdata))
 	}
 }
 
@@ -217,11 +250,6 @@ func TestCorruptInputsErrorNotPanic(t *testing.T) {
 	if _, err := DecodeBinary(bad); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("bad magic: got %v", err)
 	}
-	// Decode (auto-detect) treats non-magic bytes as JSON and must also
-	// fail without panicking.
-	if _, err := Decode(bad); err == nil {
-		t.Fatal("bad magic decoded as JSON without error")
-	}
 
 	// Future version.
 	bad = append([]byte{}, data...)
@@ -243,42 +271,21 @@ func TestCorruptInputsErrorNotPanic(t *testing.T) {
 	if _, err := DecodeBinary(append(append([]byte{}, data...), 0xAB)); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
-
-	// Corrupt JSON paths error as well.
-	if _, err := Decode([]byte(`{"lang": "Python", "patterns": [{]`)); err == nil {
-		t.Fatal("corrupt JSON accepted")
-	}
-	if _, err := Decode([]byte(`{"lang":"Python","patterns":[{"type":"consistency","deduction":["x"]}]}`)); err == nil {
-		t.Fatal("invalid pattern accepted")
-	}
-	// Classifier vectors that disagree in shape would panic on the first
-	// prediction (or, for a ragged PCA matrix, fail to re-encode).
-	for name, js := range map[string]string{
-		"short std": `{"lang":"Python","classifier":{"mean":[0,1],"std":[1],"weights":[1,1]}}`,
-		"ragged pca": `{"lang":"Python","classifier":{"mean":[0,1],"std":[1,1],"use_pca":true,` +
-			`"pca_mean":[0,0],"pca_components":[[1,0],[0]],"weights":[1,1]}}`,
-	} {
-		if _, err := Decode([]byte(js)); err == nil || !strings.Contains(err.Error(), "classifier") {
-			t.Errorf("%s: got %v, want a classifier shape error", name, err)
-		}
-	}
 }
 
 func TestEmptyArtifactRoundTrip(t *testing.T) {
 	a := &Artifact{Lang: "Go", Pairs: confusion.NewPairSet()}
-	for _, format := range []Format{FormatBinary, FormatJSON} {
-		data, err := Encode(a, format)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := Decode(data)
-		if err != nil {
-			t.Fatalf("%v: %v", format, err)
-		}
-		if back.Lang != "Go" || back.Pairs == nil || back.Pairs.Len() != 0 ||
-			len(back.Patterns) != 0 || back.Classifier != nil {
-			t.Fatalf("%v: empty artifact round-trip diverged: %+v", format, back)
-		}
+	data, err := EncodeBinary(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeBinary(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Lang != "Go" || back.Pairs == nil || back.Pairs.Len() != 0 ||
+		len(back.Patterns) != 0 || back.Classifier != nil {
+		t.Fatalf("empty artifact round-trip diverged: %+v", back)
 	}
 	// A nil pair set encodes as empty rather than crashing.
 	if _, err := EncodeBinary(&Artifact{Lang: "Go"}); err != nil {

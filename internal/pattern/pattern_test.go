@@ -175,3 +175,12 @@ func TestMatchRequiresDeductionPrefix(t *testing.T) {
 		t.Error("match requires a path with the deduction's prefix")
 	}
 }
+
+func TestPatternString(t *testing.T) {
+	cond, deduct, _ := fig2Paths()
+	p := &Pattern{Type: ConfusingWord, Condition: cond, Deduction: []namepath.Path{deduct}}
+	s := p.String()
+	if len(s) == 0 || s[:10] != "Condition:" {
+		t.Errorf("String() = %q", s)
+	}
+}

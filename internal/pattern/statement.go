@@ -4,11 +4,12 @@ import "namer/internal/namepath"
 
 // Statement is a statement's name paths as mining and matching over the
 // whole corpus see them. It answers Matches/Satisfied/Violated/Explain
-// by scanning its paths (at most MaxPathsPerStatement of them) and
-// comparing memoized keys, which for so few paths is cheaper than
-// building an index. Paths from namepath.Extract, namepath.ParsePath and
-// knowledge decoding are memoized; other paths give the same answers but
-// re-encode their keys on every comparison.
+// (and Check, all of them at once) by scanning its paths (at most
+// MaxPathsPerStatement of them) and comparing memoized keys, which for
+// so few paths is cheaper than building an index. Paths from
+// namepath.Extract, namepath.ParsePath and knowledge decoding are
+// memoized; other paths give the same answers but re-encode their keys
+// on every comparison.
 type Statement struct {
 	Paths []namepath.Path
 }
@@ -57,26 +58,33 @@ func (s *Statement) Matches(p *Pattern) bool {
 	return true
 }
 
+// Check answers Matches, Satisfied and Explain at once, with one scan
+// for the precondition and at most one for the offender: matched is
+// Matches(p), satisfied is Satisfied(p), and v, violated are Explain(p).
+func (s *Statement) Check(p *Pattern) (matched, satisfied bool, v Violation, violated bool) {
+	if !s.Matches(p) {
+		return false, false, Violation{}, false
+	}
+	v, violated = s.offender(p)
+	return true, !violated && (p.Type == Consistency || p.Type == ConfusingWord), v, violated
+}
+
 // Satisfied mirrors Pattern.Satisfied.
 func (s *Statement) Satisfied(p *Pattern) bool {
-	if !s.Matches(p) || (p.Type != Consistency && p.Type != ConfusingWord) {
-		return false
-	}
-	_, violated := s.offender(p)
-	return !violated
+	_, satisfied, _, _ := s.Check(p)
+	return satisfied
 }
 
 // Violated mirrors Pattern.Violated.
 func (s *Statement) Violated(p *Pattern) bool {
-	return s.Matches(p) && !s.Satisfied(p)
+	matched, satisfied, _, _ := s.Check(p)
+	return matched && !satisfied
 }
 
 // Explain mirrors Pattern.Explain.
 func (s *Statement) Explain(p *Pattern) (Violation, bool) {
-	if !s.Matches(p) {
-		return Violation{}, false
-	}
-	return s.offender(p)
+	_, _, v, violated := s.Check(p)
+	return v, violated
 }
 
 // offender finds, for a statement that matches p, the first violation

@@ -35,7 +35,8 @@ func pick(paths []namepath.Path, b uint8) namepath.Path {
 
 // Property, the reference oracle of the map-free Statement: it agrees
 // with the naive Pattern methods on Matches, Satisfied, Violated and
-// Explain for both pattern types. Conditions are taken from the
+// Explain, and Check agrees with all three at once, for both pattern
+// types. Conditions are taken from the
 // statement (concrete or symbolic) or generated, so both matching and
 // non-matching patterns occur; up to three extra statement paths share
 // the first deduction prefix, with its end or with others, so both
@@ -96,11 +97,17 @@ func TestStatementAgreesWithPattern(t *testing.T) {
 			s.Violated(p) != p.Violated(paths) {
 			return false
 		}
-		got, gotOK := s.Explain(p)
+		sameViolation := func(got Violation, gotOK bool, want Violation, wantOK bool) bool {
+			return gotOK == wantOK && got.Pattern == want.Pattern &&
+				got.Path.Key() == want.Path.Key() &&
+				got.Original == want.Original && got.Suggested == want.Suggested
+		}
 		want, wantOK := p.Explain(paths)
-		return gotOK == wantOK && got.Pattern == want.Pattern &&
-			got.Path.Key() == want.Path.Key() &&
-			got.Original == want.Original && got.Suggested == want.Suggested
+		got, gotOK := s.Explain(p)
+		matched, satisfied, checked, checkedOK := s.Check(p)
+		return sameViolation(got, gotOK, want, wantOK) &&
+			sameViolation(checked, checkedOK, want, wantOK) &&
+			matched == p.Matches(paths) && satisfied == p.Satisfied(paths)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Error(err)

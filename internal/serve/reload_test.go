@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -228,6 +230,52 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 	}
 	if got := metricValue(t, sv, "namer_knowledge_reload_last_success"); got != "1" {
 		t.Fatalf("reload_last_success after recovery = %q", got)
+	}
+}
+
+// TestReloadRejectsJSONKnowledge: a knowledge file in the JSON format
+// older builds wrote fails the reload with the re-mine error, and the
+// old bundle keeps serving.
+func TestReloadRejectsJSONKnowledge(t *testing.T) {
+	sv, sources, loader := newReloadServer(t)
+	path := filepath.Join(t.TempDir(), "knowledge.json")
+	legacy := `{
+ "lang": "Python",
+ "pairs": [
+  {
+   "mistaken": "recieve",
+   "correct": "receive",
+   "count": 7
+  }
+ ],
+ "patterns": []
+}
+`
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loader.next = func(int) (*core.System, KnowledgeInfo, error) {
+		fresh := core.NewSystem(core.DefaultConfig(ast.Python))
+		if err := fresh.LoadKnowledge(path); err != nil {
+			return nil, KnowledgeInfo{}, err
+		}
+		return fresh, KnowledgeInfo{Summary: "reloaded"}, nil
+	}
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+
+	oldCache := sv.Cache()
+	_, err := sv.Reload()
+	if err == nil || !strings.Contains(err.Error(), "JSON knowledge is no longer read") ||
+		!strings.Contains(err.Error(), "re-run namer-mine") {
+		t.Fatalf("reload of a JSON artifact: got %v, want the re-mine error", err)
+	}
+	if sv.Cache() != oldCache || sv.Knowledge().Summary != "initial knowledge" {
+		t.Fatal("failed reload disturbed the serving bundle")
+	}
+	body, _ := json.Marshal(ScanRequest{Source: sources[0]})
+	if resp, data := postScan(t, ts.URL, string(body)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("scan after a failed JSON reload: %d %s", resp.StatusCode, data)
 	}
 }
 

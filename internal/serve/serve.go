@@ -133,9 +133,9 @@ type KnowledgeInfo struct {
 	Summary string `json:"summary"`
 	// Path is the artifact file, when loaded from one.
 	Path string `json:"path,omitempty"`
-	// Format names the encoding ("binary" or "json").
+	// Format names the encoding ("binary", the only one).
 	Format string `json:"format,omitempty"`
-	// FormatVersion is the binary codec version (0 for JSON).
+	// FormatVersion is the binary codec version.
 	FormatVersion int `json:"format_version,omitempty"`
 	// ContentHash is the hex sha256 of the artifact bytes.
 	ContentHash string `json:"content_hash,omitempty"`

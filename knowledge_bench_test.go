@@ -15,16 +15,16 @@ import (
 	"namer/internal/knowledge"
 )
 
-// knowledgeBenchPaths mines one representative system (patterns + pairs
-// + trained classifier) and saves it in both on-disk formats (JSON debug
-// and flat binary), shared by all knowledge benches in the run.
+// knowledgeBenchPath mines one representative system (patterns + pairs
+// + trained classifier) and saves it as a knowledge file, shared by all
+// knowledge benches in the run.
 var (
 	knowledgeOnce sync.Once
 	knowledgeDir  string
 	knowledgeErr  error
 )
 
-func knowledgeBenchPaths() (jsonPath, binPath string, err error) {
+func knowledgeBenchPath() (string, error) {
 	knowledgeOnce.Do(func() {
 		opts := benchOptions(ast.Python)
 		c := corpus.Generate(opts.Corpus)
@@ -58,15 +58,12 @@ func knowledgeBenchPaths() (jsonPath, binPath string, err error) {
 		if knowledgeErr != nil {
 			return
 		}
-		if knowledgeErr = sys.SaveKnowledge(filepath.Join(knowledgeDir, "k.json")); knowledgeErr != nil {
-			return
-		}
 		knowledgeErr = sys.SaveKnowledge(filepath.Join(knowledgeDir, "k.bin"))
 	})
 	if knowledgeErr != nil {
-		return "", "", knowledgeErr
+		return "", knowledgeErr
 	}
-	return filepath.Join(knowledgeDir, "k.json"), filepath.Join(knowledgeDir, "k.bin"), nil
+	return filepath.Join(knowledgeDir, "k.bin"), nil
 }
 
 // benchKnowledgeLoad measures the full import path: read the file, decode
@@ -89,25 +86,16 @@ func benchKnowledgeLoad(b *testing.B, path string) {
 	}
 }
 
-func BenchmarkKnowledgeLoadJSON(b *testing.B) {
-	jsonPath, _, err := knowledgeBenchPaths()
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchKnowledgeLoad(b, jsonPath)
-}
-
 func BenchmarkKnowledgeLoadBinary(b *testing.B) {
-	_, binPath, err := knowledgeBenchPaths()
+	binPath, err := knowledgeBenchPath()
 	if err != nil {
 		b.Fatal(err)
 	}
 	benchKnowledgeLoad(b, binPath)
 }
 
-// knowledgeBenchFile is the BENCH_knowledge.json schema: size and
-// load-time comparison between the JSON debug format and the flat
-// binary format, tracked commit over commit.
+// knowledgeBenchFile is the BENCH_knowledge.json schema: the size and
+// load time of the binary knowledge artifact, tracked commit over commit.
 type knowledgeBenchFile struct {
 	CPUs       int    `json:"cpus"`
 	Corpus     string `json:"corpus"`
@@ -115,32 +103,22 @@ type knowledgeBenchFile struct {
 	Pairs      int    `json:"pairs"`
 	Classifier bool   `json:"classifier"`
 
-	JSONBytes   int64   `json:"json_bytes"`
-	BinaryBytes int64   `json:"binary_bytes"`
-	SizeRatio   float64 `json:"size_ratio"` // json / binary
-
-	JSONLoadNs   int64   `json:"json_load_ns_per_op"`
-	BinaryLoadNs int64   `json:"binary_load_ns_per_op"`
-	LoadSpeedup  float64 `json:"load_speedup"` // json / binary
-	JSONAllocs   int64   `json:"json_allocs_per_op"`
-	BinaryAllocs int64   `json:"binary_allocs_per_op"`
+	BinaryBytes  int64 `json:"binary_bytes"`
+	BinaryLoadNs int64 `json:"binary_load_ns_per_op"`
+	BinaryAllocs int64 `json:"binary_allocs_per_op"`
 
 	FormatVersion int `json:"binary_format_version"`
 }
 
-// TestWriteKnowledgeBenchJSON snapshots the format comparison into the
-// file named by BENCH_KNOWLEDGE_JSON (make bench writes
+// TestWriteKnowledgeBenchJSON snapshots the artifact's size and load
+// time into the file named by BENCH_KNOWLEDGE_JSON (make bench writes
 // BENCH_knowledge.json); without the env var it is a no-op.
 func TestWriteKnowledgeBenchJSON(t *testing.T) {
 	out := os.Getenv("BENCH_KNOWLEDGE_JSON")
 	if out == "" {
 		t.Skip("set BENCH_KNOWLEDGE_JSON=<file> to record knowledge benchmarks (make bench)")
 	}
-	jsonPath, binPath, err := knowledgeBenchPaths()
-	if err != nil {
-		t.Fatal(err)
-	}
-	jinfo, err := os.Stat(jsonPath)
+	binPath, err := knowledgeBenchPath()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +131,6 @@ func TestWriteKnowledgeBenchJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	jres := testing.Benchmark(func(b *testing.B) { benchKnowledgeLoad(b, jsonPath) })
 	bres := testing.Benchmark(func(b *testing.B) { benchKnowledgeLoad(b, binPath) })
 
 	opts := benchOptions(ast.Python)
@@ -165,23 +142,11 @@ func TestWriteKnowledgeBenchJSON(t *testing.T) {
 		Pairs:      k.Pairs.Len(),
 		Classifier: k.Classifier != nil,
 
-		JSONBytes:   jinfo.Size(),
-		BinaryBytes: binfo.Size(),
-		SizeRatio:   float64(jinfo.Size()) / float64(binfo.Size()),
-
-		JSONLoadNs:   jres.NsPerOp(),
+		BinaryBytes:  binfo.Size(),
 		BinaryLoadNs: bres.NsPerOp(),
-		LoadSpeedup:  float64(jres.NsPerOp()) / float64(bres.NsPerOp()),
-		JSONAllocs:   jres.AllocsPerOp(),
 		BinaryAllocs: bres.AllocsPerOp(),
 
 		FormatVersion: knowledge.Version,
-	}
-	if file.SizeRatio < 1.5 {
-		t.Errorf("binary artifact only %.2fx smaller than JSON (want >= 1.5x)", file.SizeRatio)
-	}
-	if file.LoadSpeedup < 1 {
-		t.Errorf("binary load slower than JSON (%.2fx)", file.LoadSpeedup)
 	}
 	data, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {
@@ -190,6 +155,6 @@ func TestWriteKnowledgeBenchJSON(t *testing.T) {
 	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s: binary %.1fx smaller and %.1fx faster to load than JSON",
-		out, file.SizeRatio, file.LoadSpeedup)
+	t.Logf("wrote %s: %d-byte artifact, %.2f ms to load",
+		out, file.BinaryBytes, float64(file.BinaryLoadNs)/1e6)
 }
