@@ -31,6 +31,7 @@ import (
 	"namer/internal/pattern"
 	"namer/internal/pointsto"
 	"namer/internal/pylang"
+	"namer/internal/samples"
 	"namer/internal/subtoken"
 	"namer/internal/textutil"
 )
@@ -311,9 +312,35 @@ func BenchmarkPruneUncommon(b *testing.B) {
 	if len(candidates) == 0 {
 		b.Fatal("no candidate patterns")
 	}
+	benchPrune(b, "", candidates, stmts)
+
+	// The goroot sample's consistency candidates at the goroot workload's
+	// support threshold: the corpus where prune is the largest miner stage.
+	gs, ok, reason := samples.Goroot()
+	if !ok {
+		b.Logf("goroot sample skipped: %s", reason)
+		return
+	}
+	gcfg := core.DefaultConfig(ast.Go)
+	gsys := core.NewSystem(gcfg)
+	stmts = stmts[:0]
+	for _, f := range gs.Files {
+		for _, ps := range gsys.ProcessFile(&core.InputFile{Path: f.Path, Source: f.Source, Root: f.Root}) {
+			stmts = append(stmts, ps.PS)
+		}
+	}
+	gcfg.Mining.MinPatternCount = 8
+	st := mining.BuildShardTree(stmts, pattern.Consistency, nil, mining.CountPaths(stmts, 1), gcfg.Mining)
+	benchPrune(b, "goroot/", mining.Grow(st, pattern.Consistency, nil, gcfg.Mining), stmts)
+}
+
+// benchPrune times PruneUncommon over the candidates at each scan
+// variant's degree, reporting allocations.
+func benchPrune(b *testing.B, prefix string, candidates []*pattern.Pattern, stmts []*pattern.Statement) {
 	for _, v := range benchScanVariants {
 		workers := v.parallelism
-		b.Run(v.name, func(b *testing.B) {
+		b.Run(prefix+v.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if out := mining.PruneUncommon(candidates, stmts, 0.8, workers); len(out) == 0 {
 					b.Fatal("all candidates pruned")

@@ -347,8 +347,9 @@ func (s *System) matchStmts(stmts []*ProcStmt) (*features.Index, []*Violation) {
 	}
 	var vs []*Violation
 	var seen []StmtObservation
+	var cands []mining.Candidate
 	for _, ps := range stmts {
-		seen, vs = s.matchStmt(ps, seen[:0], vs)
+		seen, vs = s.matchStmt(ps, &cands, seen[:0], vs)
 		for _, o := range seen {
 			stats.AddObservation(ps.Repo, ps.Path, o.Pattern, o.Satisfied)
 		}
@@ -359,9 +360,12 @@ func (s *System) matchStmts(stmts []*ProcStmt) (*features.Index, []*Violation) {
 // matchStmt is the per-statement matcher every scan path shares: each
 // candidate pattern whose precondition the statement matches is appended
 // to seen as an observation, and each explained unsatisfied one to vs.
-// Must only run with a loaded pattern index.
-func (s *System) matchStmt(ps *ProcStmt, seen []StmtObservation, vs []*Violation) ([]StmtObservation, []*Violation) {
-	for _, p := range s.index.Candidates(ps.PS) {
+// The candidates are looked up into *cands, a buffer the caller reuses
+// across statements. Must only run with a loaded pattern index.
+func (s *System) matchStmt(ps *ProcStmt, cands *[]mining.Candidate, seen []StmtObservation, vs []*Violation) ([]StmtObservation, []*Violation) {
+	*cands = s.index.AppendCandidates((*cands)[:0], ps.PS)
+	for _, c := range *cands {
+		p := c.Pattern
 		matched, satisfied, detail, violated := ps.PS.Check(p)
 		if !matched {
 			continue

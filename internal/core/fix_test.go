@@ -134,3 +134,44 @@ func TestFixReportFallback(t *testing.T) {
 		t.Errorf("fallback report = %q", r)
 	}
 }
+
+// A //line directive renames positions for compiler messages, but
+// reports and fixes address the submitted file itself: statement lines
+// and source lines must be the file's own, and ApplyFix must rewrite the
+// flagged line.
+func TestGoLineDirectiveKeepsFileLines(t *testing.T) {
+	src := `package p
+
+//line gen.y:500
+func f(limit int) int {
+	maxCount := limit
+	return maxCount
+}
+`
+	root, err := ParseSource(ast.Go, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(DefaultConfig(ast.Go))
+	var assign *ProcStmt
+	for _, ps := range sys.ProcessFile(&InputFile{Path: "gen.go", Source: src, Root: root}) {
+		if ps.Line > 7 {
+			t.Errorf("statement at line %d of a 7-line file (%q)", ps.Line, ps.SourceLine)
+		}
+		if ps.Line == 5 {
+			assign = ps
+		}
+	}
+	if assign == nil || assign.SourceLine != "maxCount := limit" {
+		t.Fatalf("line 5 statement = %+v, want source line %q", assign, "maxCount := limit")
+	}
+	v := &Violation{Stmt: assign}
+	v.Detail.Original, v.Detail.Suggested = "Count", "Total"
+	fixed, ok := ApplyFix(src, v)
+	if !ok {
+		t.Fatal("ApplyFix failed")
+	}
+	if want := strings.Replace(src, "maxCount := limit", "maxTotal := limit", 1); fixed != want {
+		t.Errorf("ApplyFix rewrote the wrong line:\n%s", fixed)
+	}
+}

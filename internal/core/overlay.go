@@ -30,6 +30,7 @@ import (
 
 	"namer/internal/ast"
 	"namer/internal/features"
+	"namer/internal/mining"
 	"namer/internal/obs"
 	"namer/internal/pattern"
 )
@@ -200,8 +201,9 @@ func (s *System) overlayFull(ctx context.Context, f *InputFile) (*OverlayResult,
 	}
 	fa := &FileAnalysis{Repo: f.Repo, Path: f.Path, Source: f.Source,
 		Stmts: make([]*StmtAnalysis, len(stmts))}
+	var cands []mining.Candidate
 	for i, ps := range stmts {
-		fa.Stmts[i] = s.analyzeStmt(ps)
+		fa.Stmts[i] = s.analyzeStmt(ps, &cands)
 	}
 	return fa.result(0, false), nil
 }
@@ -295,6 +297,7 @@ func (s *System) rescanRegion(ctx context.Context, f *InputFile, prev *FileAnaly
 	// region / suffix runs (ast.Statements emits nondecreasing lines);
 	// anything out of order bails to the full path.
 	out := make([]*StmtAnalysis, 0, len(prev.Stmts)+len(stmts))
+	var cands []mining.Candidate
 	reused := 0
 	phase := 0 // 0 prefix, 1 old region, 2 suffix
 	for _, sa := range prev.Stmts {
@@ -312,13 +315,13 @@ func (s *System) rescanRegion(ctx context.Context, f *InputFile, prev *FileAnaly
 			if phase == 0 {
 				phase = 1
 				for _, ps := range stmts {
-					out = append(out, s.analyzeStmt(ps))
+					out = append(out, s.analyzeStmt(ps, &cands))
 				}
 			}
 		default:
 			if phase == 0 {
 				for _, ps := range stmts {
-					out = append(out, s.analyzeStmt(ps))
+					out = append(out, s.analyzeStmt(ps, &cands))
 				}
 			}
 			phase = 2
@@ -330,7 +333,7 @@ func (s *System) rescanRegion(ctx context.Context, f *InputFile, prev *FileAnaly
 		// No previous statement at or past the region (e.g. appending
 		// at EOF): the region statements still go in.
 		for _, ps := range stmts {
-			out = append(out, s.analyzeStmt(ps))
+			out = append(out, s.analyzeStmt(ps, &cands))
 		}
 	}
 	fa := &FileAnalysis{Repo: f.Repo, Path: f.Path, Source: f.Source, Stmts: out}
@@ -338,11 +341,12 @@ func (s *System) rescanRegion(ctx context.Context, f *InputFile, prev *FileAnaly
 }
 
 // analyzeStmt runs the shared matcher on one statement, keeping its
-// observations and violations for reuse by later splices.
-func (s *System) analyzeStmt(ps *ProcStmt) *StmtAnalysis {
+// observations and violations for reuse by later splices. cands is the
+// caller's candidate buffer (see matchStmt).
+func (s *System) analyzeStmt(ps *ProcStmt, cands *[]mining.Candidate) *StmtAnalysis {
 	sa := &StmtAnalysis{Stmt: ps}
 	if s.index != nil {
-		sa.Obs, sa.Violations = s.matchStmt(ps, nil, nil)
+		sa.Obs, sa.Violations = s.matchStmt(ps, cands, nil, nil)
 	}
 	return sa
 }

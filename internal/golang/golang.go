@@ -35,11 +35,12 @@ type converter struct {
 	fset *gotoken.FileSet
 }
 
+// pos is the node's line in the source as given, ignoring //line directives.
 func (c *converter) pos(n goast.Node) int {
 	if n == nil {
 		return 0
 	}
-	return c.fset.Position(n.Pos()).Line
+	return c.fset.PositionFor(n.Pos(), false).Line
 }
 
 func (c *converter) node(k uast.Kind, n goast.Node, children ...*uast.Node) *uast.Node {

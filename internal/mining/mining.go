@@ -6,8 +6,11 @@
 package mining
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
+	"strings"
 
 	"namer/internal/confusion"
 	"namer/internal/fptree"
@@ -325,14 +328,8 @@ func Grow(st ShardTree, t pattern.Type, pairs *confusion.PairSet, cfg Config) []
 // map/reduce driver's count-reduce step does across corpus shards.
 func CountPaths(stmts []*pattern.Statement, workers int) map[string]int {
 	shards := parallel.Shards(len(stmts), workers)
-	if len(shards) <= 1 {
-		freq := make(map[string]int)
-		for _, s := range stmts {
-			for _, p := range s.Paths {
-				freq[p.Key()]++
-			}
-		}
-		return freq
+	if len(shards) == 0 {
+		return make(map[string]int)
 	}
 	parts := make([]map[string]int, len(shards))
 	parallel.ForEachShard(len(stmts), workers, func(shard, lo, hi int) {
@@ -358,37 +355,44 @@ func CountPaths(stmts []*pattern.Statement, workers int) map[string]int {
 // whose satisfaction/match ratio is at least minRatio. Match and satisfy
 // counts are recorded on the surviving patterns (features 6 and 12).
 //
-// Candidates are independent of each other, so the counting fans out
-// across `workers` goroutines (0 = all CPUs, 1 = serial); each worker
-// writes only its own candidate's slot and pattern, and the final filter
-// runs serially in candidate order, so output is identical at any degree.
+// It counts through the Index detection uses: the statements are split
+// into contiguous shards across `workers` goroutines (0 = all CPUs,
+// 1 = serial), and each shard walks its statements through the index,
+// checks every candidate once with Statement.Check and counts into its
+// own array, indexed by the candidate's input position. The arrays are
+// summed in shard order and the filter runs in candidate order, so
+// output is identical at any degree.
 func PruneUncommon(candidates []*pattern.Pattern, stmts []*pattern.Statement,
 	minRatio float64, workers int) []*pattern.Pattern {
 
-	for _, p := range candidates {
-		p.Key() // warm the identity caches before sharing across workers
-	}
-	idx := newStmtIndex(stmts)
-	type stat struct{ matches, satisfies int }
-	stats := make([]stat, len(candidates))
-	parallel.ForEach(len(candidates), parallel.Degree(workers), func(i int) {
-		p := candidates[i]
-		for _, s := range idx.candidates(p) {
-			if s.Matches(p) {
-				stats[i].matches++
-				if s.Satisfied(p) {
-					stats[i].satisfies++
+	idx := NewIndex(candidates) // also warms every Key before the shards share them
+	workers = parallel.Degree(workers)
+	type stat struct{ matches, satisfies int32 }
+	parts := make([][]stat, len(parallel.Shards(len(stmts), workers)))
+	parallel.ForEachShard(len(stmts), workers, func(shard, lo, hi int) {
+		stats := make([]stat, len(candidates))
+		var buf []Candidate
+		for _, s := range stmts[lo:hi] {
+			buf = idx.AppendCandidates(buf[:0], s)
+			for _, e := range buf {
+				if matched, satisfied, _, _ := s.Check(e.Pattern); matched {
+					stats[e.Pos].matches++
+					if satisfied {
+						stats[e.Pos].satisfies++
+					}
 				}
 			}
 		}
+		parts[shard] = stats
 	})
 	var out []*pattern.Pattern
 	for i, p := range candidates {
-		matches, satisfies := stats[i].matches, stats[i].satisfies
-		if matches == 0 {
-			continue
+		var matches, satisfies int
+		for _, stats := range parts {
+			matches += int(stats[i].matches)
+			satisfies += int(stats[i].satisfies)
 		}
-		if float64(satisfies)/float64(matches) < minRatio {
+		if matches == 0 || float64(satisfies)/float64(matches) < minRatio {
 			continue
 		}
 		p.MatchCount = matches
@@ -522,98 +526,77 @@ func combinations(items []int, maxOut int) [][]int {
 	return out
 }
 
-// stmtIndex is an inverted index from deduction prefix keys to statements,
-// so pruneUncommon and violation scans touch only plausible statements.
-type stmtIndex struct {
-	byPrefix map[string][]*pattern.Statement
-}
-
-func newStmtIndex(stmts []*pattern.Statement) *stmtIndex {
-	idx := &stmtIndex{byPrefix: make(map[string][]*pattern.Statement)}
-	for _, s := range stmts {
-		seen := map[string]bool{}
-		for _, p := range s.Paths {
-			pk := p.PrefixKey()
-			if !seen[pk] {
-				seen[pk] = true
-				idx.byPrefix[pk] = append(idx.byPrefix[pk], s)
-			}
-		}
-	}
-	return idx
-}
-
-// candidates returns the statements that contain the pattern's first
-// deduction prefix (a necessary condition for a match).
-func (idx *stmtIndex) candidates(p *pattern.Pattern) []*pattern.Statement {
-	if len(p.Deduction) == 0 {
-		return nil
-	}
-	best := idx.byPrefix[p.Deduction[0].PrefixKey()]
-	for _, d := range p.Deduction[1:] {
-		if alt := idx.byPrefix[d.PrefixKey()]; len(alt) < len(best) {
-			best = alt
-		}
-	}
-	return best
-}
-
-// Index provides fast candidate-pattern lookup per statement for the
-// violation scan at inference time: a pattern can only match a statement
-// that contains its deduction prefixes. Building the index assigns every
-// pattern a dense rank in ascending Key order and pre-sorts each prefix
-// bucket by that rank, so Candidates returns a deterministically ordered
-// list without any string comparisons on the scan's per-statement path.
-// A built Index is immutable and safe for concurrent readers.
+// Index is the candidate index that detection and pruning share. A
+// pattern can only match a statement that contains its deduction
+// prefixes (Definition 3.6), so each pattern is filed under the prefix
+// key of its first deduction path; patterns without a deduction are
+// never candidates. Building the index ranks every pattern in ascending
+// Key order, ties broken by input position, and fills each bucket in
+// rank order, so a lookup orders its result with integer comparisons
+// only. A built Index is immutable and safe for concurrent readers.
 type Index struct {
-	byPrefix map[string][]rankedPattern
+	byPrefix map[string][]Candidate
 }
 
-type rankedPattern struct {
-	rank int
-	pat  *pattern.Pattern
+// Candidate is one index entry: a pattern, its position in the slice
+// NewIndex was given, and its rank.
+type Candidate struct {
+	Pattern *pattern.Pattern
+	Pos     int32
+	rank    int32
 }
 
 // NewIndex indexes patterns by their first deduction prefix key. It also
 // warms every pattern's Key cache, so the patterns can subsequently be
 // shared across scan workers without synchronization.
 func NewIndex(patterns []*pattern.Pattern) *Index {
-	ordered := make([]*pattern.Pattern, len(patterns))
-	copy(ordered, patterns)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Key() < ordered[j].Key() })
-	idx := &Index{byPrefix: make(map[string][]rankedPattern)}
-	for rank, p := range ordered {
+	order := make([]int32, len(patterns))
+	for i, p := range patterns {
+		p.Key()
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int {
+		return strings.Compare(patterns[a].Key(), patterns[b].Key())
+	})
+	idx := &Index{byPrefix: make(map[string][]Candidate)}
+	for rank, pos := range order {
+		p := patterns[pos]
 		if len(p.Deduction) == 0 {
 			continue
 		}
 		k := p.Deduction[0].PrefixKey()
-		idx.byPrefix[k] = append(idx.byPrefix[k], rankedPattern{rank: rank, pat: p})
+		idx.byPrefix[k] = append(idx.byPrefix[k], Candidate{Pattern: p, Pos: pos, rank: int32(rank)})
 	}
-	// Buckets are filled in ascending rank order already (the loop runs
-	// over the rank-sorted slice), so each bucket is sorted by construction.
 	return idx
 }
 
-// Candidates returns the patterns whose deduction prefix occurs in the
-// statement, without duplicates, in ascending pattern-Key order. Each
-// pattern lives in exactly one prefix bucket, so deduplication only has to
-// skip repeated statement prefixes; the final ordering is a cheap integer
-// sort over the pre-ranked buckets.
-func (idx *Index) Candidates(s *pattern.Statement) []*pattern.Pattern {
-	var ranked []rankedPattern
-	prefixSeen := map[string]bool{}
+// AppendCandidates appends to buf the entries whose deduction prefix
+// occurs in the statement, each once, in ascending rank (Key) order, and
+// returns the extended buffer. Each pattern lives in exactly one bucket,
+// so a statement prefix whose bucket was gathered already is skipped: its
+// first entry is among the entries gathered so far. This holds for any
+// number of paths. A caller that reuses buf looks statements up without
+// allocating once buf has grown to fit.
+func (idx *Index) AppendCandidates(buf []Candidate, s *pattern.Statement) []Candidate {
+	start := len(buf)
 	for _, p := range s.Paths {
-		pk := p.PrefixKey()
-		if prefixSeen[pk] {
+		bucket := idx.byPrefix[p.PrefixKey()]
+		if len(bucket) == 0 || slices.ContainsFunc(buf[start:], func(e Candidate) bool { return e.rank == bucket[0].rank }) {
 			continue
 		}
-		prefixSeen[pk] = true
-		ranked = append(ranked, idx.byPrefix[pk]...)
+		buf = append(buf, bucket...)
 	}
-	sort.Slice(ranked, func(i, j int) bool { return ranked[i].rank < ranked[j].rank })
-	out := make([]*pattern.Pattern, len(ranked))
-	for i, rp := range ranked {
-		out[i] = rp.pat
+	slices.SortFunc(buf[start:], func(a, b Candidate) int { return cmp.Compare(a.rank, b.rank) })
+	return buf
+}
+
+// Candidates returns the patterns whose deduction prefix occurs in the
+// statement, without duplicates, in ascending pattern-Key order.
+func (idx *Index) Candidates(s *pattern.Statement) []*pattern.Pattern {
+	es := idx.AppendCandidates(nil, s)
+	out := make([]*pattern.Pattern, len(es))
+	for i, e := range es {
+		out[i] = e.Pattern
 	}
 	return out
 }

@@ -224,13 +224,16 @@ func TestIndexCandidates(t *testing.T) {
 	if got := idx.Candidates(other); len(got) != 0 {
 		t.Errorf("unrelated statement got %d candidates", len(got))
 	}
-	// No duplicates.
+	// No duplicates, and ascending key order.
 	seen := map[*pattern.Pattern]bool{}
-	for _, c := range cands {
+	for i, c := range cands {
 		if seen[c] {
 			t.Error("duplicate candidate")
 		}
 		seen[c] = true
+		if i > 0 && cands[i-1].Key() >= c.Key() {
+			t.Errorf("candidate %d key %q not above %q", i, c.Key(), cands[i-1].Key())
+		}
 	}
 }
 

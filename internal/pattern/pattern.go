@@ -50,7 +50,8 @@ type Pattern struct {
 
 	// key caches the canonical identity string. It is filled lazily by
 	// Key(); concurrent pipeline stages warm it from a single goroutine
-	// first (mining.NewIndex and PruneUncommon do this), after which reads
+	// first (mining.NewIndex does this, for detection and for
+	// PruneUncommon, which prunes through the index), after which reads
 	// are race-free.
 	key string
 }
