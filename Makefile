@@ -38,7 +38,9 @@ race:
 # BenchmarkMinePatterns show the speedup on multi-core runners), time
 # the points-to analysis per sample (BenchmarkAnalyze, with the facts
 # and context-explosion fallbacks it produced) and the whole per-file
-# front end with its allocations (BenchmarkFrontEnd), then
+# front end with its allocations (BenchmarkFrontEnd), the corpus load on
+# all CPUs and on one (BenchmarkLoadDirectory) and the Go parse with its
+# conversion to the unified AST (BenchmarkParse), then
 # record the mining-stage numbers (ns/op, allocs/op, FP-tree node count)
 # into BENCH_mining.json and the per-stage span durations of one traced
 # end-to-end run into BENCH_trace.json, so the perf trajectory is
@@ -47,7 +49,8 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkScan$$|BenchmarkPruneUncommon|BenchmarkMinePatterns' -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkServeScan$$' -benchmem ./internal/serve
 	$(GO) test -run xxx -bench 'BenchmarkAnalyze$$' -benchmem ./internal/pointsto
-	$(GO) test -run xxx -bench 'BenchmarkFrontEnd$$' -benchmem ./internal/core
+	$(GO) test -run xxx -bench 'BenchmarkFrontEnd$$|BenchmarkLoadDirectory$$' -benchmem ./internal/core
+	$(GO) test -run xxx -bench 'BenchmarkParse$$' -benchmem ./internal/golang
 	BENCH_JSON=BENCH_mining.json $(GO) test -run 'TestWriteMiningBenchJSON$$' -count=1 -v .
 	BENCH_TRACE_JSON=BENCH_trace.json $(GO) test -run 'TestWriteTraceBenchJSON$$' -count=1 -v .
 	BENCH_KNOWLEDGE_JSON=BENCH_knowledge.json $(GO) test -run 'TestWriteKnowledgeBenchJSON$$' -count=1 -v .
@@ -57,7 +60,8 @@ bench:
 # bytes from disk (the knowledge artifact, the FP-tree codec, and the
 # checkpoint envelope), over the session range-edit splice, which takes
 # positions from editor clients, over the hand-written Python and Java
-# parsers, which take source from files and requests, over the unified
+# parsers and the Go front end's conversion of go/parser trees, which take
+# source from files and requests, over the unified
 # diff applier, which takes patches from /v1/diff clients, and over the
 # driver's decoding and grafting of worker Result lines. Go fuzzes one
 # target per invocation, hence one line each.
@@ -68,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyEdit$$' -fuzztime 5s ./internal/session
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePython$$' -fuzztime 5s ./internal/pylang
 	$(GO) test -run '^$$' -fuzz '^FuzzParseJava$$' -fuzztime 5s ./internal/javalang
+	$(GO) test -run '^$$' -fuzz '^FuzzParseGo$$' -fuzztime 5s ./internal/golang
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyUnifiedDiff$$' -fuzztime 5s ./internal/udiff
 	$(GO) test -run '^$$' -fuzz '^FuzzWorkerResult$$' -fuzztime 5s ./internal/driver
 

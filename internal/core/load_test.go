@@ -3,6 +3,8 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"namer/internal/ast"
@@ -168,5 +170,75 @@ func TestToolchainFlow(t *testing.T) {
 	t.Logf("toolchain: %d reports, precision %.2f", reports, precision)
 	if precision < 0.5 {
 		t.Errorf("toolchain precision %.2f too low", precision)
+	}
+}
+
+// TestLoadDirectoryMatchesSerial loads a tree with nested repositories, a
+// file of another language, an unparseable file and an empty one on
+// several worker counts: every count must give the serial path's files
+// and errors, in the same order.
+func TestLoadDirectoryMatchesSerial(t *testing.T) {
+	dir := t.TempDir()
+	for path, src := range map[string]string{
+		"alpha/main.py":                "def main():\n    count = 1\n    return count\n",
+		"alpha/pkg/util.py":            "class Util:\n    def __init__(self, name):\n        self.name = name\n",
+		"alpha/pkg/deep/nested/mod.py": "def helper(size):\n    total = size\n    return total\n",
+		"alpha/pkg/Other.java":         "class Other {}\n",
+		"beta/broken.py":               "def broken(:\n",
+		"beta/empty.py":                "",
+		"beta/vendor/gamma/lib.py":     "value = 2\nlimit = value\n",
+		"top.py":                       "x = 1\n",
+	} {
+		full := filepath.Join(dir, filepath.FromSlash(path))
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type loaded struct {
+		repo, path, source, fingerprint string
+	}
+	summarize := func(files []*InputFile, errs []error) ([]loaded, []string) {
+		var fs []loaded
+		for _, f := range files {
+			fs = append(fs, loaded{f.Repo, f.Path, f.Source, f.Root.Fingerprint()})
+		}
+		var es []string
+		for _, err := range errs {
+			es = append(es, err.Error())
+		}
+		return fs, es
+	}
+	wantFiles, wantErrs := summarize(loadDirectory(dir, ast.Python, 1))
+	var paths []string
+	for _, f := range wantFiles {
+		paths = append(paths, filepath.ToSlash(f.path))
+	}
+	if want := []string{"alpha/main.py", "alpha/pkg/deep/nested/mod.py", "alpha/pkg/util.py",
+		"beta/empty.py", "beta/vendor/gamma/lib.py", "top.py"}; !reflect.DeepEqual(paths, want) {
+		t.Fatalf("serial load gave %q, want %q", paths, want)
+	}
+	if len(wantErrs) != 1 || !strings.HasPrefix(wantErrs[0], filepath.Join("beta", "broken.py")+": ") {
+		t.Fatalf("serial load errors %q, want one for beta/broken.py", wantErrs)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		gotFiles, gotErrs := summarize(loadDirectory(dir, ast.Python, workers))
+		if !reflect.DeepEqual(gotFiles, wantFiles) {
+			t.Errorf("%d workers: files %+v, serial %+v", workers, gotFiles, wantFiles)
+		}
+		if !reflect.DeepEqual(gotErrs, wantErrs) {
+			t.Errorf("%d workers: errors %q, serial %q", workers, gotErrs, wantErrs)
+		}
+	}
+	gotFiles, gotErrs := summarize(LoadDirectory(dir, ast.Python))
+	if !reflect.DeepEqual(gotFiles, wantFiles) || !reflect.DeepEqual(gotErrs, wantErrs) {
+		t.Errorf("LoadDirectory differs from the serial path: %+v %q", gotFiles, gotErrs)
+	}
+	// A root that cannot be walked gives its walk error and no files.
+	files, errs := loadDirectory(filepath.Join(dir, "missing"), ast.Python, 8)
+	if len(files) != 0 || len(errs) != 1 {
+		t.Errorf("missing root: %d files, errors %v", len(files), errs)
 	}
 }

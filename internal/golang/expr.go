@@ -39,11 +39,12 @@ func (c *converter) expr(e goast.Expr, store bool) *uast.Node {
 		return c.node(kind, x, c.expr(x.X, false),
 			c.node(uast.Attr, x.Sel, c.leaf(uast.Ident, x.Sel.Name, x.Sel)))
 	case *goast.CallExpr:
-		call := c.node(uast.Call, x, c.expr(x.Fun, false))
+		mark := len(c.stack)
+		c.push(c.expr(x.Fun, false))
 		for _, a := range x.Args {
-			call.Add(c.expr(a, false))
+			c.push(c.expr(a, false))
 		}
-		return call
+		return c.done(uast.Call, x, mark)
 	case *goast.IndexExpr:
 		kind := uast.SubscriptLoad
 		if store {
@@ -52,12 +53,13 @@ func (c *converter) expr(e goast.Expr, store bool) *uast.Node {
 		return c.node(kind, x, c.expr(x.X, false),
 			c.node(uast.Index, x, c.expr(x.Index, false)))
 	case *goast.SliceExpr:
-		sl := c.node(uast.SliceRange, x)
-		for _, part := range []goast.Expr{x.Low, x.High, x.Max} {
+		mark := len(c.stack)
+		for _, part := range [...]goast.Expr{x.Low, x.High, x.Max} {
 			if part != nil {
-				sl.Add(c.expr(part, false))
+				c.push(c.expr(part, false))
 			}
 		}
+		sl := c.done(uast.SliceRange, x, mark)
 		return c.node(uast.SubscriptLoad, x, c.expr(x.X, false), sl)
 	case *goast.BinaryExpr:
 		op := x.Op.String()
@@ -80,23 +82,24 @@ func (c *converter) expr(e goast.Expr, store bool) *uast.Node {
 	case *goast.ParenExpr:
 		return c.expr(x.X, store)
 	case *goast.CompositeLit:
-		lit := c.node(uast.ListLit, x)
+		mark := len(c.stack)
 		for _, el := range x.Elts {
-			lit.Add(c.expr(el, false))
+			c.push(c.expr(el, false))
 		}
-		return lit
+		return c.done(uast.ListLit, x, mark)
 	case *goast.KeyValueExpr:
 		return c.node(uast.DictItem, x, c.expr(x.Key, false), c.expr(x.Value, false))
 	case *goast.FuncLit:
-		params := c.node(uast.Params, x)
+		mark := len(c.stack)
 		if x.Type.Params != nil {
 			for _, f := range x.Type.Params.List {
 				for _, nm := range f.Names {
-					params.Add(c.node(uast.Param, f, c.typeRef(f.Type),
+					c.push(c.node(uast.Param, f, c.typeRef(f.Type),
 						c.leaf(uast.Ident, nm.Name, nm)))
 				}
 			}
 		}
+		params := c.done(uast.Params, x, mark)
 		return c.node(uast.Lambda, x, params, c.block(x.Body))
 	case *goast.TypeAssertExpr:
 		if x.Type == nil {

@@ -16,6 +16,7 @@ import (
 	"go/parser"
 	gotoken "go/token"
 	"strings"
+	"unsafe"
 
 	uast "namer/internal/ast"
 )
@@ -27,106 +28,204 @@ func Parse(src string) (*uast.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &converter{fset: fset}
-	return c.file(file), nil
+	return newConverter(fset.File(file.FileStart)).file(file), nil
 }
+
+// Slab sizes: nodes and child lists are carved from per-file chunks of
+// 8 KiB and 2 KiB, each filling one of the allocator's size classes, so a
+// tree costs a few allocations per hundred nodes and a cached tree keeps
+// at most one part-used chunk of each.
+const (
+	nodeChunk = 8192 / int(unsafe.Sizeof(uast.Node{}))
+	kidChunk  = 2048 / int(unsafe.Sizeof((*uast.Node)(nil)))
+)
 
 type converter struct {
-	fset *gotoken.FileSet
+	base, size int   // the file's Base and Size in its FileSet
+	lines      []int // offsets of the file's line starts (token.File.Lines)
+	cur        int   // index into lines of the last line found
+
+	nodes []uast.Node  // unused rest of the current node chunk
+	kids  []*uast.Node // unused rest of the current child-list chunk
+	stack []*uast.Node // children pushed for the lists being built, innermost last
 }
 
-// pos is the node's line in the source as given, ignoring //line directives.
+func newConverter(tf *gotoken.File) *converter {
+	return &converter{base: tf.Base(), size: tf.Size(), lines: tf.Lines(), stack: make([]*uast.Node, 0, 64)}
+}
+
+// pos is the node's line in the source as given, ignoring //line
+// directives: FileSet.PositionFor(n.Pos(), false).Line, looked up in the
+// file's own line table without the FileSet's lock. Most lookups land on
+// the line of the previous one; the rest binary-search.
 func (c *converter) pos(n goast.Node) int {
 	if n == nil {
 		return 0
 	}
-	return c.fset.PositionFor(n.Pos(), false).Line
+	p := n.Pos()
+	off := int(p) - c.base
+	if !p.IsValid() || off < 0 || off > c.size {
+		return 0
+	}
+	lines := c.lines
+	if i := c.cur; lines[i] <= off && (i+1 == len(lines) || off < lines[i+1]) {
+		return i + 1
+	}
+	// lines[0] is 0, so the line is the last index whose offset is <= off.
+	lo, hi := 1, len(lines)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if lines[m] <= off {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	c.cur = lo - 1
+	return lo
 }
 
+// alloc returns a node from the slab, set to kind k, value v and n's line.
+func (c *converter) alloc(k uast.Kind, v string, n goast.Node) *uast.Node {
+	if len(c.nodes) == 0 {
+		c.nodes = make([]uast.Node, nodeChunk)
+	}
+	out := &c.nodes[0]
+	c.nodes = c.nodes[1:]
+	*out = uast.Node{Kind: k, Value: v, Line: c.pos(n)}
+	return out
+}
+
+// children returns a child list of length and capacity size from the
+// slab; an append past its end copies it rather than overwrite a
+// neighbour's list.
+func (c *converter) children(size int) []*uast.Node {
+	if size > len(c.kids) {
+		if size > kidChunk {
+			return make([]*uast.Node, size)
+		}
+		c.kids = make([]*uast.Node, kidChunk)
+	}
+	out := c.kids[:size:size]
+	c.kids = c.kids[size:]
+	return out
+}
+
+// node returns a non-terminal node at n's line with exactly these children.
 func (c *converter) node(k uast.Kind, n goast.Node, children ...*uast.Node) *uast.Node {
-	out := uast.NewNode(k, children...)
-	out.Line = c.pos(n)
+	out := c.alloc(k, k.String(), n)
+	if len(children) > 0 {
+		out.Children = c.children(len(children))
+		copy(out.Children, children)
+	}
+	return out
+}
+
+// push adds a child to the innermost list being built; a list is begun by
+// taking mark := len(c.stack) and ended by done, so that a nested
+// conversion pops its own children before its node is pushed.
+func (c *converter) push(n *uast.Node) {
+	c.stack = append(c.stack, n)
+}
+
+// done pops the children pushed since mark into a new non-terminal node at
+// n's line.
+func (c *converter) done(k uast.Kind, n goast.Node, mark int) *uast.Node {
+	out := c.node(k, n, c.stack[mark:]...)
+	c.stack = c.stack[:mark]
 	return out
 }
 
 func (c *converter) leaf(k uast.Kind, value string, n goast.Node) *uast.Node {
-	out := uast.NewLeaf(k, value)
-	out.Line = c.pos(n)
+	return c.alloc(k, value, n)
+}
+
+// clone is ast.Node.Clone on the slab.
+func (c *converter) clone(n *uast.Node) *uast.Node {
+	out := c.alloc(n.Kind, n.Value, nil)
+	out.Line = n.Line
+	if len(n.Children) > 0 {
+		out.Children = c.children(len(n.Children))
+		for i, ch := range n.Children {
+			out.Children[i] = c.clone(ch)
+		}
+	}
 	return out
 }
 
 func (c *converter) file(f *goast.File) *uast.Node {
-	mod := c.node(uast.Module, f)
-	mod.Add(c.node(uast.PackageDecl, f.Name, c.leaf(uast.Ident, f.Name.Name, f.Name)))
+	mark := len(c.stack)
+	c.push(c.node(uast.PackageDecl, f.Name, c.leaf(uast.Ident, f.Name.Name, f.Name)))
 	for _, imp := range f.Imports {
 		path := strings.Trim(imp.Path.Value, `"`)
-		alias := c.node(uast.ImportAlias, imp, c.leaf(uast.Ident, path, imp))
+		aliasMark := len(c.stack)
+		c.push(c.leaf(uast.Ident, path, imp))
 		if imp.Name != nil {
-			alias.Add(c.leaf(uast.Ident, imp.Name.Name, imp.Name))
+			c.push(c.leaf(uast.Ident, imp.Name.Name, imp.Name))
 		}
-		mod.Add(c.node(uast.Import, imp, alias))
+		c.push(c.node(uast.Import, imp, c.done(uast.ImportAlias, imp, aliasMark)))
 	}
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *goast.FuncDecl:
-			mod.Add(c.funcDecl(d))
+			c.push(c.funcDecl(d))
 		case *goast.GenDecl:
-			if d.Tok == gotoken.IMPORT {
-				continue
-			}
-			for _, out := range c.genDecl(d) {
-				mod.Add(out)
+			if d.Tok != gotoken.IMPORT {
+				c.genDecl(d)
 			}
 		}
 	}
-	return mod
+	return c.done(uast.Module, f, mark)
 }
 
-func (c *converter) genDecl(d *goast.GenDecl) []*uast.Node {
-	var out []*uast.Node
+// genDecl pushes the nodes of d's type and value specs.
+func (c *converter) genDecl(d *goast.GenDecl) {
 	for _, spec := range d.Specs {
 		switch s := spec.(type) {
 		case *goast.TypeSpec:
-			out = append(out, c.typeSpec(s))
+			c.push(c.typeSpec(s))
 		case *goast.ValueSpec:
-			out = append(out, c.valueSpec(s)...)
+			c.valueSpec(s)
 		}
 	}
-	return out
 }
 
 func (c *converter) typeSpec(s *goast.TypeSpec) *uast.Node {
 	switch t := s.Type.(type) {
 	case *goast.StructType:
-		cls := c.node(uast.ClassDef, s, c.leaf(uast.Ident, s.Name.Name, s.Name),
-			c.node(uast.Bases, s))
-		body := c.node(uast.Body, s)
+		// Embedded fields are the bases.
+		mark := len(c.stack)
 		for _, f := range t.Fields.List {
-			typ := c.typeRef(f.Type)
 			if len(f.Names) == 0 {
-				// Embedded field: treat as a base.
-				cls.Children[1].Add(typ)
+				c.push(c.typeRef(f.Type))
+			}
+		}
+		bases := c.done(uast.Bases, s, mark)
+		for _, f := range t.Fields.List {
+			if len(f.Names) == 0 {
 				continue
 			}
-			for _, nm := range f.Names {
-				body.Add(c.node(uast.FieldDecl, f, typ.Clone(),
+			typ := c.typeRef(f.Type)
+			for i, nm := range f.Names {
+				if i > 0 {
+					typ = c.clone(typ)
+				}
+				c.push(c.node(uast.FieldDecl, f, typ,
 					c.node(uast.NameStore, nm, c.leaf(uast.Ident, nm.Name, nm))))
 			}
 		}
-		cls.Add(body)
-		return cls
+		return c.node(uast.ClassDef, s, c.leaf(uast.Ident, s.Name.Name, s.Name), bases,
+			c.done(uast.Body, s, mark))
 	case *goast.InterfaceType:
-		it := c.node(uast.InterfaceDef, s, c.leaf(uast.Ident, s.Name.Name, s.Name),
-			c.node(uast.Bases, s))
-		body := c.node(uast.Body, s)
+		mark := len(c.stack)
 		for _, m := range t.Methods.List {
 			for _, nm := range m.Names {
-				body.Add(c.node(uast.FunctionDef, m,
+				c.push(c.node(uast.FunctionDef, m,
 					c.leaf(uast.Ident, nm.Name, nm), c.node(uast.Params, m), c.node(uast.Body, m)))
 			}
 		}
-		it.Add(body)
-		return it
+		return c.node(uast.InterfaceDef, s, c.leaf(uast.Ident, s.Name.Name, s.Name),
+			c.node(uast.Bases, s), c.done(uast.Body, s, mark))
 	default:
 		// Named type alias: record as an empty class.
 		return c.node(uast.ClassDef, s, c.leaf(uast.Ident, s.Name.Name, s.Name),
@@ -134,31 +233,27 @@ func (c *converter) typeSpec(s *goast.TypeSpec) *uast.Node {
 	}
 }
 
-func (c *converter) valueSpec(s *goast.ValueSpec) []*uast.Node {
-	var out []*uast.Node
+// valueSpec pushes a LocalVarDecl per name of s.
+func (c *converter) valueSpec(s *goast.ValueSpec) {
 	for i, nm := range s.Names {
-		d := c.node(uast.LocalVarDecl, s)
+		mark := len(c.stack)
 		if s.Type != nil {
-			d.Add(c.typeRef(s.Type))
+			c.push(c.typeRef(s.Type))
 		}
-		d.Add(c.node(uast.NameStore, nm, c.leaf(uast.Ident, nm.Name, nm)))
+		c.push(c.node(uast.NameStore, nm, c.leaf(uast.Ident, nm.Name, nm)))
 		if i < len(s.Values) {
-			d.Add(c.expr(s.Values[i], false))
+			c.push(c.expr(s.Values[i], false))
 		}
-		out = append(out, d)
+		c.push(c.done(uast.LocalVarDecl, s, mark))
 	}
-	return out
 }
 
 func (c *converter) funcDecl(d *goast.FuncDecl) *uast.Node {
-	fn := c.node(uast.FunctionDef, d)
-	fn.Add(c.leaf(uast.Ident, d.Name.Name, d.Name))
-	params := c.node(uast.Params, d)
+	mark := len(c.stack)
 	if d.Recv != nil {
 		for _, f := range d.Recv.List {
 			for _, nm := range f.Names {
-				params.Add(c.node(uast.Param, f, c.typeRef(f.Type),
-					c.leaf(uast.Ident, nm.Name, nm)))
+				c.push(c.node(uast.Param, f, c.typeRef(f.Type), c.leaf(uast.Ident, nm.Name, nm)))
 			}
 		}
 	}
@@ -166,24 +261,25 @@ func (c *converter) funcDecl(d *goast.FuncDecl) *uast.Node {
 		for _, f := range d.Type.Params.List {
 			typ := c.typeRef(f.Type)
 			if len(f.Names) == 0 {
-				params.Add(c.node(uast.Param, f, typ))
+				c.push(c.node(uast.Param, f, typ))
 				continue
 			}
-			for _, nm := range f.Names {
-				params.Add(c.node(uast.Param, f, typ.Clone(),
-					c.leaf(uast.Ident, nm.Name, nm)))
+			for i, nm := range f.Names {
+				if i > 0 {
+					typ = c.clone(typ)
+				}
+				c.push(c.node(uast.Param, f, typ, c.leaf(uast.Ident, nm.Name, nm)))
 			}
 		}
 	}
-	fn.Add(params)
-	body := c.node(uast.Body, d)
+	params := c.done(uast.Params, d, mark)
+	var body *uast.Node
 	if d.Body != nil {
-		for _, st := range d.Body.List {
-			body.Add(c.stmt(st))
-		}
+		body = c.stmts(uast.Body, d, d.Body.List)
+	} else {
+		body = c.node(uast.Body, d)
 	}
-	fn.Add(body)
-	return fn
+	return c.node(uast.FunctionDef, d, c.leaf(uast.Ident, d.Name.Name, d.Name), params, body)
 }
 
 // typeRef renders a Go type expression as a TypeRef with a dotted name.

@@ -15,120 +15,76 @@ func (c *converter) stmt(s goast.Stmt) *uast.Node {
 	case *goast.ExprStmt:
 		return c.node(uast.ExprStmt, x, c.expr(x.X, false))
 	case *goast.ReturnStmt:
-		ret := c.node(uast.Return, x)
+		mark := len(c.stack)
 		for _, r := range x.Results {
-			ret.Add(c.expr(r, false))
+			c.push(c.expr(r, false))
 		}
-		return ret
+		return c.done(uast.Return, x, mark)
 	case *goast.IfStmt:
-		out := c.node(uast.If, x)
+		var out *uast.Node
+		if x.Else != nil {
+			out = c.node(uast.If, x, c.expr(x.Cond, false), c.block(x.Body), c.elseClause(x.Else))
+		} else {
+			out = c.node(uast.If, x, c.expr(x.Cond, false), c.block(x.Body))
+		}
 		if x.Init != nil {
 			// Hoist the init statement in front via a Block.
-			blk := c.node(uast.Block, x, c.stmt(x.Init))
-			out.Add(c.expr(x.Cond, false))
-			out.Add(c.block(x.Body))
-			if x.Else != nil {
-				out.Add(c.elseClause(x.Else))
-			}
-			blk.Add(out)
-			return blk
-		}
-		out.Add(c.expr(x.Cond, false))
-		out.Add(c.block(x.Body))
-		if x.Else != nil {
-			out.Add(c.elseClause(x.Else))
+			return c.node(uast.Block, x, c.stmt(x.Init), out)
 		}
 		return out
 	case *goast.ForStmt:
-		out := c.node(uast.For, x)
+		mark := len(c.stack)
 		if x.Init != nil {
-			out.Add(c.stmt(x.Init))
+			c.push(c.stmt(x.Init))
 		}
 		if x.Cond != nil {
-			out.Add(c.expr(x.Cond, false))
+			c.push(c.expr(x.Cond, false))
 		}
 		if x.Post != nil {
-			out.Add(c.stmt(x.Post))
+			c.push(c.stmt(x.Post))
 		}
-		out.Add(c.block(x.Body))
-		return out
+		c.push(c.block(x.Body))
+		return c.done(uast.For, x, mark)
 	case *goast.RangeStmt:
-		out := c.node(uast.ForEach, x)
-		out.Add(c.node(uast.TypeRef, x, c.leaf(uast.Ident, "range", x)))
+		mark := len(c.stack)
+		c.push(c.node(uast.TypeRef, x, c.leaf(uast.Ident, "range", x)))
 		if x.Key != nil {
-			out.Add(c.storeTarget(x.Key))
+			c.push(c.storeTarget(x.Key))
 		} else {
-			out.Add(c.node(uast.NameStore, x, c.leaf(uast.Ident, "_", x)))
+			c.push(c.node(uast.NameStore, x, c.leaf(uast.Ident, "_", x)))
 		}
 		if x.Value != nil {
-			out.Add(c.storeTarget(x.Value))
+			c.push(c.storeTarget(x.Value))
 		}
-		out.Add(c.expr(x.X, false))
-		out.Add(c.block(x.Body))
-		return out
+		c.push(c.expr(x.X, false))
+		c.push(c.block(x.Body))
+		return c.done(uast.ForEach, x, mark)
 	case *goast.SwitchStmt:
-		out := c.node(uast.Switch, x)
+		var tag *uast.Node
 		if x.Tag != nil {
-			out.Add(c.expr(x.Tag, false))
+			tag = c.expr(x.Tag, false)
 		} else {
-			out.Add(c.node(uast.Bool, x, c.leaf(uast.BoolLit, "true", x)))
+			tag = c.node(uast.Bool, x, c.leaf(uast.BoolLit, "true", x))
 		}
-		body := c.node(uast.Body, x)
-		for _, cc := range x.Body.List {
-			if clause, ok := cc.(*goast.CaseClause); ok {
-				cas := c.node(uast.CaseClause, clause)
-				for _, e := range clause.List {
-					cas.Add(c.expr(e, false))
-				}
-				for _, st := range clause.Body {
-					cas.Add(c.stmt(st))
-				}
-				body.Add(cas)
-			}
-		}
-		out.Add(body)
-		return out
+		return c.node(uast.Switch, x, tag, c.clauses(x, x.Body))
 	case *goast.TypeSwitchStmt:
-		out := c.node(uast.Switch, x)
-		out.Add(c.node(uast.NameLoad, x, c.leaf(uast.Ident, "type", x)))
-		body := c.node(uast.Body, x)
-		for _, cc := range x.Body.List {
-			if clause, ok := cc.(*goast.CaseClause); ok {
-				cas := c.node(uast.CaseClause, clause)
-				for _, st := range clause.Body {
-					cas.Add(c.stmt(st))
-				}
-				body.Add(cas)
-			}
-		}
-		out.Add(body)
-		return out
+		return c.node(uast.Switch, x, c.node(uast.NameLoad, x, c.leaf(uast.Ident, "type", x)),
+			c.clauses(x, x.Body))
 	case *goast.SelectStmt:
-		out := c.node(uast.Switch, x)
-		out.Add(c.node(uast.NameLoad, x, c.leaf(uast.Ident, "select", x)))
-		body := c.node(uast.Body, x)
-		for _, cc := range x.Body.List {
-			if clause, ok := cc.(*goast.CommClause); ok {
-				cas := c.node(uast.CaseClause, clause)
-				for _, st := range clause.Body {
-					cas.Add(c.stmt(st))
-				}
-				body.Add(cas)
-			}
-		}
-		out.Add(body)
-		return out
+		return c.node(uast.Switch, x, c.node(uast.NameLoad, x, c.leaf(uast.Ident, "select", x)),
+			c.clauses(x, x.Body))
 	case *goast.BlockStmt:
 		return c.block(x)
 	case *goast.DeclStmt:
 		if gd, ok := x.Decl.(*goast.GenDecl); ok {
-			decls := c.genDecl(gd)
-			if len(decls) == 1 {
-				return decls[0]
+			mark := len(c.stack)
+			c.genDecl(gd)
+			if len(c.stack) == mark+1 {
+				decl := c.stack[mark]
+				c.stack = c.stack[:mark]
+				return decl
 			}
-			blk := c.node(uast.Block, x)
-			blk.Add(decls...)
-			return blk
+			return c.done(uast.Block, x, mark)
 		}
 		return c.node(uast.EmptyStmt, x)
 	case *goast.IncDecStmt:
@@ -165,11 +121,48 @@ func (c *converter) stmt(s goast.Stmt) *uast.Node {
 }
 
 func (c *converter) block(b *goast.BlockStmt) *uast.Node {
-	body := c.node(uast.Body, b)
-	for _, st := range b.List {
-		body.Add(c.stmt(st))
+	return c.stmts(uast.Body, b, b.List)
+}
+
+// stmts converts a statement list into a node of kind k at n's line.
+func (c *converter) stmts(k uast.Kind, n goast.Node, list []goast.Stmt) *uast.Node {
+	mark := len(c.stack)
+	for _, st := range list {
+		c.push(c.stmt(st))
 	}
-	return body
+	return c.done(k, n, mark)
+}
+
+// clauses converts the body of a switch, type switch or select into a Body
+// of CaseClauses. Only an expression switch's clauses keep their case
+// expressions; the others keep just their statements.
+func (c *converter) clauses(x goast.Stmt, b *goast.BlockStmt) *uast.Node {
+	mark := len(c.stack)
+	_, exprSwitch := x.(*goast.SwitchStmt)
+	for _, cc := range b.List {
+		var exprs []goast.Expr
+		var stmts []goast.Stmt
+		switch clause := cc.(type) {
+		case *goast.CaseClause:
+			if exprSwitch {
+				exprs = clause.List
+			}
+			stmts = clause.Body
+		case *goast.CommClause:
+			stmts = clause.Body
+		default:
+			continue
+		}
+		caseMark := len(c.stack)
+		for _, e := range exprs {
+			c.push(c.expr(e, false))
+		}
+		for _, st := range stmts {
+			c.push(c.stmt(st))
+		}
+		c.push(c.done(uast.CaseClause, cc, caseMark))
+	}
+	return c.done(uast.Body, x, mark)
 }
 
 func (c *converter) elseClause(e goast.Stmt) *uast.Node {
@@ -194,26 +187,26 @@ func (c *converter) assign(x *goast.AssignStmt) *uast.Node {
 		return c.node(uast.AugAssign, x, c.storeTarget(x.Lhs[0]),
 			c.leaf(uast.OpTok, op, x), c.expr(x.Rhs[0], false))
 	}
-	out := c.node(uast.Assign, x)
+	var lhs, rhs *uast.Node
 	if len(x.Lhs) == 1 {
-		out.Add(c.storeTarget(x.Lhs[0]))
+		lhs = c.storeTarget(x.Lhs[0])
 	} else {
-		tup := c.node(uast.TupleLit, x)
+		mark := len(c.stack)
 		for _, l := range x.Lhs {
-			tup.Add(c.storeTarget(l))
+			c.push(c.storeTarget(l))
 		}
-		out.Add(tup)
+		lhs = c.done(uast.TupleLit, x, mark)
 	}
 	if len(x.Rhs) == 1 {
-		out.Add(c.expr(x.Rhs[0], false))
+		rhs = c.expr(x.Rhs[0], false)
 	} else {
-		tup := c.node(uast.TupleLit, x)
+		mark := len(c.stack)
 		for _, r := range x.Rhs {
-			tup.Add(c.expr(r, false))
+			c.push(c.expr(r, false))
 		}
-		out.Add(tup)
+		rhs = c.done(uast.TupleLit, x, mark)
 	}
-	return out
+	return c.node(uast.Assign, x, lhs, rhs)
 }
 
 func (c *converter) storeTarget(e goast.Expr) *uast.Node {
