@@ -63,8 +63,8 @@ bench:
 # parsers and the Go front end's conversion of go/parser trees, which take
 # source from files and requests, over the unified
 # diff applier, which takes patches from /v1/diff clients, and over the
-# driver's decoding and grafting of worker Result lines. Go fuzzes one
-# target per invocation, hence one line each.
+# driver's decoding of worker Result lines. Go fuzzes one target per
+# invocation, hence one line each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeKnowledge$$' -fuzztime 5s ./internal/knowledge
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 5s ./internal/knowledge
@@ -119,48 +119,47 @@ driver-gate:
 	echo "driver-gate: ok (2-shard driver == serial, full checkpoint reuse)"
 
 # Observability gate for the distributed miner. The in-process half
-# (TestObsGate) runs a 2-shard subprocess mine under a trace, a flight
-# recorder, and a live status server, scraping /status, /metrics, and
-# /debug/pprof mid-run, and validates the merged Chrome trace (both
-# worker PID lanes, checkpoint/resume-validation spans, no malformed
-# events) plus histogram-bucket monotonicity on /metrics. The binary
-# half runs the real namer-mine with -trace, -status-addr, and JSON
-# debug logging and asserts the trace file carries span lanes from at
-# least three distinct processes (driver lane + two workers), the
-# worker/checkpoint spans survived shipping, the stderr stream is
-# structured (JSON records, with captured worker lines tagged
-# worker_pid, and a worker's JSON records re-emitted with their own keys
-# rather than nested as a "worker: {...}" message string), and stdout
-# ends with the per-shard resource table and per-worker rusage rows.
-# Every stderr line of that mine, of a single-process mine with
-# -log-format json, and of a json mine of a missing corpus, which must
-# fail with an Error record, must be a JSON object, progress reports
-# included.
+# runs the driver tests of the replacement paths: a traced Run with
+# in-process jobs records their spans in its own trace, and a worker's
+# JSON records carry worker_pid. The binary half runs the real
+# namer-mine: an in-process driver mine with -trace must write the job,
+# shard and checkpoint spans, and a resumed one the checkpoint reads and
+# resume validations. A driver mine with two worker processes and JSON
+# debug logging must keep its stderr structured: progress records, the
+# workers' own records tagged worker_pid, and no worker record nested as
+# a "worker: {...}" message string. Every stderr line of that mine, of a
+# single-process mine with -log-format json, and of a json mine of a
+# missing corpus, which must fail with an Error record, must be a JSON
+# object, progress reports included.
 obs-gate:
-	$(GO) test -run 'TestObsGate$$|TestResultOmitsEmptySpanBatch$$' -count=1 ./internal/driver
+	$(GO) test -run 'TestRunTracesInProcessJobs$$|TestServeWorkerTagsRecordsWithPID$$' -count=1 ./internal/driver
 	@set -e; \
 	tmp=$$(mktemp -d); \
 	trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp" ./cmd/namer-corpus ./cmd/namer-mine; \
 	"$$tmp/namer-corpus" -lang python -repos 12 -files 3 -out "$$tmp/corpus" >/dev/null; \
-	"$$tmp/namer-mine" -lang python -dir "$$tmp/corpus" -driver -shards 2 -worker-procs 2 \
-		-checkpoints "$$tmp/ck" -out "$$tmp/driver.bin" -trace "$$tmp/trace.json" \
-		-status-addr 127.0.0.1:0 -status-ready-file "$$tmp/status-addr" \
-		-log-level debug -log-format json >"$$tmp/mine.out" 2>"$$tmp/mine.err" || \
-		{ echo "obs-gate: observed driver mine failed"; cat "$$tmp/mine.err"; exit 1; }; \
-	[ -s "$$tmp/status-addr" ] || { echo "obs-gate: status server never published its address"; exit 1; }; \
-	pids=$$(grep -o '"pid":[0-9]*' "$$tmp/trace.json" | sort -u | wc -l); \
-	[ "$$pids" -ge 3 ] || { echo "obs-gate: trace has $$pids process lanes, want >= 3 (driver + 2 workers)"; exit 1; }; \
-	for span in job load_shard build_shard_tree checkpoint_write checkpoint_read resume_validate; do \
-		grep -qF "\"$$span\"" "$$tmp/trace.json" || \
-			{ echo "obs-gate: merged trace missing $$span span"; exit 1; }; \
+	for run in fresh resumed; do \
+		"$$tmp/namer-mine" -lang python -dir "$$tmp/corpus" -driver -shards 2 \
+			-checkpoints "$$tmp/inproc-ck" -out "$$tmp/inproc.bin" -trace "$$tmp/$$run-trace.json" \
+			>"$$tmp/$$run.out" 2>&1 || \
+			{ echo "obs-gate: traced in-process driver mine ($$run) failed"; cat "$$tmp/$$run.out"; exit 1; }; \
 	done; \
-	grep -cq '"process_name"' "$$tmp/trace.json" || \
-		{ echo "obs-gate: trace has no process_name lane metadata"; exit 1; }; \
+	for span in job load_shard build_shard_tree checkpoint_write; do \
+		grep -qF "\"$$span\"" "$$tmp/fresh-trace.json" || \
+			{ echo "obs-gate: in-process driver trace missing $$span span"; exit 1; }; \
+	done; \
+	for span in checkpoint_read resume_validate; do \
+		grep -qF "\"$$span\"" "$$tmp/resumed-trace.json" || \
+			{ echo "obs-gate: resumed driver trace missing $$span span"; exit 1; }; \
+	done; \
+	"$$tmp/namer-mine" -lang python -dir "$$tmp/corpus" -driver -shards 2 -worker-procs 2 \
+		-checkpoints "$$tmp/ck" -out "$$tmp/driver.bin" \
+		-log-level debug -log-format json >"$$tmp/mine.out" 2>"$$tmp/mine.err" || \
+		{ echo "obs-gate: json driver mine failed"; cat "$$tmp/mine.err"; exit 1; }; \
 	grep -q '"level":"INFO"' "$$tmp/mine.err" || \
 		{ echo "obs-gate: -log-format json produced no JSON records"; head "$$tmp/mine.err"; exit 1; }; \
 	grep -q '"worker_pid":' "$$tmp/mine.err" || \
-		{ echo "obs-gate: no captured worker stderr tagged with worker_pid"; head "$$tmp/mine.err"; exit 1; }; \
+		{ echo "obs-gate: no worker records tagged with worker_pid"; head "$$tmp/mine.err"; exit 1; }; \
 	! grep -F '"msg":"worker: {' "$$tmp/mine.err" || \
 		{ echo "obs-gate: worker JSON records above are nested as message strings"; exit 1; }; \
 	"$$tmp/namer-mine" -lang python -dir "$$tmp/corpus" -out "$$tmp/single.bin" \
@@ -178,11 +177,7 @@ obs-gate:
 		[ "$$bad" = 0 ] || { echo "obs-gate: $$bad stderr lines of the $$f json mine are not JSON objects"; \
 			grep -vE '^(\{.*\})?$$' "$$tmp/$$f.err"; exit 1; }; \
 	done; \
-	grep -q 'driver: per-shard resources:' "$$tmp/mine.out" || \
-		{ echo "obs-gate: stdout missing the per-shard resource table"; cat "$$tmp/mine.out"; exit 1; }; \
-	grep -qE 'driver: worker pid=[0-9]+ cpu=' "$$tmp/mine.out" || \
-		{ echo "obs-gate: stdout missing per-worker rusage rows"; cat "$$tmp/mine.out"; exit 1; }; \
-	echo "obs-gate: ok (merged trace, live status server, structured logs, resource table)"
+	echo "obs-gate: ok (in-process driver trace, structured worker and driver logs)"
 
 # End-to-end smoke test of the serving layer: generate a corpus, mine
 # binary knowledge (with a -trace export that must contain the FP

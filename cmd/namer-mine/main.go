@@ -5,15 +5,13 @@
 // cmd/namer-train in the checksummed flat binary format that namer,
 // namer-train, and namer-serve load.
 //
-// Long corpus runs are observable three ways: periodic progress lines on
+// Long corpus runs are observable two ways: periodic progress lines on
 // stderr (files analyzed, statements, moving rate, ETA; FP-tree shapes
 // as each pass completes; records under -log-format json, which keeps
-// every stderr line a JSON object); -trace out.json, which records the whole
-// run as a span tree and writes it in the Chrome trace-event format —
-// load it in chrome://tracing or https://ui.perfetto.dev to see where
-// the wall time went, stage by stage and file by file; and, in driver
-// mode, -status-addr, a live HTTP status server (/status per-shard
-// states, /metrics Prometheus text, /debug/pprof, /debug/traces).
+// every stderr line a JSON object); and -trace out.json, which records
+// the whole run as a span tree and writes it in the Chrome trace-event
+// format — load it in chrome://tracing or https://ui.perfetto.dev to see
+// where the wall time went, stage by stage and file by file.
 // Diagnostics go through a structured logger (-log-level, -log-format).
 //
 // -driver switches to the distributed map/reduce miner: the corpus is
@@ -23,9 +21,10 @@
 // CRC-checked checkpoint under -checkpoints, so a killed run resumes
 // from where it stopped (-fresh discards the checkpoints instead). The
 // mined knowledge is byte-identical to a non-driver run at any shard or
-// worker count. With -trace, spawned workers record their spans locally
-// and ship them back over the job protocol, so the written trace shows
-// every worker process as its own lane keyed by real PID.
+// worker count. With -trace, in-process map jobs record their spans in
+// the driver's trace; spawned workers are not traced. Spawned workers
+// log to the same stderr with the driver's -log-level and -log-format,
+// each record tagged with its worker_pid.
 package main
 
 import (
@@ -63,7 +62,8 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	traceOut := flag.String("trace", "",
-		"write a Chrome trace-event JSON of the full mining run to this file (chrome://tracing, Perfetto)")
+		"write a Chrome trace-event JSON of the full mining run to this file (chrome://tracing, Perfetto); "+
+			"in driver mode, spawned -worker-procs workers are not traced")
 	driverMode := flag.Bool("driver", false,
 		"run the distributed map/reduce miner with per-shard checkpoints (resumable)")
 	shards := flag.Int("shards", 0, "driver mode: corpus shard count (0 = all CPUs)")
@@ -74,10 +74,6 @@ func main() {
 	fresh := flag.Bool("fresh", false, "driver mode: discard existing checkpoints instead of resuming")
 	workerMode := flag.Bool("worker", false,
 		"serve map jobs over stdin/stdout JSON lines (spawned by -driver -worker-procs; not for direct use)")
-	statusAddr := flag.String("status-addr", "",
-		"driver mode: serve live mining status on this address (/status, /metrics, /debug/pprof, /debug/traces)")
-	statusReadyFile := flag.String("status-ready-file", "",
-		"driver mode: write the bound status address to this file once listening (for scripts with -status-addr :0)")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 	logFormat := flag.String("log-format", "text", "log line format: text or json")
 	version := flag.Bool("version", false, "print version and exit")
@@ -159,25 +155,11 @@ func main() {
 			if err != nil {
 				obs.Fatal(lg, err)
 			}
-			// Workers inherit the log flags so their (captured) stderr
-			// carries the same level and the driver re-tags it per PID.
+			// Workers inherit the log flags, so their stderr records,
+			// tagged with worker_pid, match the driver's own.
 			opts.WorkerCommand = []string{exe, "-worker",
 				"-log-level", *logLevel, "-log-format", *logFormat}
 			opts.Workers = *workerProcs
-		}
-		if *statusAddr != "" {
-			opts.Monitor = driver.NewMonitor()
-			opts.Recorder = obs.NewFlightRecorder(32)
-			st, err := driver.StartStatus(*statusAddr, opts.Monitor, opts.Recorder, lg)
-			if err != nil {
-				obs.Fatal(lg, err)
-			}
-			defer st.Close()
-			if *statusReadyFile != "" {
-				if err := os.WriteFile(*statusReadyFile, []byte(st.Addr()+"\n"), 0o644); err != nil {
-					obs.Fatal(lg, err)
-				}
-			}
 		}
 		k, stats, err := driver.Run(ctx, opts)
 		if err != nil {
@@ -190,7 +172,6 @@ func main() {
 		}
 		fmt.Printf("driver: map %v, reduce %v\n",
 			stats.MapWall.Round(time.Millisecond), stats.ReduceWall.Round(time.Millisecond))
-		printUsage(stats)
 		if err := knowledge.Save(*out, k); err != nil {
 			obs.Fatal(lg, err)
 		}
@@ -267,33 +248,6 @@ func main() {
 	finishTrace(lg, tr, *traceOut, treeOut)
 }
 
-// printUsage renders the per-shard resource table (and per-worker
-// totals) a driver run measured: wall and CPU per shard, peak RSS, and
-// allocation volume. Fully-reused shards show 0 jobs.
-func printUsage(stats driver.Stats) {
-	if len(stats.Usage) == 0 {
-		return
-	}
-	fmt.Printf("driver: per-shard resources:\n")
-	fmt.Printf("  %5s %4s %10s %10s %10s %10s\n", "shard", "jobs", "wall", "cpu", "rss", "alloc")
-	var wall, cpu time.Duration
-	var alloc int64
-	for _, u := range stats.Usage {
-		wall += u.Wall
-		cpu += u.CPU
-		alloc += u.AllocBytes
-		fmt.Printf("  %5d %4d %10v %10v %8dKB %8.1fMB\n",
-			u.Shard, u.Jobs, u.Wall.Round(time.Millisecond), u.CPU.Round(time.Millisecond),
-			u.MaxRSSKB, float64(u.AllocBytes)/(1<<20))
-	}
-	fmt.Printf("  total      %10v %10v %19.1fMB\n",
-		wall.Round(time.Millisecond), cpu.Round(time.Millisecond), float64(alloc)/(1<<20))
-	for _, w := range stats.Workers {
-		fmt.Printf("driver: worker pid=%d cpu=%v maxrss=%dKB\n",
-			w.PID, w.CPU.Round(time.Millisecond), w.MaxRSSKB)
-	}
-}
-
 // finishTrace writes the Chrome trace to traceOut and the span tree to
 // treeOut.
 func finishTrace(lg *slog.Logger, tr *obs.Trace, traceOut string, treeOut io.Writer) {
@@ -313,12 +267,6 @@ func finishTrace(lg *slog.Logger, tr *obs.Trace, traceOut string, treeOut io.Wri
 		obs.Fatal(lg, err)
 	}
 	tr.WriteTree(treeOut)
-	spans, pids := tr.ExternalSpanCount()
-	if pids > 0 {
-		fmt.Printf("wrote trace %s (%d spans + %d worker spans from %d processes, %v; open in chrome://tracing)\n",
-			traceOut, tr.SpanCount(), spans, pids, tr.Duration().Round(time.Millisecond))
-	} else {
-		fmt.Printf("wrote trace %s (%d spans, %v; open in chrome://tracing)\n",
-			traceOut, tr.SpanCount(), tr.Duration().Round(time.Millisecond))
-	}
+	fmt.Printf("wrote trace %s (%d spans, %v; open in chrome://tracing)\n",
+		traceOut, tr.SpanCount(), tr.Duration().Round(time.Millisecond))
 }

@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,8 +12,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"namer/internal/confusion"
@@ -60,49 +57,16 @@ type Options struct {
 	// cmd/namer-mine's reporters write lines to stderr, or records to
 	// its logger under -log-format json.
 	Progress func(label, unit string) *obs.Progress
-	// Log receives the driver's structured events: resume decisions,
-	// stale-checkpoint warnings, and captured worker stderr (tagged with
-	// the worker's PID). Nil logs nothing. With a logger set, spawned
-	// workers' stderr is piped through it line by line instead of
-	// interleaving raw on the driver's stderr; without one, it passes
-	// straight through.
+	// Log receives the driver's own structured events: resume decisions,
+	// stale-checkpoint warnings and per-job completions. Nil logs
+	// nothing. Spawned workers write their stderr straight to the
+	// driver's stderr.
 	Log *slog.Logger
-	// Monitor, when non-nil, observes every shard state transition; the
-	// live status server (StartStatus) serves it. All driver hooks are
-	// nil-safe, so leaving it nil costs one pointer check per event.
-	Monitor *Monitor
-	// Recorder, when non-nil, keeps the slowest per-job span trees for
-	// the status server's /debug/traces. Setting it (or tracing the Run
-	// context) turns on per-job tracing.
-	Recorder *obs.FlightRecorder
 
 	// afterJob, when non-nil, runs after each completed map job with its
 	// phase and shard; a non-nil return aborts the run. Tests use it to
-	// simulate a driver killed mid-run (and the obs gate uses it to
-	// scrape the status server at a deterministic moment).
+	// simulate a driver killed mid-run.
 	afterJob func(phase string, shard int) error
-}
-
-// ShardUsage is one shard's measured resource footprint, summed over the
-// map jobs that actually ran for it (a fully-reused shard has Jobs 0).
-type ShardUsage struct {
-	Shard int
-	Jobs  int // jobs run (not reused) for this shard, 0..2
-	Wall  time.Duration
-	// CPU is user+system time from getrusage deltas around each job —
-	// exact for spawned workers, process-wide (approximate) when
-	// in-process jobs overlap.
-	CPU        time.Duration
-	MaxRSSKB   int64
-	AllocBytes int64
-}
-
-// WorkerUsage is one spawned worker process's whole-life resource usage,
-// from the rusage the kernel reports when the child is reaped.
-type WorkerUsage struct {
-	PID      int
-	CPU      time.Duration
-	MaxRSSKB int64
 }
 
 // Stats describes what a Run did — how much work ran versus resumed
@@ -121,16 +85,13 @@ type Stats struct {
 	// (including checkpoint validation) and the reduce/fp-growth/prune.
 	MapWall    time.Duration
 	ReduceWall time.Duration
-	// Usage is the per-shard resource accounting, indexed by shard.
-	Usage []ShardUsage
-	// Workers is the per-child accounting for spawned worker processes
-	// (empty for in-process runs), in reap order.
-	Workers []WorkerUsage
 }
 
 // Run executes the full map/reduce mine and returns the knowledge
 // artifact — byte-identical to a single-process mine of the same corpus
-// and config at any shard count, worker count, or resume boundary.
+// and config at any shard count, worker count, or resume boundary. With a
+// traced ctx, the driver's stages and the spans of in-process jobs land
+// in that trace; spawned workers are not traced.
 func Run(ctx context.Context, opts Options) (*knowledge.Artifact, Stats, error) {
 	var stats Stats
 	cfg := opts.Config
@@ -170,27 +131,20 @@ func Run(ctx context.Context, opts Options) (*knowledge.Artifact, Stats, error) 
 	}
 
 	r := &runner{opts: opts, cfg: cfg, plan: p, stats: &stats, log: obs.OrDiscard(opts.Log)}
-	r.usage = make([]ShardUsage, len(p.shards))
-	for i := range r.usage {
-		r.usage[i].Shard = i
-	}
-	opts.Monitor.begin(p)
 	mapStart := time.Now()
 
 	// Map round 1: statement extraction, checkpointed per shard.
-	opts.Monitor.setRound("map_stmts")
 	shardArts, err := r.mapStmts(ctx)
 	if err != nil {
-		return nil, r.finish(stats), err
+		return nil, stats, err
 	}
 
 	// Reduce 1: merge the per-shard counts and mine the confusing pairs;
 	// the result is itself a checkpoint so round 2 can be re-entered
 	// without repeating it.
-	opts.Monitor.setRound("reduce_counts")
 	countsPayload, counts, err := r.reduceCounts(ctx, shardArts)
 	if err != nil {
-		return nil, r.finish(stats), err
+		return nil, stats, err
 	}
 	stats.FilesParsed = counts.FilesParsed
 	stats.FilesSkipped = counts.FilesSkipped
@@ -201,32 +155,20 @@ func Run(ctx context.Context, opts Options) (*knowledge.Artifact, Stats, error) 
 	}
 
 	// Map round 2: per-shard FP subtrees against the global counts.
-	opts.Monitor.setRound("map_trees")
 	treeArts, err := r.mapTrees(ctx, hashBytes(countsPayload))
 	if err != nil {
-		return nil, r.finish(stats), err
+		return nil, stats, err
 	}
 	stats.MapWall = time.Since(mapStart)
 
 	// Reduce 2: merge, grow, prune, assemble.
-	opts.Monitor.setRound("reduce_knowledge")
 	reduceStart := time.Now()
 	art, err := r.reduceKnowledge(ctx, shardArts, treeArts, counts)
 	stats.ReduceWall = time.Since(reduceStart)
-	opts.Monitor.setRound("done")
 	if err != nil {
-		return nil, r.finish(stats), err
+		return nil, stats, err
 	}
-	return art, r.finish(stats), nil
-}
-
-// finish folds the runner's accumulated accounting into the stats.
-func (r *runner) finish(stats Stats) Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	stats.Usage = r.usage
-	stats.Workers = r.procs
-	return stats
+	return art, stats, nil
 }
 
 // clearCheckpoints removes this driver's checkpoint files (and nothing
@@ -250,32 +192,6 @@ type runner struct {
 	plan  plan
 	stats *Stats
 	log   *slog.Logger // opts.Log, or a discarding logger when nil
-
-	mu    sync.Mutex
-	usage []ShardUsage
-	procs []WorkerUsage
-}
-
-// recordUsage accumulates one completed job's measurements into its
-// shard's row.
-func (r *runner) recordUsage(shard int, res Result, wall time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	u := &r.usage[shard]
-	u.Jobs++
-	u.Wall += wall
-	u.CPU += time.Duration(res.CPUNs)
-	u.AllocBytes += res.AllocBytes
-	if res.MaxRSSKB > u.MaxRSSKB {
-		u.MaxRSSKB = res.MaxRSSKB
-	}
-}
-
-// recordWorker notes a reaped worker child's whole-process usage.
-func (r *runner) recordWorker(wu WorkerUsage) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.procs = append(r.procs, wu)
 }
 
 func (r *runner) stmtsPath(shard int) string {
@@ -316,7 +232,6 @@ func (r *runner) mapStmts(ctx context.Context) ([]*shardStmts, error) {
 		if a, err := r.loadStmts(ctx, i); err == nil {
 			arts[i] = a
 			r.stats.StmtsReused++
-			r.opts.Monitor.shardReused(i, "stmts")
 			continue
 		} else if !errors.Is(err, os.ErrNotExist) {
 			r.log.Warn("invalid stmts checkpoint; re-running shard", "shard", i, "err", err)
@@ -469,7 +384,6 @@ func (r *runner) mapTrees(ctx context.Context, countsHash string) ([]*shardTrees
 		if a, err := r.loadTrees(ctx, i, countsHash); err == nil {
 			arts[i] = a
 			r.stats.TreesReused++
-			r.opts.Monitor.shardReused(i, "trees")
 			continue
 		}
 		jobs = append(jobs, Job{
@@ -595,90 +509,55 @@ func (r *runner) reduceKnowledge(ctx context.Context, stmtArts []*shardStmts,
 // with cross-worker progress folded into one line via
 // obs.ProgressAggregator. Each job writes its own checkpoint, so job
 // scheduling leaves no trace in the outputs.
-//
-// When the run is traced (or a Recorder is set), each job runs under its
-// own local trace: spawned workers ship their span batches back on the
-// done Result and the batches are grafted into the driver's trace as
-// per-PID lanes; in-process jobs' spans are grafted under the driver's
-// own PID. The per-job traces additionally feed the flight recorder, so
-// /debug/traces shows the slowest shards of a live mine.
 func (r *runner) runJobs(ctx context.Context, jobs []Job, label, unit string, total int) error {
 	workers := r.workers(len(jobs))
 	var agg *obs.ProgressAggregator
 	if r.opts.Progress != nil {
 		agg = obs.NewProgressAggregator(r.opts.Progress(label, unit), len(r.plan.shards), total)
 	}
-	tr := obs.TraceFromContext(ctx)
-	mon := r.opts.Monitor
-	rec := r.opts.Recorder
-	tracing := tr != nil || rec != nil
-	subproc := len(r.opts.WorkerCommand) > 0
-	selfPID := os.Getpid()
 
 	jobCh := make(chan Job)
 	errCh := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		// The worker body runs in a closure so its deferred executor
-		// close — which reaps the child and records its rusage — happens
-		// strictly before the completion signal: runJobs must not return
-		// (and Stats must not be snapshotted) with a worker unreaped.
+		// close, which reaps the child, happens strictly before the
+		// completion signal: runJobs never returns with a worker
+		// unreaped.
 		go func() {
 			errCh <- func() error {
 				var ex executor = inprocExecutor{}
-				pid := selfPID
-				if subproc {
-					pe, err := newProcExecutor(ctx, r.opts.WorkerCommand, r.opts.Log, r.recordWorker)
+				if len(r.opts.WorkerCommand) > 0 {
+					pe, err := newProcExecutor(ctx, r.opts.WorkerCommand)
 					if err != nil {
 						return err
 					}
 					defer pe.close()
 					ex = pe
-					pid = pe.pid
 				}
 				for job := range jobCh {
-					jctx := ctx
-					var jobTr *obs.Trace
-					if tracing {
-						jctx, jobTr = obs.NewTrace(ctx, fmt.Sprintf("shard-%04d %s", job.Shard, job.Phase), "")
-						jobTr.SetMaxSpans(1 << 16)
-						job.Trace = subproc
-					}
-					mon.shardRunning(job.Shard, job.Phase, pid)
 					report := func(done, extra int) {
 						if agg != nil {
 							agg.Report(job.Shard, done, extra)
 						}
 					}
 					start := time.Now()
-					res, err := ex.run(jctx, job, report)
-					wall := time.Since(start)
+					res, err := ex.run(ctx, job, report)
 					if err == nil && !res.OK {
 						err = fmt.Errorf("driver: shard %d %s: %s", job.Shard, job.Phase, res.Error)
 					}
-					if jobTr != nil {
-						r.graftJobTrace(tr, jobTr, job, res)
-						if rec != nil {
-							rec.Add(jobTr)
-						}
-					}
-					if err == nil {
-						mon.shardDone(job.Shard, job.Phase, res, wall)
-						r.recordUsage(job.Shard, res, wall)
-						r.log.Debug("shard job done", "phase", job.Phase, "shard", job.Shard,
-							"worker_pid", res.PID, "wall", wall,
-							"cpu", time.Duration(res.CPUNs), "max_rss_kb", res.MaxRSSKB)
-						// The shard is done; pin its progress at its total.
-						if agg != nil && job.Phase == "stmts" {
-							agg.Report(job.Shard, len(job.Files), res.Statements)
-						}
-						if r.opts.afterJob != nil {
-							err = r.opts.afterJob(job.Phase, job.Shard)
-						}
-					} else {
-						mon.shardFailed(job.Shard, job.Phase, err.Error())
-					}
 					if err != nil {
 						return err
+					}
+					r.log.Debug("shard job done", "phase", job.Phase, "shard", job.Shard,
+						"wall", time.Since(start))
+					// The shard is done; pin its progress at its total.
+					if agg != nil && job.Phase == "stmts" {
+						agg.Report(job.Shard, len(job.Files), res.Statements)
+					}
+					if r.opts.afterJob != nil {
+						if err := r.opts.afterJob(job.Phase, job.Shard); err != nil {
+							return err
+						}
 					}
 				}
 				return nil
@@ -686,12 +565,10 @@ func (r *runner) runJobs(ctx context.Context, jobs []Job, label, unit string, to
 		}()
 	}
 	var firstErr error
-	sent := 0
 dispatch:
 	for _, job := range jobs {
 		select {
 		case jobCh <- job:
-			sent++
 		case firstErr = <-errCh:
 			workers-- // that worker is gone
 			if firstErr == nil {
@@ -715,29 +592,6 @@ dispatch:
 	return firstErr
 }
 
-// graftJobTrace finishes one job's local trace and stitches it into the
-// driver's trace tr (when tracing): a spawned worker's shipped span
-// batch becomes a lane under the worker's real PID, and an in-process
-// job's local spans become a lane under the driver's own PID. Malformed
-// batches are dropped with a warning, never trusted.
-func (r *runner) graftJobTrace(tr, jobTr *obs.Trace, job Job, res Result) {
-	if len(res.Spans) > 0 {
-		lane := fmt.Sprintf("worker pid=%d", res.PID)
-		if err := jobTr.AddExternalSpans(res.PID, lane, res.Spans); err != nil {
-			r.log.Warn("dropping malformed worker span batch",
-				"shard", job.Shard, "worker_pid", res.PID, "err", err)
-		} else if tr != nil {
-			tr.AddExternalSpans(res.PID, lane, res.Spans)
-		}
-	}
-	jobTr.Finish()
-	if tr != nil {
-		if local := jobTr.WireSpans(); len(local) > 0 {
-			tr.AddExternalSpans(os.Getpid(), fmt.Sprintf("driver jobs pid=%d", os.Getpid()), local)
-		}
-	}
-}
-
 // executor runs one map job somewhere.
 type executor interface {
 	run(ctx context.Context, job Job, report func(done, extra int)) (Result, error)
@@ -751,35 +605,18 @@ func (inprocExecutor) run(ctx context.Context, job Job, report func(done, extra 
 }
 
 // procExecutor owns one worker child process and feeds it jobs over
-// stdin/stdout JSON lines.
+// stdin/stdout JSON lines. The child's stderr is the driver's own.
 type procExecutor struct {
-	cmd        *exec.Cmd
-	stdin      io.WriteCloser
-	enc        *json.Encoder
-	dec        *json.Decoder
-	pid        int
-	stderrDone chan struct{}     // closed when the stderr capture drains
-	onExit     func(WorkerUsage) // receives the reaped child's rusage
+	cmd   *exec.Cmd
+	stdin io.WriteCloser
+	enc   *json.Encoder
+	dec   *json.Decoder
 }
 
-// newProcExecutor spawns one worker child. With a logger, the child's
-// stderr is captured line by line and re-emitted through it tagged with
-// the worker's PID — no interleaved raw writes on the driver's stderr;
-// without one, stderr passes through untouched. A JSON record keeps its
-// own message, level and keys; any other line becomes the message of a
-// "worker: <line>" record.
-func newProcExecutor(ctx context.Context, argv []string, lg *slog.Logger, onExit func(WorkerUsage)) (*procExecutor, error) {
+// newProcExecutor spawns one worker child.
+func newProcExecutor(ctx context.Context, argv []string) (*procExecutor, error) {
 	cmd := exec.CommandContext(ctx, argv[0], argv[1:]...)
-	var stderr io.ReadCloser
-	if lg != nil {
-		p, err := cmd.StderrPipe()
-		if err != nil {
-			return nil, err
-		}
-		stderr = p
-	} else {
-		cmd.Stderr = os.Stderr
-	}
+	cmd.Stderr = os.Stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
 		return nil, err
@@ -791,144 +628,41 @@ func newProcExecutor(ctx context.Context, argv []string, lg *slog.Logger, onExit
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("driver: start worker %q: %w", argv[0], err)
 	}
-	pe := &procExecutor{
+	return &procExecutor{
 		cmd: cmd, stdin: stdin,
-		enc:    json.NewEncoder(stdin),
-		dec:    json.NewDecoder(stdout),
-		pid:    cmd.Process.Pid,
-		onExit: onExit,
-	}
-	if stderr != nil {
-		h := lg.With("worker_pid", pe.pid).Handler()
-		pe.stderrDone = make(chan struct{})
-		go func() {
-			defer close(pe.stderrDone)
-			sc := bufio.NewScanner(stderr)
-			sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-			for sc.Scan() {
-				// The worker already filtered its records at its own
-				// -log-level, so every line goes to the handler without
-				// the driver's level check: a worker's warning or panic
-				// trace reaches the log even when the driver runs at
-				// warn or error.
-				line := sc.Text()
-				if r, ok := workerRecord(line); ok {
-					h.Handle(ctx, r)
-				} else if line != "" {
-					h.Handle(ctx, slog.NewRecord(time.Now(), workerLevel(line), "worker: "+line, 0))
-				}
-			}
-			// A line over the buffer cap errors the scanner; drain the
-			// rest so the child never blocks on a full stderr pipe.
-			io.Copy(io.Discard, stderr)
-		}()
-	}
-	return pe, nil
-}
-
-// workerRecord decodes one captured worker stderr line written by a
-// -log-format json worker into a record with the worker's own time,
-// level, message and attributes, in the worker's order. ok is false for
-// a line that is not such a record.
-func workerRecord(line string) (r slog.Record, ok bool) {
-	dec := json.NewDecoder(strings.NewReader(line))
-	dec.UseNumber()
-	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
-		return r, false
-	}
-	var (
-		when  time.Time
-		level slog.Level
-		msg   string
-		found int
-		attrs []slog.Attr
-	)
-	for dec.More() {
-		tok, err := dec.Token()
-		if err != nil {
-			return r, false
-		}
-		key := tok.(string) // object keys are strings
-		var v any
-		if err := dec.Decode(&v); err != nil {
-			return r, false
-		}
-		s, isString := v.(string)
-		switch {
-		case key == slog.TimeKey && isString:
-			if when, err = time.Parse(time.RFC3339Nano, s); err != nil {
-				return r, false
-			}
-			found |= 1
-		case key == slog.LevelKey && isString:
-			if level.UnmarshalText([]byte(s)) != nil {
-				return r, false
-			}
-			found |= 2
-		case key == slog.MessageKey && isString:
-			msg = s
-			found |= 4
-		default:
-			attrs = append(attrs, slog.Any(key, v))
-		}
-	}
-	if _, err := dec.Token(); err != nil || found != 7 {
-		return r, false
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return r, false // more after the object
-	}
-	r = slog.NewRecord(when, level, msg, 0)
-	r.AddAttrs(attrs...)
-	return r, true
-}
-
-// workerLevel is the level of one captured worker stderr line: the
-// level of a slog text or JSON record, or Error for anything else — a
-// Go runtime panic, a fatal message, a raw write.
-func workerLevel(line string) slog.Level {
-	var rest string
-	switch {
-	case strings.HasPrefix(line, "time="):
-		_, rest, _ = strings.Cut(line, " level=")
-	case strings.HasPrefix(line, `{"time":`):
-		_, rest, _ = strings.Cut(line, `,"level":"`)
-	}
-	if i := strings.IndexAny(rest, ` "`); i >= 0 {
-		rest = rest[:i]
-	}
-	var lv slog.Level
-	if lv.UnmarshalText([]byte(rest)) != nil {
-		return slog.LevelError
-	}
-	return lv
+		enc: json.NewEncoder(stdin),
+		dec: json.NewDecoder(stdout),
+	}, nil
 }
 
 func (p *procExecutor) run(ctx context.Context, job Job, report func(done, extra int)) (Result, error) {
 	if err := p.enc.Encode(job); err != nil {
 		return Result{}, fmt.Errorf("driver: send job to worker: %w", err)
 	}
+	return readResult(p.dec, job.Shard, report)
+}
+
+// readResult decodes a worker's Result lines for one job: it forwards
+// progress events to report and returns the done Result. A line that is
+// not a Result, or an event other than progress or done, is an error.
+func readResult(dec *json.Decoder, shard int, report func(done, extra int)) (Result, error) {
 	for {
 		var res Result
-		if err := p.dec.Decode(&res); err != nil {
-			return Result{}, fmt.Errorf("driver: worker died mid-job (shard %d): %w", job.Shard, err)
+		if err := dec.Decode(&res); err != nil {
+			return Result{}, fmt.Errorf("driver: worker died mid-job (shard %d): %w", shard, err)
 		}
-		if res.Event == "progress" {
+		switch res.Event {
+		case "progress":
 			report(res.Done, res.Extra)
-			continue
+		case "done":
+			return res, nil
+		default:
+			return Result{}, fmt.Errorf("driver: worker sent event %q (shard %d)", res.Event, shard)
 		}
-		return res, nil
 	}
 }
 
 func (p *procExecutor) close() {
 	p.stdin.Close()
-	if p.stderrDone != nil {
-		<-p.stderrDone
-	}
 	p.cmd.Wait()
-	if p.onExit != nil {
-		cpu, rss := waitUsage(p.cmd.ProcessState)
-		p.onExit(WorkerUsage{PID: p.pid, CPU: cpu, MaxRSSKB: rss})
-	}
 }

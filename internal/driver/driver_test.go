@@ -15,6 +15,7 @@ import (
 	"namer/internal/core"
 	"namer/internal/corpus"
 	"namer/internal/knowledge"
+	"namer/internal/obs"
 )
 
 // TestMain doubles as the worker entry point for the subprocess tests:
@@ -260,6 +261,67 @@ func TestDriverSubprocessWorkers(t *testing.T) {
 	}
 }
 
+// With a traced context, in-process jobs record their spans in the
+// driver's own trace, under the map round that ran them; a resumed run
+// records its checkpoint reads and validations there too.
+func TestRunTracesInProcessJobs(t *testing.T) {
+	dir, want := testCorpus(t)
+	ckdir := t.TempDir()
+	run := func() (map[string]int, Stats) {
+		t.Helper()
+		ctx, tr := obs.NewTrace(context.Background(), "mine", "")
+		tr.SetMaxSpans(1 << 18)
+		art, stats, err := Run(ctx, driverOptions(dir, ckdir, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+		if got := encodeArtifact(t, art); !bytes.Equal(got, want) {
+			t.Fatal("traced driver knowledge differs from single-process mine")
+		}
+		spans := tr.Spans()
+		counts := map[string]int{}
+		for _, s := range spans {
+			counts[s.Name]++
+			if s.Name == "resume_validate" {
+				for _, a := range s.Attrs {
+					if a.Key == "result" {
+						counts["resume_validate="+a.Value]++
+					}
+				}
+			}
+			if s.Name == "job" {
+				if parent := spans[s.Parent].Name; parent != "map_extract" && parent != "map_trees" {
+					t.Errorf("job span under %q, want a map round", parent)
+				}
+			}
+		}
+		return counts, stats
+	}
+
+	fresh, _ := run()
+	for name, n := range map[string]int{"job": 4, "load_shard": 2, "build_shard_tree": 4} {
+		if fresh[name] != n {
+			t.Errorf("fresh run recorded %d %s spans, want %d", fresh[name], name, n)
+		}
+	}
+	if fresh["checkpoint_write"] == 0 {
+		t.Error("fresh run recorded no checkpoint_write span")
+	}
+
+	resumed, stats := run()
+	if stats.StmtsReused != 2 || stats.TreesReused != 2 {
+		t.Fatalf("resume reused %d/%d shards, want 2/2", stats.StmtsReused, stats.TreesReused)
+	}
+	if resumed["resume_validate=reused"] != 4 {
+		t.Errorf("resumed run validated %d checkpoints as reused, want 4", resumed["resume_validate=reused"])
+	}
+	if resumed["checkpoint_read"] == 0 || resumed["job"] != 0 {
+		t.Errorf("resumed run: %d checkpoint_read and %d job spans, want some and none",
+			resumed["checkpoint_read"], resumed["job"])
+	}
+}
+
 func TestPlanDeterministicAndRepoAligned(t *testing.T) {
 	dir, _ := testCorpus(t)
 	p1, err := buildPlan(dir, ast.Python, 5, "fp")
@@ -281,13 +343,14 @@ func TestPlanDeterministicAndRepoAligned(t *testing.T) {
 		}
 		for _, f := range s.files {
 			all = append(all, f)
-			if prev, ok := seen[repoOf(f)]; ok && prev != i {
-				t.Fatalf("repo %s straddles shards %d and %d", repoOf(f), prev, i)
+			repo := core.RepoOf(f)
+			if prev, ok := seen[repo]; ok && prev != i {
+				t.Fatalf("repo %s straddles shards %d and %d", repo, prev, i)
 			}
-			seen[repoOf(f)] = i
+			seen[repo] = i
 		}
 	}
-	flat, err := listCorpus(dir, ast.Python)
+	flat, err := core.ListSources(dir, ast.Python)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,12 +33,11 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"namer/internal/ast"
+	"namer/internal/core"
 	"namer/internal/parallel"
 )
 
@@ -56,51 +55,6 @@ type plan struct {
 	hash   string // hex sha256 over the config fingerprint and shard hashes
 }
 
-// langExt mirrors core.LoadDirectory's extension selection.
-func langExt(lang ast.Language) string {
-	switch lang {
-	case ast.Java:
-		return ".java"
-	case ast.Go:
-		return ".go"
-	}
-	return ".py"
-}
-
-// listCorpus returns the corpus-relative source paths in the order
-// core.LoadDirectory visits them (lexical WalkDir order), so that
-// concatenating the shards reproduces the single-process file order
-// exactly.
-func listCorpus(root string, lang ast.Language) ([]string, error) {
-	ext := langExt(lang)
-	var files []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ext) {
-			return nil
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			rel = path
-		}
-		files = append(files, rel)
-		return nil
-	})
-	return files, err
-}
-
-// repoOf returns the repository a corpus-relative path belongs to: its
-// first path component (the layout corpus.WriteTo produces), matching
-// core.LoadDirectory.
-func repoOf(rel string) string {
-	if i := strings.IndexByte(rel, filepath.Separator); i >= 0 {
-		return rel[:i]
-	}
-	return rel
-}
-
 // buildPlan lists the corpus, groups files by repository (repos never
 // straddle shards, and lexical walk order keeps each repo's files
 // contiguous), partitions the repo sequence into `shards` balanced
@@ -110,12 +64,12 @@ func repoOf(rel string) string {
 // which is what lets a resumed driver trust checkpoints it did not
 // write.
 func buildPlan(root string, lang ast.Language, shards int, fingerprint string) (plan, error) {
-	files, err := listCorpus(root, lang)
+	files, err := core.ListSources(root, lang)
 	if err != nil {
 		return plan{}, fmt.Errorf("driver: list corpus: %w", err)
 	}
 	if len(files) == 0 {
-		return plan{}, fmt.Errorf("driver: no %s files under %s", langExt(lang), root)
+		return plan{}, fmt.Errorf("driver: no %v files under %s", lang, root)
 	}
 
 	// Group consecutive files by repo. WalkDir is lexical, so all of one
@@ -124,7 +78,7 @@ func buildPlan(root string, lang ast.Language, shards int, fingerprint string) (
 	var groups []group
 	for i := 0; i < len(files); {
 		j := i + 1
-		for j < len(files) && repoOf(files[j]) == repoOf(files[i]) {
+		for j < len(files) && core.RepoOf(files[j]) == core.RepoOf(files[i]) {
 			j++
 		}
 		groups = append(groups, group{i, j})

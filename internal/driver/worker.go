@@ -9,8 +9,6 @@ import (
 	"io"
 	"log/slog"
 	"os"
-	"path/filepath"
-	"runtime"
 	"time"
 
 	"namer/internal/ast"
@@ -34,11 +32,6 @@ type Job struct {
 	Shard int    `json:"shard"`
 	// OutPath is where the worker writes its checkpoint artifact.
 	OutPath string `json:"out_path"`
-	// Trace asks a spawned worker to record the job as a local span tree
-	// and ship it back on the done Result (Spans), so the driver can
-	// stitch one cross-process trace. Off by default: an untraced job
-	// pays nothing and its Result carries no span batch.
-	Trace bool `json:"trace,omitempty"`
 
 	// stmts-phase fields.
 	CorpusDir            string   `json:"corpus_dir,omitempty"`
@@ -73,22 +66,6 @@ type Result struct {
 	FilesSkipped int    `json:"files_skipped,omitempty"`
 	Statements   int    `json:"statements,omitempty"`
 	Transactions int    `json:"transactions,omitempty"`
-
-	// Resource accounting for the job. CPUNs and MaxRSSKB come from
-	// getrusage(RUSAGE_SELF); AllocBytes is the Go heap allocation delta.
-	// For a spawned worker (one job at a time in its own process) the
-	// CPU delta is exact; for in-process jobs the deltas are process-wide
-	// and therefore approximate when jobs overlap.
-	CPUNs      int64 `json:"cpu_ns,omitempty"`
-	MaxRSSKB   int64 `json:"max_rss_kb,omitempty"`
-	AllocBytes int64 `json:"alloc_bytes,omitempty"`
-
-	// Cross-process tracing: a spawned worker's PID and, when the job
-	// asked for tracing, the job's span tree in wire form. Both are
-	// omitted from the JSON line when unset, so the protocol carries no
-	// span payload for untraced runs.
-	PID   int            `json:"pid,omitempty"`
-	Spans []obs.WireSpan `json:"spans,omitempty"`
 }
 
 // RunJob executes one map job and writes its checkpoint. report, when
@@ -97,10 +74,6 @@ type Result struct {
 // the checkpoint I/O); otherwise every span call is a free no-op.
 func RunJob(ctx context.Context, job Job, report func(done, extra int)) Result {
 	res := Result{Event: "done", Shard: job.Shard, Phase: job.Phase}
-	cpu0 := processCPUTime()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-
 	ctx, sp := obs.StartSpan(ctx, "job")
 	sp.SetAttr("phase", job.Phase)
 	sp.SetAttrInt("shard", job.Shard)
@@ -114,11 +87,6 @@ func RunJob(ctx context.Context, job Job, report func(done, extra int)) Result {
 		err = fmt.Errorf("driver: unknown job phase %q", job.Phase)
 	}
 	sp.End()
-
-	runtime.ReadMemStats(&m1)
-	res.CPUNs = int64(processCPUTime() - cpu0)
-	res.AllocBytes = int64(m1.TotalAlloc - m0.TotalAlloc)
-	res.MaxRSSKB = processMaxRSSKB()
 	if err != nil {
 		res.Error = err.Error()
 		return res
@@ -152,22 +120,12 @@ func runStmtsJob(ctx context.Context, job Job, report func(done, extra int), res
 	var files []*core.InputFile
 	skipped := 0
 	for _, rel := range job.Files {
-		data, err := os.ReadFile(filepath.Join(job.CorpusDir, rel))
+		f, err := core.LoadFile(job.CorpusDir, rel, lang)
 		if err != nil {
 			skipped++
 			continue
 		}
-		root, err := core.ParseSource(lang, string(data))
-		if err != nil {
-			skipped++
-			continue
-		}
-		files = append(files, &core.InputFile{
-			Repo:   repoOf(rel),
-			Path:   rel,
-			Source: string(data),
-			Root:   root,
-		})
+		files = append(files, f)
 	}
 	lsp.SetAttrInt("files", len(files))
 	lsp.SetAttrInt("skipped", skipped)
@@ -276,18 +234,12 @@ func hashBytes(data []byte) string {
 // lines from r and writes progress and done Result lines to w until EOF.
 // Job failures are reported in-band (OK=false); only transport errors
 // end the loop with a non-nil error. lg (nil is fine) receives per-job
-// debug lines on the worker's stderr, which the driver captures and
-// re-tags with the worker's PID.
-//
-// When a job arrives with Trace set, the worker records the job under a
-// local trace and ships the finished span tree back on the done Result —
-// the worker half of the cross-process trace: it never opens a socket or
-// a file, the spans ride the same stdout pipe as the results.
+// debug records on the worker's stderr, which the driver passes through
+// untouched; every record carries the worker's worker_pid.
 func ServeWorker(r io.Reader, w io.Writer, lg *slog.Logger) error {
-	lg = obs.OrDiscard(lg)
+	lg = obs.OrDiscard(lg).With("worker_pid", os.Getpid())
 	dec := json.NewDecoder(r)
 	enc := json.NewEncoder(w)
-	pid := os.Getpid()
 	for {
 		var job Job
 		if err := dec.Decode(&job); err != nil {
@@ -296,16 +248,10 @@ func ServeWorker(r io.Reader, w io.Writer, lg *slog.Logger) error {
 			}
 			return fmt.Errorf("driver: worker read: %w", err)
 		}
-		ctx := context.Background()
-		var tr *obs.Trace
-		if job.Trace {
-			ctx, tr = obs.NewTrace(ctx, fmt.Sprintf("shard-%04d %s", job.Shard, job.Phase), "")
-			tr.SetMaxSpans(1 << 16)
-		}
 		lg.Debug("job start", "phase", job.Phase, "shard", job.Shard, "files", len(job.Files))
 		start := time.Now()
 		var reportErr error
-		res := RunJob(ctx, job, func(done, extra int) {
+		res := RunJob(context.Background(), job, func(done, extra int) {
 			if reportErr == nil {
 				reportErr = enc.Encode(Result{
 					Event: "progress", Shard: job.Shard, Phase: job.Phase,
@@ -313,16 +259,10 @@ func ServeWorker(r io.Reader, w io.Writer, lg *slog.Logger) error {
 				})
 			}
 		})
-		res.PID = pid
-		if tr != nil {
-			tr.Finish()
-			res.Spans = tr.WireSpans()
-		}
 		if reportErr != nil {
 			return fmt.Errorf("driver: worker write: %w", reportErr)
 		}
-		lg.Debug("job done", "phase", job.Phase, "shard", job.Shard,
-			"wall", time.Since(start), "cpu_ns", res.CPUNs, "spans", len(res.Spans))
+		lg.Debug("job done", "phase", job.Phase, "shard", job.Shard, "wall", time.Since(start))
 		if err := enc.Encode(res); err != nil {
 			return fmt.Errorf("driver: worker write: %w", err)
 		}

@@ -58,10 +58,7 @@ type Span struct {
 // Trace is one trace: a root span plus every descendant, recorded in
 // start order. Creating spans from concurrent goroutines is safe; the
 // exporters must only run after the work feeding the trace has finished
-// (Finish provides the natural barrier). A trace can additionally carry
-// external lanes — span batches recorded by other processes (worker
-// subprocesses) and shipped back over the wire — which the Chrome
-// exporter renders under their real PIDs next to this process's lanes.
+// (Finish provides the natural barrier).
 type Trace struct {
 	id   string
 	name string
@@ -70,18 +67,10 @@ type Trace struct {
 	spans    []*Span
 	dropped  int
 	maxSpans int
-	external []externalBatch
 
 	start time.Time
 	end   time.Time // zero until Finish
 	root  *Span
-}
-
-// externalBatch is one shipped span batch from another process.
-type externalBatch struct {
-	pid   int
-	label string
-	spans []WireSpan
 }
 
 // NewTrace starts a trace with a root span of the given name and binds
@@ -96,12 +85,6 @@ func NewTrace(ctx context.Context, name, id string) (context.Context, *Trace) {
 	t.root = &Span{tr: t, id: 0, parent: -1, name: name, start: t.start}
 	t.spans = append(t.spans, t.root)
 	return context.WithValue(ctx, spanCtxKey{}, t.root), t
-}
-
-// SpanFromContext returns the current span, or nil outside a trace.
-func SpanFromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanCtxKey{}).(*Span)
-	return s
 }
 
 // StartSpan opens a child of the context's current span and returns a
@@ -275,93 +258,6 @@ func (t *Trace) Spans() []SpanInfo {
 	return out
 }
 
-// --- cross-process span shipping ---
-
-// WireSpan is the wire shape of one span when a process ships its trace
-// to another (the driver's worker protocol). Parents are batch-local
-// indices, start times are absolute wall-clock nanoseconds — processes
-// on one machine share a clock, which is the deployment the driver
-// supports — and the JSON keys are one letter because a corpus-scale
-// job ships thousands of them per result line.
-type WireSpan struct {
-	Name        string `json:"n"`
-	Parent      int32  `json:"p"` // index into the same batch; -1 for the batch root
-	StartUnixNs int64  `json:"s"`
-	DurNs       int64  `json:"d"`
-	Attrs       []Attr `json:"a,omitempty"`
-}
-
-// WireSpans snapshots every recorded span as a wire batch ready for
-// JSON shipping. Call after Finish (or at least after the spans of
-// interest have ended); unfinished spans export with their
-// elapsed-at-trace-end duration, exactly as Spans reports them.
-func (t *Trace) WireSpans() []WireSpan {
-	spans := t.Spans()
-	out := make([]WireSpan, len(spans))
-	for i, s := range spans {
-		out[i] = WireSpan{
-			Name:        s.Name,
-			Parent:      int32(s.Parent),
-			StartUnixNs: s.Start.UnixNano(),
-			DurNs:       int64(s.Duration),
-			Attrs:       s.Attrs,
-		}
-	}
-	return out
-}
-
-// AddExternalSpans grafts a span batch recorded by another process onto
-// this trace as a lane keyed by that process's real pid; label names
-// the lane in the Chrome export ("worker pid=1234"). The batch is
-// validated first: every parent must be -1 or the index of an earlier
-// span in the same batch, so a corrupt or truncated shipment can never
-// produce orphan parent ids or parent cycles in the merged trace. Safe
-// for concurrent use with span creation.
-func (t *Trace) AddExternalSpans(pid int, label string, spans []WireSpan) error {
-	for i, s := range spans {
-		if s.Parent < -1 || int(s.Parent) >= i {
-			return fmt.Errorf("obs: external span %d (%q) has parent %d, want -1 or an earlier span",
-				i, s.Name, s.Parent)
-		}
-		if s.DurNs < 0 {
-			return fmt.Errorf("obs: external span %d (%q) has negative duration", i, s.Name)
-		}
-	}
-	t.mu.Lock()
-	t.external = append(t.external, externalBatch{pid: pid, label: label, spans: spans})
-	t.mu.Unlock()
-	return nil
-}
-
-// ExternalSpanCount returns how many external (shipped) spans the trace
-// carries, and how many distinct external pids they came from.
-func (t *Trace) ExternalSpanCount() (spans, pids int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	seen := map[int]bool{}
-	for _, b := range t.external {
-		spans += len(b.spans)
-		seen[b.pid] = true
-	}
-	return spans, len(seen)
-}
-
-// Trace returns the trace a span belongs to (nil for a nil/disabled
-// span) — the hook code deep in a call tree uses to graft external
-// lanes onto the active trace.
-func (s *Span) Trace() *Trace {
-	if s == nil {
-		return nil
-	}
-	return s.tr
-}
-
-// TraceFromContext returns the trace the context's current span belongs
-// to, or nil outside a trace.
-func TraceFromContext(ctx context.Context) *Trace {
-	return SpanFromContext(ctx).Trace()
-}
-
 // --- Chrome trace-event exporter ---
 
 // chromeEvent is one complete ("X") event of the Chrome trace-event
@@ -376,74 +272,15 @@ type chromeEvent struct {
 	Args map[string]string `json:"args,omitempty"`
 }
 
-// WriteChromeTrace renders the trace as Chrome trace-event JSON.
-// Concurrent spans are laid out on synthetic thread lanes: a span lands
-// on its parent's lane when the parent is still the innermost open span
-// there (so sequential pipelines nest visually), otherwise on the first
-// idle lane — the layout a real multi-worker run has, one lane per
-// concurrently active span. This process's spans render under pid 1;
-// external lanes added with AddExternalSpans render under their real
-// worker pids, each named by a process_name metadata event, so a
-// distributed mine reads as one timeline with a lane per process.
+// WriteChromeTrace renders the trace as Chrome trace-event JSON, every
+// span under pid 1. Concurrent spans are laid out on synthetic thread
+// lanes: a span lands on its parent's lane when the parent is still the
+// innermost open span there (so sequential pipelines nest visually),
+// otherwise on the first idle lane — the layout a real multi-worker run
+// has, one lane per concurrently active span. The root span's args carry
+// the trace id.
 func (t *Trace) WriteChromeTrace(w io.Writer) error {
-	events := t.chromeEvents(t.Spans(), 1, map[string]string{"trace_id": t.id})
-
-	t.mu.Lock()
-	external := append([]externalBatch(nil), t.external...)
-	t.mu.Unlock()
-	// One lane group per pid: batches from the same worker process (one
-	// per job) concatenate, with batch-local parent ids rebased so the
-	// lane layout sees one consistent id space.
-	byPid := map[int]*externalBatch{}
-	var pidOrder []int
-	for _, b := range external {
-		g, ok := byPid[b.pid]
-		if !ok {
-			g = &externalBatch{pid: b.pid, label: b.label}
-			byPid[b.pid] = g
-			pidOrder = append(pidOrder, b.pid)
-		}
-		offset := len(g.spans)
-		for _, s := range b.spans {
-			if s.Parent >= 0 {
-				s.Parent += int32(offset)
-			}
-			g.spans = append(g.spans, s)
-		}
-	}
-	for _, pid := range pidOrder {
-		g := byPid[pid]
-		events = append(events, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: g.pid,
-			Args: map[string]string{"name": g.label},
-		})
-		infos := make([]SpanInfo, len(g.spans))
-		for i, s := range g.spans {
-			infos[i] = SpanInfo{
-				ID:       i,
-				Parent:   int(s.Parent),
-				Name:     s.Name,
-				Start:    time.Unix(0, s.StartUnixNs),
-				Duration: time.Duration(s.DurNs),
-				Attrs:    s.Attrs,
-			}
-		}
-		events = append(events, t.chromeEvents(infos, g.pid, nil)...)
-	}
-
-	data, err := json.Marshal(events)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(data, '\n'))
-	return err
-}
-
-// chromeEvents lays spans out on thread lanes under one pid, with ts
-// relative to the trace start (external spans that began before the
-// trace clamp to 0). rootArgs, when non-nil, is merged into the args of
-// parentless spans.
-func (t *Trace) chromeEvents(spans []SpanInfo, pid int, rootArgs map[string]string) []chromeEvent {
+	spans := t.Spans()
 	order := make([]int, len(spans))
 	for i := range order {
 		order[i] = i
@@ -499,32 +336,32 @@ func (t *Trace) chromeEvents(spans []SpanInfo, pid int, rootArgs map[string]stri
 		lanes[lane] = append(lanes[lane], s)
 		laneOf[s.ID] = lane
 
-		ts := float64(s.Start.Sub(t.start)) / float64(time.Microsecond)
-		if ts < 0 {
-			ts = 0
-		}
 		ev := chromeEvent{
 			Name: s.Name,
 			Ph:   "X",
-			Ts:   ts,
+			Ts:   float64(s.Start.Sub(t.start)) / float64(time.Microsecond),
 			Dur:  float64(s.Duration) / float64(time.Microsecond),
-			Pid:  pid,
+			Pid:  1,
 			Tid:  lane + 1,
 		}
-		if len(s.Attrs) > 0 || (s.Parent == -1 && len(rootArgs) > 0) {
+		if len(s.Attrs) > 0 || s.Parent == -1 {
 			ev.Args = make(map[string]string, len(s.Attrs)+1)
 			for _, a := range s.Attrs {
 				ev.Args[a.Key] = a.Value
 			}
 			if s.Parent == -1 {
-				for k, v := range rootArgs {
-					ev.Args[k] = v
-				}
+				ev.Args["trace_id"] = t.id
 			}
 		}
 		events = append(events, ev)
 	}
-	return events
+
+	data, err := json.Marshal(events)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(data, '\n'))
+	return err
 }
 
 // --- compact text tree exporter ---

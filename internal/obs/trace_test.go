@@ -423,157 +423,3 @@ func TestProgressThrottles(t *testing.T) {
 		t.Fatalf("first line = %q, want the first update", lines[0])
 	}
 }
-
-// WireSpans exports a batch whose parents AddExternalSpans accepts, and
-// the values survive the trip (the worker -> driver shipping path).
-func TestWireSpansRoundTrip(t *testing.T) {
-	ctx, tr := NewTrace(context.Background(), "worker_job", "")
-	ctx2, parent := StartSpan(ctx, "phase")
-	parent.SetAttr("shard", "3")
-	_, child := StartSpan(ctx2, "inner")
-	child.SetAttrInt("files", 7)
-	child.End()
-	parent.End()
-	tr.Finish()
-
-	batch := tr.WireSpans()
-	if len(batch) != 3 {
-		t.Fatalf("batch = %d spans, want 3", len(batch))
-	}
-	// JSON round trip, as the worker protocol does.
-	data, err := json.Marshal(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded []WireSpan
-	if err := json.Unmarshal(data, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded[0].Parent != -1 || decoded[1].Parent != 0 || decoded[2].Parent != 1 {
-		t.Fatalf("parents = %d,%d,%d", decoded[0].Parent, decoded[1].Parent, decoded[2].Parent)
-	}
-	if decoded[2].Name != "inner" || len(decoded[2].Attrs) != 1 || decoded[2].Attrs[0].Value != "7" {
-		t.Fatalf("span 2 = %+v", decoded[2])
-	}
-	if decoded[2].DurNs < 0 || decoded[1].StartUnixNs > decoded[2].StartUnixNs {
-		t.Fatalf("times inverted: %+v", decoded)
-	}
-
-	_, drvTrace := NewTrace(context.Background(), "driver", "")
-	if err := drvTrace.AddExternalSpans(4242, "worker pid=4242", decoded); err != nil {
-		t.Fatalf("valid batch rejected: %v", err)
-	}
-	spans, pids := drvTrace.ExternalSpanCount()
-	if spans != 3 || pids != 1 {
-		t.Fatalf("ExternalSpanCount = %d spans, %d pids", spans, pids)
-	}
-}
-
-// Corrupt shipments — orphan, self, forward or cyclic parents, negative
-// durations — must be rejected at the graft point, never silently merged.
-func TestAddExternalSpansRejectsOrphans(t *testing.T) {
-	_, tr := NewTrace(context.Background(), "driver", "")
-	cases := map[string][]WireSpan{
-		"parent beyond batch": {{Name: "a", Parent: 5}},
-		"parent below -1":     {{Name: "a", Parent: -2}},
-		"self parent":         {{Name: "a", Parent: -1}, {Name: "b", Parent: 1}},
-		"forward parent":      {{Name: "a", Parent: -1}, {Name: "b", Parent: 2}, {Name: "c", Parent: 0}},
-		"cycle":               {{Name: "a", Parent: 1}, {Name: "b", Parent: 0}},
-		"negative duration":   {{Name: "a", Parent: -1, DurNs: -5}},
-	}
-	for name, batch := range cases {
-		if err := tr.AddExternalSpans(99, "w", batch); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-	if n, _ := tr.ExternalSpanCount(); n != 0 {
-		t.Fatalf("rejected batches were kept: %d spans", n)
-	}
-}
-
-// The merged Chrome export must put external batches on their real pids
-// with a process_name metadata event, local spans staying on pid 1.
-func TestChromeTraceExternalLanes(t *testing.T) {
-	ctx, tr := NewTrace(context.Background(), "driver", "")
-	_, sp := StartSpan(ctx, "map_extract")
-	sp.End()
-
-	base := time.Now().UnixNano()
-	for _, pid := range []int{3001, 3002} {
-		batch := []WireSpan{
-			{Name: "job", Parent: -1, StartUnixNs: base, DurNs: int64(2 * time.Millisecond)},
-			{Name: "checkpoint_write", Parent: 0, StartUnixNs: base + int64(time.Millisecond),
-				DurNs: int64(time.Millisecond), Attrs: []Attr{{Key: "shard", Value: "1"}}},
-		}
-		if err := tr.AddExternalSpans(pid, fmt.Sprintf("worker pid=%d", pid), batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tr.Finish()
-
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var events []struct {
-		Name string            `json:"name"`
-		Ph   string            `json:"ph"`
-		Pid  int               `json:"pid"`
-		Ts   float64           `json:"ts"`
-		Args map[string]string `json:"args"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatal(err)
-	}
-	pids := map[int]int{}
-	names := map[int]string{}
-	for _, ev := range events {
-		if ev.Ph == "M" && ev.Name == "process_name" {
-			names[ev.Pid] = ev.Args["name"]
-			continue
-		}
-		pids[ev.Pid]++
-		if ev.Ts < 0 {
-			t.Fatalf("negative ts in event %+v", ev)
-		}
-	}
-	if pids[1] == 0 || pids[3001] != 2 || pids[3002] != 2 {
-		t.Fatalf("pid lanes wrong: %v", pids)
-	}
-	if names[3001] != "worker pid=3001" || names[3002] != "worker pid=3002" {
-		t.Fatalf("process_name metadata wrong: %v", names)
-	}
-}
-
-// A batch whose spans started before the driver's trace (clock skew,
-// resume) clamps to ts=0 instead of rendering negative timestamps.
-func TestExternalSpansClampBeforeTraceStart(t *testing.T) {
-	_, tr := NewTrace(context.Background(), "driver", "")
-	batch := []WireSpan{{Name: "early", Parent: -1,
-		StartUnixNs: tr.Start().Add(-time.Second).UnixNano(), DurNs: int64(time.Millisecond)}}
-	if err := tr.AddExternalSpans(77, "w", batch); err != nil {
-		t.Fatal(err)
-	}
-	tr.Finish()
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), `"ts":-`) {
-		t.Fatalf("negative ts in export: %s", buf.String())
-	}
-}
-
-func TestTraceFromContext(t *testing.T) {
-	if TraceFromContext(context.Background()) != nil {
-		t.Fatal("TraceFromContext outside a trace must be nil")
-	}
-	ctx, tr := NewTrace(context.Background(), "x", "")
-	if TraceFromContext(ctx) != tr {
-		t.Fatal("TraceFromContext did not return the bound trace")
-	}
-	ctx2, _ := StartSpan(ctx, "child")
-	if TraceFromContext(ctx2) != tr {
-		t.Fatal("TraceFromContext below a child span lost the trace")
-	}
-}
