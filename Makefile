@@ -59,7 +59,9 @@ bench:
 # Short native-fuzzing pass over the three binary decoders that take
 # bytes from disk (the knowledge artifact, the FP-tree codec, and the
 # checkpoint envelope), over the session range-edit splice, which takes
-# positions from editor clients, over the hand-written Python and Java
+# positions from editor clients, over the overlay region splice, which
+# must equal a full analysis on any before/after pair of Python sources,
+# over the hand-written Python and Java
 # parsers and the Go front end's conversion of go/parser trees, which take
 # source from files and requests, over the unified
 # diff applier, which takes patches from /v1/diff clients, and over the
@@ -70,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 5s ./internal/knowledge
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTree$$' -fuzztime 5s ./internal/fptree
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyEdit$$' -fuzztime 5s ./internal/session
+	$(GO) test -run '^$$' -fuzz '^FuzzOverlaySplice$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePython$$' -fuzztime 5s ./internal/pylang
 	$(GO) test -run '^$$' -fuzz '^FuzzParseJava$$' -fuzztime 5s ./internal/javalang
 	$(GO) test -run '^$$' -fuzz '^FuzzParseGo$$' -fuzztime 5s ./internal/golang
@@ -197,7 +200,9 @@ obs-gate:
 # scan cache rotating with the bundle (cold then warm again after the
 # swap). Then one full editor session: open, a full-content change, an
 # incremental range edit (the response must say "scan": "incremental"),
-# another edit across a second SIGHUP reload (still 200, never
+# a resend of the whole file with one line changed (also "incremental":
+# the server finds the edited lines itself), another edit across a
+# second SIGHUP reload (still 200, never
 # "failed"), the namer_sessions gauge at 1, close, and a 404 for an
 # edit after close. Then the knowledge file is overwritten with a file
 # in the retired v1 binary format: POST /debug/reload must answer 500
@@ -361,12 +366,18 @@ serve-smoke:
 	[ "$$code" = 200 ] || { echo "serve-smoke: session range edit returned $$code"; cat "$$tmp/sess2.json"; exit 1; }; \
 	grep -qF '"scan": "incremental"' "$$tmp/sess2.json" || \
 		{ echo "serve-smoke: session range edit did not scan incrementally"; cat "$$tmp/sess2.json"; exit 1; }; \
+	code=$$(curl -s -o "$$tmp/sess2b.json" -w '%{http_code}' -X POST \
+		-d '{"path":"s.py","version":3,"all":true,"edits":[{"text":"value = 2\ndownload_cnt = download_count + 1\nupload_cnt = upload_count + 1\n"}]}' \
+		"http://$$addr/v1/session/$$sid/change"); \
+	[ "$$code" = 200 ] || { echo "serve-smoke: session full resend returned $$code"; cat "$$tmp/sess2b.json"; exit 1; }; \
+	grep -qF '"scan": "incremental"' "$$tmp/sess2b.json" || \
+		{ echo "serve-smoke: one-line full resend did not scan incrementally"; cat "$$tmp/sess2b.json"; exit 1; }; \
 	kill -HUP $$pid; \
 	for i in $$(seq 1 50); do \
 		curl -s "http://$$addr/metrics" | grep -qE '^namer_knowledge_reloads_total 3' && break; sleep 0.1; \
 	done; \
 	code=$$(curl -s -o "$$tmp/sess3.json" -w '%{http_code}' -X POST \
-		-d '{"path":"s.py","version":3,"all":true,"edits":[{"range":{"start":{"line":3,"character":0},"end":{"line":3,"character":0}},"text":"task_cnt = task_count + 1\n"}]}' \
+		-d '{"path":"s.py","version":4,"all":true,"edits":[{"range":{"start":{"line":3,"character":0},"end":{"line":3,"character":0}},"text":"task_cnt = task_count + 1\n"}]}' \
 		"http://$$addr/v1/session/$$sid/change"); \
 	[ "$$code" = 200 ] || { echo "serve-smoke: session edit across SIGHUP returned $$code"; cat "$$tmp/sess3.json"; exit 1; }; \
 	grep -qF '"scan": "failed"' "$$tmp/sess3.json" && \
@@ -377,7 +388,7 @@ serve-smoke:
 		-d '{"op":"close","session_id":"'"$$sid"'"}' "http://$$addr/v1/session"); \
 	[ "$$code" = 200 ] || { echo "serve-smoke: session close returned $$code"; exit 1; }; \
 	code=$$(curl -s -o /dev/null -w '%{http_code}' -X POST \
-		-d '{"path":"s.py","version":4,"edits":[{"text":"x = 1\n"}]}' \
+		-d '{"path":"s.py","version":5,"edits":[{"text":"x = 1\n"}]}' \
 		"http://$$addr/v1/session/$$sid/change"); \
 	[ "$$code" = 404 ] || { echo "serve-smoke: change after close returned $$code, want 404"; exit 1; }; \
 	cp "$$tmp/knowledge.bin" "$$tmp/knowledge.good"; \

@@ -18,7 +18,9 @@
 // POST /v1/session opens a long-lived editor session (close it the same
 // way), and POST /v1/session/{id}/change applies didChange-style edits
 // to a per-session file overlay, re-scanning just the touched file —
-// incrementally when possible — and answering with push-style
+// incrementally when possible: only the region around the lines that
+// differ from the last good scan, whether the client sent ranges or the
+// whole file — and answering with push-style
 // diagnostics, proposed-fix text edits, and the introduced/resolved
 // delta against the session's previous scan. Sessions idle past
 // -session-idle are evicted; -max-sessions caps how many are open.

@@ -8,13 +8,16 @@
 // cache-backed warm path; the overlay path does not, which is what puts
 // a warm single-file change-scan an order of magnitude under a cold one.
 //
-// Safety model: the incremental path is taken only when the unedited
-// prefix and suffix of the previous content are verified line-for-line
-// identical, the region boundaries are top-level statement starts in
-// both versions, and the re-parsed region yields statements strictly
-// inside the region. Anything suspicious — a boundary the line
-// classifier cannot place, a region parse failure, statements escaping
-// the region — falls back to a full re-analysis of the new content.
+// Safety model: the edited lines are whatever lies between the longest
+// common line prefix and suffix of the previous and the new content, so
+// the lines outside them are unedited by construction, however many
+// edits (or failed scans) came in between. The incremental path is
+// taken only when the region boundaries around the edited lines are
+// top-level statement starts in both versions and the re-parsed region
+// yields statements strictly inside the region. Anything suspicious — a
+// boundary the line classifier cannot place, a region parse failure,
+// statements escaping the region — falls back to a full re-analysis of
+// the new content.
 // Overlay units are never published to the shared per-file scan cache:
 // with points-to analysis enabled, a region re-analysis computes origins
 // from the region subtree only, so a spliced analysis may differ from a
@@ -62,45 +65,6 @@ type StmtAnalysis struct {
 	// pointer is exactly Stmt, so fingerprint-multiset diffing by
 	// pointer membership works on spliced analyses too.
 	Violations []*Violation
-}
-
-// EditHint bounds where an edit touched the previously analyzed
-// content, in 1-based line numbers of that content. It is advisory: the
-// incremental path verifies the implied unedited prefix and suffix
-// before trusting it, so an overly narrow hint degrades to a full
-// re-analysis rather than a wrong one.
-type EditHint struct {
-	// StartLine/EndLine bound the touched lines (inclusive).
-	StartLine int
-	EndLine   int
-	// LineDelta is the line-count change the edit caused (new minus
-	// old), used only to compose hints across multiple edits.
-	LineDelta int
-}
-
-// Merge composes h (old content → intermediate) with next (intermediate
-// → new content) into one hint relative to the old content. The result
-// is conservative: it may widen, never narrow.
-func (h EditHint) Merge(next EditHint) EditHint {
-	backLo := next.StartLine
-	switch {
-	case backLo > h.EndLine+h.LineDelta:
-		backLo -= h.LineDelta
-	case backLo >= h.StartLine:
-		backLo = h.StartLine
-	}
-	backHi := next.EndLine
-	switch {
-	case backHi > h.EndLine+h.LineDelta:
-		backHi -= h.LineDelta
-	case backHi >= h.StartLine:
-		backHi = h.EndLine
-	}
-	return EditHint{
-		StartLine: min(h.StartLine, backLo),
-		EndLine:   max(h.EndLine, backHi),
-		LineDelta: h.LineDelta + next.LineDelta,
-	}
 }
 
 // OverlayResult is the outcome of one overlay (re-)analysis.
@@ -159,25 +123,26 @@ func (fa *FileAnalysis) RawViolations() []*Violation {
 	return out
 }
 
-// AnalyzeOverlay is AnalyzeOverlayCtx without tracing.
-func (s *System) AnalyzeOverlay(f *InputFile, prev *FileAnalysis, hint *EditHint) (*OverlayResult, error) {
-	return s.AnalyzeOverlayCtx(context.Background(), f, prev, hint)
+// AnalyzeOverlay is AnalyzeOverlayCtx without tracing. The third
+// argument is ignored; it stays only because perfbench passes one.
+func (s *System) AnalyzeOverlay(f *InputFile, prev *FileAnalysis, _ any) (*OverlayResult, error) {
+	return s.AnalyzeOverlayCtx(context.Background(), f, prev)
 }
 
 // AnalyzeOverlayCtx analyzes one overlay file against the system's
-// knowledge. With a previous analysis and an edit hint it attempts the
+// knowledge. With a previous analysis of the same file it attempts the
 // incremental region splice; otherwise — or whenever the splice cannot
 // be verified — it re-analyzes the whole content. Like ScanFilesCtx it
 // is read-only on the system and safe for concurrent use. The error is
 // the file's parse/analysis failure; the previous analysis stays valid
 // in that case.
-func (s *System) AnalyzeOverlayCtx(ctx context.Context, f *InputFile, prev *FileAnalysis, hint *EditHint) (*OverlayResult, error) {
+func (s *System) AnalyzeOverlayCtx(ctx context.Context, f *InputFile, prev *FileAnalysis) (*OverlayResult, error) {
 	ctx, sp := obs.StartSpan(ctx, "overlay")
 	defer sp.End()
 	sp.SetAttr("path", f.Path)
-	if prev != nil && hint != nil && s.cfg.Lang == ast.Python &&
+	if prev != nil && s.cfg.Lang == ast.Python &&
 		prev.Repo == f.Repo && prev.Path == f.Path {
-		if res := s.rescanRegion(ctx, f, prev, *hint); res != nil {
+		if res := s.rescanRegion(ctx, f, prev); res != nil {
 			sp.SetAttr("mode", "incremental")
 			sp.SetAttrInt("statements", res.Statements)
 			return res, nil
@@ -211,21 +176,34 @@ func (s *System) overlayFull(ctx context.Context, f *InputFile) (*OverlayResult,
 // rescanRegion attempts the incremental path; nil means "could not be
 // verified, take the full path" (including region parse errors — the
 // full parse is authoritative on whether the content is broken).
-func (s *System) rescanRegion(ctx context.Context, f *InputFile, prev *FileAnalysis, hint EditHint) *OverlayResult {
-	oldLines := contentLines(prev.Source)
-	newLines := contentLines(f.Source)
-	if hint.StartLine < 1 || hint.EndLine < hint.StartLine || len(oldLines) == 0 {
-		return nil
+func (s *System) rescanRegion(ctx context.Context, f *InputFile, prev *FileAnalysis) *OverlayResult {
+	if f.Source == prev.Source {
+		return prev.result(len(prev.Stmts), true)
+	}
+	// Split, not trimmed: a final "" element stands for a trailing
+	// newline, so a file end that gains or loses one is an edit too.
+	oldLines := strings.Split(prev.Source, "\n")
+	newLines := strings.Split(f.Source, "\n")
+	// The edit is whatever lies between the longest common line prefix
+	// and suffix of the two versions, so everything outside it is
+	// unedited by construction.
+	n := min(len(oldLines), len(newLines))
+	pre := 0
+	for pre < n && oldLines[pre] == newLines[pre] {
+		pre++
+	}
+	suf := 0
+	for suf < n-pre && oldLines[len(oldLines)-1-suf] == newLines[len(newLines)-1-suf] {
+		suf++
 	}
 	delta := len(newLines) - len(oldLines)
 	oldB := pyBoundaries(oldLines)
 	newB := pyBoundaries(newLines)
 
-	// B: the last line at or before the edit that starts a top-level
-	// statement in both versions — the region's left edge.
-	P := min(hint.StartLine, len(oldLines), len(newLines))
+	// B: the last line at or before the first edited line that starts a
+	// top-level statement in both versions — the region's left edge.
 	B := 0
-	for b := P; b >= 1; b-- {
+	for b := min(pre+1, n); b >= 1; b-- {
 		if oldB[b-1] && newB[b-1] {
 			B = b
 			break
@@ -234,44 +212,21 @@ func (s *System) rescanRegion(ctx context.Context, f *InputFile, prev *FileAnaly
 	if B == 0 {
 		return nil
 	}
-	// Eold/Enew: the first top-level start strictly after the edited
-	// range on each side — the region's right edge (exclusive).
-	qOld := min(max(hint.EndLine, B), len(oldLines))
+	// eOld/eNew: the first common-suffix line past the edited lines (and
+	// past B) that starts a top-level statement in both versions — the
+	// region's right edge (exclusive).
 	eOld := len(oldLines) + 1
-	for e := qOld + 1; e <= len(oldLines); e++ {
-		if oldB[e-1] {
+	for e := max(len(oldLines)-suf, B) + 1; e <= len(oldLines); e++ {
+		if oldB[e-1] && newB[e-1+delta] {
 			eOld = e
 			break
 		}
 	}
-	qNew := min(max(qOld+delta, B), len(newLines))
-	eNew := len(newLines) + 1
-	for e := qNew + 1; e <= len(newLines); e++ {
-		if newB[e-1] {
-			eNew = e
-			break
-		}
-	}
+	eNew := eOld + delta
 
-	// The splice is only sound if everything outside [B, E) really is
-	// unedited: verify the prefix and suffix line-for-line, so a wrong
-	// hint degrades to a full re-analysis instead of a wrong result.
-	if len(oldLines)-(eOld-1) != len(newLines)-(eNew-1) {
-		return nil
-	}
-	for i := 0; i < B-1; i++ {
-		if oldLines[i] != newLines[i] {
-			return nil
-		}
-	}
-	for i := 0; eOld-1+i < len(oldLines); i++ {
-		if oldLines[eOld-1+i] != newLines[eNew-1+i] {
-			return nil
-		}
-	}
-
-	// Re-parse just the region, with a blank-line prefix so statement
-	// lines come out absolute. Fingerprints are structural (no
+	// Re-parse just the region — its exact bytes, so a region at the end
+	// of the file ends as the file does — with a blank-line prefix so
+	// statement lines come out absolute. Fingerprints are structural (no
 	// positions), so a standalone region parse matches the in-file one.
 	var sb strings.Builder
 	sb.Grow(B + 64*(eNew-B))
@@ -280,7 +235,9 @@ func (s *System) rescanRegion(ctx context.Context, f *InputFile, prev *FileAnaly
 	}
 	for i := B - 1; i < eNew-1; i++ {
 		sb.WriteString(newLines[i])
-		sb.WriteByte('\n')
+		if i+1 < len(newLines) {
+			sb.WriteByte('\n')
+		}
 	}
 	_, stmts, _, err := s.frontEnd(ctx, &InputFile{Repo: f.Repo, Path: f.Path, Source: sb.String()})
 	if err != nil {
@@ -389,16 +346,6 @@ func (fa *FileAnalysis) result(reused int, incremental bool) *OverlayResult {
 	}
 }
 
-// contentLines splits source into its content lines, without the
-// synthetic empty element a trailing newline would add.
-func contentLines(src string) []string {
-	ls := strings.Split(src, "\n")
-	if n := len(ls); n > 0 && ls[n-1] == "" {
-		ls = ls[:n-1]
-	}
-	return ls
-}
-
 // pyBoundaries classifies each line (index i ↔ line i+1) of a Python
 // source as a safe region boundary: a column-0 line that starts a fresh
 // top-level statement. Lines inside brackets, triple-quoted strings, or
@@ -414,6 +361,8 @@ func pyBoundaries(lines []string) []bool {
 	cont := false
 	afterDec := false
 	for i, line := range lines {
+		// A CRLF file's trailing \r ends the line; it is not content.
+		line = strings.TrimSuffix(line, "\r")
 		startable := triple == 0 && depth == 0 && !cont
 		if startable && line != "" {
 			c := line[0]
@@ -460,7 +409,8 @@ func leadingWordIn(line string, kws ...string) bool {
 // open triple-quoted string, backslash continuation) across one line.
 // It is deliberately approximate — e.g. nested f-string quoting is not
 // modeled — because a misclassification can only mis-place a region
-// boundary, and every splice is verified before being trusted.
+// boundary, and every region is re-parsed and checked before its splice
+// is trusted.
 func pyLexLine(line string, depth int, triple byte) (int, byte, bool) {
 	i, n := 0, len(line)
 	for i < n {

@@ -32,7 +32,8 @@ def main():
 `
 
 // sameOverlay fails the test unless the two results agree on every
-// statement (line + fingerprint) and every deduplicated violation.
+// statement (line, fingerprint, source line, name-path keys) and every
+// deduplicated violation.
 func sameOverlay(t *testing.T, label string, inc, full *OverlayResult) {
 	t.Helper()
 	is, fs := inc.Analysis.Statements(), full.Analysis.Statements()
@@ -47,6 +48,15 @@ func sameOverlay(t *testing.T, label string, inc, full *OverlayResult) {
 		if is[i].SourceLine != fs[i].SourceLine {
 			t.Fatalf("%s: statement %d source line diverged: %q vs %q",
 				label, i, is[i].SourceLine, fs[i].SourceLine)
+		}
+		ip, fp := is[i].PS.Paths, fs[i].PS.Paths
+		if len(ip) != len(fp) {
+			t.Fatalf("%s: statement %d has %d paths incremental vs %d full", label, i, len(ip), len(fp))
+		}
+		for j := range ip {
+			if ip[j].Key() != fp[j].Key() {
+				t.Fatalf("%s: statement %d path %d diverged: %s vs %s", label, i, j, ip[j].Key(), fp[j].Key())
+			}
 		}
 	}
 	iv, fv := inc.Violations, full.Violations
@@ -80,9 +90,7 @@ func TestOverlayIncrementalReuse(t *testing.T) {
 
 	edited := strings.Replace(overlayFixture, "download_cnt = download_count + 1",
 		"download_cnt = download_count + 2", 1)
-	line := 1 + strings.Count(overlayFixture[:strings.Index(overlayFixture, "download_cnt =")], "\n")
-	hint := &EditHint{StartLine: line, EndLine: line, LineDelta: 0}
-	inc, err := sys.AnalyzeOverlay(&InputFile{Repo: "r", Path: "f.py", Source: edited}, first.Analysis, hint)
+	inc, err := sys.AnalyzeOverlay(&InputFile{Repo: "r", Path: "f.py", Source: edited}, first.Analysis, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,9 +116,7 @@ func TestOverlayAppendAtEOF(t *testing.T) {
 		t.Fatal(err)
 	}
 	appended := overlayFixture + "\ndef extra(extra_count):\n    return extra_count + 1\n"
-	lines := strings.Count(overlayFixture, "\n")
-	hint := &EditHint{StartLine: lines, EndLine: lines + 3, LineDelta: 3}
-	inc, err := sys.AnalyzeOverlay(&InputFile{Repo: "r", Path: "f.py", Source: appended}, first.Analysis, hint)
+	inc, err := sys.AnalyzeOverlay(&InputFile{Repo: "r", Path: "f.py", Source: appended}, first.Analysis, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +143,14 @@ func TestOverlayParseErrorKeepsPrev(t *testing.T) {
 	}
 	broken := strings.Replace(overlayFixture, "def download(download_count):", "def download(:", 1)
 	if _, err := sys.AnalyzeOverlay(&InputFile{Repo: "r", Path: "f.py", Source: broken},
-		first.Analysis, &EditHint{StartLine: 8, EndLine: 8}); err == nil {
+		first.Analysis, nil); err == nil {
 		t.Fatal("broken content analyzed without error")
 	}
 	// The untouched previous analysis still splices a later good edit.
 	fixed := strings.Replace(overlayFixture, "download_cnt = download_count + 1",
 		"download_cnt = download_count + 3", 1)
 	inc, err := sys.AnalyzeOverlay(&InputFile{Repo: "r", Path: "f.py", Source: fixed},
-		first.Analysis, &EditHint{StartLine: 9, EndLine: 9})
+		first.Analysis, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,123 +159,197 @@ func TestOverlayParseErrorKeepsPrev(t *testing.T) {
 	}
 }
 
-// TestOverlayWrongHintDegradesToFull: a hint that lies about the edited
-// range (the real change is outside it) must never produce a wrong
-// splice — the prefix/suffix verification fails and the full path runs.
-func TestOverlayWrongHintDegradesToFull(t *testing.T) {
-	sys := NewSystem(DefaultConfig(ast.Python))
-	first, err := sys.AnalyzeOverlay(&InputFile{Repo: "r", Path: "f.py", Source: overlayFixture}, nil, nil)
+// crlfContinuation is a CRLF source whose first statement continues
+// onto line 2 with a backslash before the \r.
+const crlfContinuation = "total_count = 1 + \\\r\nupload_count\r\ny = 3\r\n"
+
+// crlfBlankInDef is a source with a blank line inside a def body; the
+// edit below changes the body line after it.
+const crlfBlankInDef = `import os
+
+def f(a):
+    x = a + 1
+
+    return x
+
+y = 2
+z = 3
+`
+
+// noAnalysisSystem is a knowledge-free Python system with the points-to
+// analysis off, where spliced and full analyses agree exactly.
+func noAnalysisSystem() *System {
+	cfg := DefaultConfig(ast.Python)
+	cfg.UseAnalysis = false
+	return NewSystem(cfg)
+}
+
+// spliceAndFull analyzes before, then after both against that analysis and
+// from scratch.
+func spliceAndFull(t *testing.T, sys *System, before, after string) (inc, full *OverlayResult) {
+	t.Helper()
+	first, err := sys.AnalyzeOverlay(&InputFile{Repo: "r", Path: "f.py", Source: before}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	edited := strings.Replace(overlayFixture, "task_cnt = task_count + 1",
-		"task_cnt = task_count + 9", 1)
-	// The hint claims the edit is in upload() (lines 3-5); it is in the
-	// Worker class much further down.
-	res, err := sys.AnalyzeOverlay(&InputFile{Repo: "r", Path: "f.py", Source: edited},
-		first.Analysis, &EditHint{StartLine: 4, EndLine: 4})
-	if err != nil {
+	file := &InputFile{Repo: "r", Path: "f.py", Source: after}
+	if inc, err = sys.AnalyzeOverlay(file, first.Analysis, nil); err != nil {
 		t.Fatal(err)
 	}
-	if res.Incremental {
-		t.Fatal("splice trusted a hint whose suffix does not match")
-	}
-	full, err := sys.AnalyzeOverlay(&InputFile{Repo: "r", Path: "f.py", Source: edited}, nil, nil)
-	if err != nil {
+	if full, err = sys.AnalyzeOverlay(file, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	sameOverlay(t, "wrong hint", res, full)
+	return inc, full
+}
+
+// TestOverlayCRLFContinuation: a backslash before a CRLF line ending
+// continues the statement, so line 2 is no region boundary and an edit
+// there re-analyzes the whole statement.
+func TestOverlayCRLFContinuation(t *testing.T) {
+	edited := strings.Replace(crlfContinuation, "upload_count", "download_count", 1)
+	inc, full := spliceAndFull(t, noAnalysisSystem(), crlfContinuation, edited)
+	sameOverlay(t, "crlf continuation", inc, full)
+}
+
+// TestOverlayCRLFBlankLine: a blank CRLF line inside a def body is no
+// region boundary, so an edit after it splices exactly as with LF line
+// endings.
+func TestOverlayCRLFBlankLine(t *testing.T) {
+	sys := noAnalysisSystem()
+	edit := func(src string) string { return strings.Replace(src, "return x", "return x + 1", 1) }
+	lf, _ := spliceAndFull(t, sys, crlfBlankInDef, edit(crlfBlankInDef))
+	crlfSrc := strings.ReplaceAll(crlfBlankInDef, "\n", "\r\n")
+	inc, full := spliceAndFull(t, sys, crlfSrc, edit(crlfSrc))
+	sameOverlay(t, "crlf blank line", inc, full)
+	if !lf.Incremental || lf.ReusedStatements == 0 {
+		t.Fatalf("LF: incremental=%v reused %d", lf.Incremental, lf.ReusedStatements)
+	}
+	if !inc.Incremental || inc.ReusedStatements != lf.ReusedStatements {
+		t.Fatalf("CRLF: incremental=%v reused %d of %d; LF reused %d of %d",
+			inc.Incremental, inc.ReusedStatements, inc.Statements, lf.ReusedStatements, lf.Statements)
+	}
 }
 
 // TestOverlayEquivalenceProperty drives random line edits over a real
 // mined system (analysis ablated, where spliced and full analyses are
 // defined to agree exactly) and checks after every parsable edit that
-// the incremental result matches a from-scratch analysis.
+// the incremental result matches a from-scratch analysis — both for one
+// edit between analyses and for two.
 func TestOverlayEquivalenceProperty(t *testing.T) {
-	cfg := smallSystemConfig(ast.Python)
-	cfg.UseAnalysis = false
-	sys, c, _ := buildSystem(t, ast.Python, cfg, smallCorpusConfig(ast.Python))
-	rng := rand.New(rand.NewSource(11))
+	t.Run("one edit", func(t *testing.T) {
+		cfg := smallSystemConfig(ast.Python)
+		cfg.UseAnalysis = false
+		sys, c, _ := buildSystem(t, ast.Python, cfg, smallCorpusConfig(ast.Python))
+		rng := rand.New(rand.NewSource(11))
 
-	var files []*InputFile
-	for _, r := range c.Repos {
-		for _, f := range r.Files {
-			files = append(files, &InputFile{Repo: r.Name, Path: f.Path, Source: f.Source})
+		var files []*InputFile
+		for _, r := range c.Repos {
+			for _, f := range r.Files {
+				files = append(files, &InputFile{Repo: r.Name, Path: f.Path, Source: f.Source})
+			}
 		}
-	}
-	if len(files) > 12 {
-		files = files[:12]
-	}
-	incrementals := 0
-	for _, f := range files {
-		prev, err := sys.AnalyzeOverlay(f, nil, nil)
-		if err != nil {
-			t.Fatalf("%s: initial analysis: %v", f.Path, err)
+		if len(files) > 12 {
+			files = files[:12]
 		}
-		content := f.Source
-		for step := 0; step < 12; step++ {
-			edited, hint := randomLineEdit(rng, content)
-			file := &InputFile{Repo: f.Repo, Path: f.Path, Source: edited}
-			full, fullErr := sys.AnalyzeOverlay(file, nil, nil)
-			inc, incErr := sys.AnalyzeOverlay(file, prev.Analysis, &hint)
-			if fullErr != nil {
-				// The edit broke the parse; the incremental path must
-				// agree (the region parse is never authoritative).
-				if incErr == nil {
-					t.Fatalf("%s step %d: full analysis failed (%v) but overlay accepted hint %+v",
-						f.Path, step, fullErr, hint)
+		incrementals := 0
+		for _, f := range files {
+			prev, err := sys.AnalyzeOverlay(f, nil, nil)
+			if err != nil {
+				t.Fatalf("%s: initial analysis: %v", f.Path, err)
+			}
+			content := f.Source
+			for step := 0; step < 12; step++ {
+				edited := randomLineEdit(rng, content)
+				file := &InputFile{Repo: f.Repo, Path: f.Path, Source: edited}
+				full, fullErr := sys.AnalyzeOverlay(file, nil, nil)
+				inc, incErr := sys.AnalyzeOverlay(file, prev.Analysis, nil)
+				if fullErr != nil {
+					// The edit broke the parse; the incremental path must
+					// agree (the region parse is never authoritative).
+					if incErr == nil {
+						t.Fatalf("%s step %d: full analysis failed (%v) but overlay accepted the splice",
+							f.Path, step, fullErr)
+					}
+					continue // keep prev and content, try another edit
 				}
-				continue // keep prev and content, try another edit
+				if incErr != nil {
+					t.Fatalf("%s step %d: overlay failed (%v) on parsable content", f.Path, step, incErr)
+				}
+				sameOverlay(t, fmt.Sprintf("%s step %d", f.Path, step), inc, full)
+				if inc.Incremental {
+					incrementals++
+				}
+				prev, content = inc, edited
+			}
+		}
+		if incrementals == 0 {
+			t.Fatal("no edit took the incremental path; the property test is vacuous")
+		}
+		t.Logf("%d incremental splices verified against full analyses", incrementals)
+	})
+
+	t.Run("two edits", func(t *testing.T) {
+		sys := NewSystem(DefaultConfig(ast.Python))
+		rng := rand.New(rand.NewSource(23))
+		prev, err := sys.AnalyzeOverlay(&InputFile{Repo: "r", Path: "f.py", Source: overlayFixture}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		incrementals := 0
+		for trial := 0; trial < 60; trial++ {
+			final := randomLineEdit(rng, randomLineEdit(rng, overlayFixture))
+			file := &InputFile{Repo: "r", Path: "f.py", Source: final}
+			full, fullErr := sys.AnalyzeOverlay(file, nil, nil)
+			inc, incErr := sys.AnalyzeOverlay(file, prev.Analysis, nil)
+			if fullErr != nil {
+				if incErr == nil {
+					t.Fatalf("trial %d: unparsable content accepted by the splice", trial)
+				}
+				continue
 			}
 			if incErr != nil {
-				t.Fatalf("%s step %d: overlay failed (%v) on parsable content", f.Path, step, incErr)
+				t.Fatalf("trial %d: overlay failed on parsable content: %v", trial, incErr)
 			}
-			sameOverlay(t, fmt.Sprintf("%s step %d hint %+v", f.Path, step, hint), inc, full)
+			sameOverlay(t, fmt.Sprintf("trial %d", trial), inc, full)
 			if inc.Incremental {
 				incrementals++
 			}
-			prev, content = inc, edited
 		}
-	}
-	if incrementals == 0 {
-		t.Fatal("no edit took the incremental path; the property test is vacuous")
-	}
-	t.Logf("%d incremental splices verified against full analyses", incrementals)
+		t.Logf("%d incremental splices verified against full analyses", incrementals)
+	})
 }
 
-// randomLineEdit applies one synthetic edit to content and returns the
-// new content plus the honest hint for it (1-based lines of content).
-func randomLineEdit(rng *rand.Rand, content string) (string, EditHint) {
+// randomLineEdit applies one synthetic line edit to content.
+func randomLineEdit(rng *rand.Rand, content string) string {
 	lines := strings.Split(content, "\n")
 	if n := len(lines); n > 0 && lines[n-1] == "" {
 		lines = lines[:n-1]
 	}
 	if len(lines) == 0 {
-		return "x = 1\n", EditHint{StartLine: 1, EndLine: 1, LineDelta: 1}
+		return "x = 1\n"
 	}
 	i := rng.Intn(len(lines))
 	switch rng.Intn(5) {
 	case 0: // tweak a numeric literal / append a suffix on one line
 		lines[i] = lines[i] + "  # edited"
-		return joinNL(lines), EditHint{StartLine: i + 1, EndLine: i + 1}
+		return joinNL(lines)
 	case 1: // duplicate a line
 		dup := append([]string{}, lines[:i+1]...)
 		dup = append(dup, lines[i])
 		dup = append(dup, lines[i+1:]...)
-		return joinNL(dup), EditHint{StartLine: i + 1, EndLine: i + 1, LineDelta: 1}
+		return joinNL(dup)
 	case 2: // delete a line
 		del := append([]string{}, lines[:i]...)
 		del = append(del, lines[i+1:]...)
-		return joinNL(del), EditHint{StartLine: i + 1, EndLine: i + 1, LineDelta: -1}
+		return joinNL(del)
 	case 3: // insert a comment line
 		ins := append([]string{}, lines[:i]...)
 		ins = append(ins, "# inserted")
 		ins = append(ins, lines[i:]...)
-		return joinNL(ins), EditHint{StartLine: i + 1, EndLine: i + 1, LineDelta: 1}
+		return joinNL(ins)
 	default: // rename the first identifier-ish token on the line
-		edited := renameFirstIdent(lines[i])
-		lines[i] = edited
-		return joinNL(lines), EditHint{StartLine: i + 1, EndLine: i + 1}
+		lines[i] = renameFirstIdent(lines[i])
+		return joinNL(lines)
 	}
 }
 
@@ -336,58 +416,6 @@ func TestPyBoundaries(t *testing.T) {
 		if got[i] != want[i+1] {
 			t.Errorf("line %d %q: boundary=%v, want %v", i+1, src[i], got[i], want[i+1])
 		}
-	}
-}
-
-func TestEditHintMerge(t *testing.T) {
-	cases := []struct {
-		name    string
-		a, b, w EditHint
-	}{
-		{"disjoint below", EditHint{StartLine: 10, EndLine: 12, LineDelta: 2},
-			EditHint{StartLine: 20, EndLine: 21}, EditHint{StartLine: 10, EndLine: 19, LineDelta: 2}},
-		{"disjoint above", EditHint{StartLine: 10, EndLine: 12},
-			EditHint{StartLine: 3, EndLine: 4, LineDelta: 1}, EditHint{StartLine: 3, EndLine: 12, LineDelta: 1}},
-		{"overlapping", EditHint{StartLine: 10, EndLine: 12, LineDelta: 1},
-			EditHint{StartLine: 11, EndLine: 13}, EditHint{StartLine: 10, EndLine: 12, LineDelta: 1}},
-		{"same line twice", EditHint{StartLine: 5, EndLine: 5},
-			EditHint{StartLine: 5, EndLine: 5}, EditHint{StartLine: 5, EndLine: 5}},
-	}
-	for _, tc := range cases {
-		if got := tc.a.Merge(tc.b); got != tc.w {
-			t.Errorf("%s: %+v.Merge(%+v) = %+v, want %+v", tc.name, tc.a, tc.b, got, tc.w)
-		}
-	}
-}
-
-// TestEditHintMergeSoundness: for random edit pairs over a fixture, the
-// merged hint must still verify — an incremental scan across two edits
-// agrees with the full analysis.
-func TestEditHintMergeSoundness(t *testing.T) {
-	sys := NewSystem(DefaultConfig(ast.Python))
-	rng := rand.New(rand.NewSource(23))
-	base := overlayFixture
-	prev, err := sys.AnalyzeOverlay(&InputFile{Repo: "r", Path: "f.py", Source: base}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 60; trial++ {
-		mid, h1 := randomLineEdit(rng, base)
-		final, h2 := randomLineEdit(rng, mid)
-		merged := h1.Merge(h2)
-		file := &InputFile{Repo: "r", Path: "f.py", Source: final}
-		full, fullErr := sys.AnalyzeOverlay(file, nil, nil)
-		inc, incErr := sys.AnalyzeOverlay(file, prev.Analysis, &merged)
-		if fullErr != nil {
-			if incErr == nil {
-				t.Fatalf("trial %d: unparsable content accepted via merged hint %+v", trial, merged)
-			}
-			continue
-		}
-		if incErr != nil {
-			t.Fatalf("trial %d: overlay failed on parsable content: %v", trial, incErr)
-		}
-		sameOverlay(t, fmt.Sprintf("trial %d merged %+v", trial, merged), inc, full)
 	}
 }
 

@@ -2,8 +2,9 @@
 // session, POST /v1/session/{id}/change applies didChange-style edits
 // to one file overlay and answers with push-style diagnostics. A change
 // is the interactive sibling of /v1/scan + /v1/diff in one round trip:
-// the touched file is re-analyzed (incrementally when the edit hint and
-// region verification allow — see core.AnalyzeOverlayCtx), the result
+// the touched file is re-analyzed (incrementally when the region around
+// the lines that differ from the last good analysis can be verified —
+// see core.AnalyzeOverlayCtx), the result
 // is diffed against the session's previous scan of that file by
 // statement fingerprint, and the response carries the full diagnostic
 // set plus the introduced/resolved delta and proposed-fix text edits.
@@ -45,16 +46,10 @@ type sessionScan struct {
 	// happened and the diff baseline must be rebuilt.
 	bun *bundle
 	// analysis is the last successful analysis of this overlay file;
-	// nil until one scan succeeds.
+	// nil until one scan succeeds. After failed scans the overlay has
+	// moved past analysis.Source; the next scan splices against it all
+	// the same, since the splicer finds the edited lines itself.
 	analysis *core.FileAnalysis
-	// pending maps analysis.Source to the current overlay content when
-	// scans failed in between (edits kept applying); nil when the
-	// analysis is current.
-	pending *core.EditHint
-	// desynced marks an overlay that moved past the analysis in a way
-	// pending cannot express (a failed full-content replace): the next
-	// successful scan must be a full one.
-	desynced bool
 }
 
 // SessionRequest is the POST /v1/session body.
@@ -266,24 +261,13 @@ func (sv *Server) scanChange(ctx context.Context, b *bundle, sid string, req *Se
 		Introduced:  []SessionDiagnostic{},
 	}
 
-	// Establish the diff baseline and the incremental hint. The hint
-	// must map base.Analysis.Source to ch.After; anything that breaks
-	// that chain degrades to hint=nil (full re-analysis).
+	// Establish the diff baseline, which is also what the new content
+	// is spliced against.
 	prev, _ := ch.Prev.(*sessionScan)
 	var base *core.FileAnalysis
-	var hint *core.EditHint
 	switch {
 	case prev != nil && prev.analysis != nil && prev.bun == b:
 		base = prev.analysis
-		switch {
-		case prev.desynced || ch.Hint == nil:
-			hint = nil
-		case prev.pending != nil:
-			m := prev.pending.Merge(*ch.Hint)
-			hint = &m
-		default:
-			hint = ch.Hint
-		}
 	case prev != nil && prev.analysis != nil:
 		// A hot reload swapped the knowledge since the last scan: the
 		// overlay content survives, the scan state does not. Rebuild
@@ -292,30 +276,26 @@ func (sv *Server) scanChange(ctx context.Context, b *bundle, sid string, req *Se
 		// the knowledge swap — the same semantics /v1/diff would give
 		// for before/after under current knowledge.
 		if ba, err := b.sys.AnalyzeOverlayCtx(ctx,
-			&core.InputFile{Repo: "session", Path: ch.Path, Source: ch.Before}, nil, nil); err == nil {
+			&core.InputFile{Repo: "session", Path: ch.Path, Source: ch.Before}, nil); err == nil {
 			base = ba.Analysis
-			hint = ch.Hint
 		}
 	}
 
 	cur, err := b.sys.AnalyzeOverlayCtx(ctx,
-		&core.InputFile{Repo: "session", Path: ch.Path, Source: ch.After}, base, hint)
+		&core.InputFile{Repo: "session", Path: ch.Path, Source: ch.After}, base)
 	if err != nil {
 		// The new content does not parse (mid-keystroke syntax). Keep
-		// the last good analysis as the baseline and remember how far
-		// the overlay has drifted from it, so the next parsable state
-		// can still scan incrementally.
+		// the last good analysis as the baseline; the next parsable
+		// state splices against it.
 		resp.Scan = "failed"
 		resp.Errors = append(resp.Errors, err.Error())
-		state := &sessionScan{bun: b, analysis: base, pending: hint,
-			desynced: base != nil && hint == nil}
 		if base != nil {
 			resp.Statements = len(base.Stmts)
 			afterLines := strings.Split(ch.After, "\n")
 			resp.Diagnostics = sv.renderStaleDiags(b, base, afterLines, req.All)
 		}
 		resp.ScanMillis = float64(time.Since(start).Microseconds()) / 1000
-		return state, resp
+		return &sessionScan{bun: b, analysis: base}, resp
 	}
 
 	if cur.Incremental {

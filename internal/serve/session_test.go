@@ -338,7 +338,8 @@ func TestSessionSurvivesReload(t *testing.T) {
 
 // TestSessionFailedScanRecovers: mid-keystroke garbage answers 200 with
 // scan "failed" and the previous diagnostics; the next parsable edit
-// recovers (and the overlay never rewinds).
+// recovers by splicing against the last good scan (and the overlay never
+// rewinds).
 func TestSessionFailedScanRecovers(t *testing.T) {
 	sv, _ := newStubServer(t, Config{})
 	ts := httptest.NewServer(sv.Handler())
@@ -369,11 +370,40 @@ func TestSessionFailedScanRecovers(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("fixing edit: %d %s", code, data)
 	}
-	if fixed.Scan == "failed" {
-		t.Fatalf("scan did not recover: %s", data)
+	if fixed.Scan != "incremental" || fixed.ReusedStatements == 0 {
+		t.Fatalf("recovering edit did not splice against the last good scan: %s", data)
 	}
 	if fixed.ContentHash != hashOf(src) {
 		t.Fatalf("recovered overlay diverged: %s", data)
+	}
+}
+
+// TestSessionFullResendSplices: a client that resends the whole file
+// still gets the region splice — a one-line change re-analyzes only its
+// region, and identical content reuses every statement.
+func TestSessionFullResendSplices(t *testing.T) {
+	sv, _ := newStubServer(t, Config{})
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+
+	id := openSession(t, ts.URL)
+	src := "import os\n\ndef f(a):\n    return a\n\ndef g(b):\n    return b\n"
+	code, first, data := postChange(t, ts.URL, id, SessionChangeRequest{
+		Path: "f.py", Version: 1, Edits: fullEdit(src)})
+	if code != http.StatusOK || first.Scan != "full" {
+		t.Fatalf("open file: %d %s", code, data)
+	}
+	edited := strings.Replace(src, "return b", "return b + 1", 1)
+	code, second, data := postChange(t, ts.URL, id, SessionChangeRequest{
+		Path: "f.py", Version: 2, Edits: fullEdit(edited)})
+	if code != http.StatusOK || second.Scan != "incremental" ||
+		second.ReusedStatements == 0 || second.ReusedStatements >= second.Statements {
+		t.Fatalf("one-line full resend: want a partial incremental splice, got %d %s", code, data)
+	}
+	code, third, data := postChange(t, ts.URL, id, SessionChangeRequest{
+		Path: "f.py", Version: 3, Edits: fullEdit(edited)})
+	if code != http.StatusOK || third.Scan != "incremental" || third.ReusedStatements != third.Statements {
+		t.Fatalf("identical resend: want every statement reused, got %d %s", code, data)
 	}
 }
 

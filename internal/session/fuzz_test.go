@@ -2,7 +2,6 @@ package session
 
 import (
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -28,9 +27,8 @@ func naiveOffset(content string, p Pos) (int, bool) {
 }
 
 // FuzzApplyEdit checks applyEdit against a naive string splice: an
-// in-range, non-inverted range yields the spliced content and a hint
-// whose line delta matches the newline count change; anything else is
-// ErrBadRange; nothing panics. Seeds are the session tests' edits.
+// in-range, non-inverted range yields the spliced content; anything else
+// is ErrBadRange; nothing panics. Seeds are the session tests' edits.
 func FuzzApplyEdit(f *testing.F) {
 	f.Add("a = 1\nb = 2\nc = 3\n", 1, 4, 1, 5, "20")
 	f.Add("a = 1\nb = 20\nc = 3\n", 0, 0, 1, 6, "x = 9")
@@ -44,7 +42,7 @@ func FuzzApplyEdit(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, content string, sl, sc, el, ec int, text string) {
 		e := Edit{Range: &Range{Start: Pos{sl, sc}, End: Pos{el, ec}}, Text: text}
-		out, hint, err := applyEdit(content, e)
+		out, err := applyEdit(content, e)
 		so, okS := naiveOffset(content, e.Range.Start)
 		eo, okE := naiveOffset(content, e.Range.End)
 		if !okS || !okE || eo < so {
@@ -58,9 +56,6 @@ func FuzzApplyEdit(f *testing.F) {
 		}
 		if want := content[:so] + text + content[eo:]; out != want {
 			t.Fatalf("range %+v on %q: got %q, want %q", *e.Range, content, out, want)
-		}
-		if want := strings.Count(out, "\n") - strings.Count(content, "\n"); hint.LineDelta != want {
-			t.Fatalf("range %+v on %q: LineDelta = %d, want %d", *e.Range, content, hint.LineDelta, want)
 		}
 	})
 }

@@ -5,10 +5,11 @@
 // fallback), plus whatever per-file scan state the serving layer attaches.
 //
 // The package is deliberately analysis-agnostic: it owns identity, the
-// overlay text, edit application (including the line-range hints the
-// incremental scanner wants), per-session serialization, idle eviction,
-// and capacity — while the scan state it stores per file is an opaque
-// value managed by the caller. That keeps the locking story in one
+// overlay text, edit application, per-session serialization, idle
+// eviction, and capacity — while the scan state it stores per file is an
+// opaque value managed by the caller. A change hands the caller the
+// content before and after the edits; where the edits landed is for the
+// caller to find by comparing the two. That keeps the locking story in one
 // place: a change locks its session for the whole apply-scan-store
 // cycle, so edits to one session serialize while distinct sessions
 // proceed in parallel.
@@ -23,8 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"namer/internal/core"
 )
 
 // Defaults for Config zero values.
@@ -255,10 +254,8 @@ type Change struct {
 	// Before/After are the overlay contents around the edits.
 	Before string
 	After  string
-	// Hint bounds the touched lines of Before; nil when the batch
-	// contained a full-content replacement (or opened the file), which
-	// forces a full re-analysis.
-	Hint *core.EditHint
+	// Hint is always nil; it stays only because perfbench reads it.
+	Hint any
 	// Prev is the scan state the previous change stored; nil on the
 	// first change of a file.
 	Prev any
@@ -276,7 +273,6 @@ func (s *Session) Update(path string, version int, edits []Edit, scan func(*Chan
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f := s.files[path]
-	hintValid := f != nil // an existing overlay makes range edits hintable
 	if f == nil {
 		if edits[0].Range != nil {
 			return fmt.Errorf("%w: %s", ErrUnknownFile, path)
@@ -284,35 +280,22 @@ func (s *Session) Update(path string, version int, edits []Edit, scan func(*Chan
 		f = &file{}
 	}
 	content := f.content
-	var hint *core.EditHint
 	for _, e := range edits {
 		if e.Range == nil {
 			content = e.Text
-			hint, hintValid = nil, false
 			continue
 		}
-		next, applied, err := applyEdit(content, e)
+		next, err := applyEdit(content, e)
 		if err != nil {
 			return err
 		}
 		content = next
-		if !hintValid {
-			continue
-		}
-		if hint == nil {
-			h := applied
-			hint = &h
-		} else {
-			h := hint.Merge(applied)
-			hint = &h
-		}
 	}
 	ch := &Change{
 		Path:    path,
 		Version: version,
 		Before:  f.content,
 		After:   content,
-		Hint:    hint,
 		Prev:    f.state,
 	}
 	f.content = content
@@ -335,30 +318,23 @@ func (s *Session) Snapshot(path string) (content string, version int, ok bool) {
 	return f.content, f.version, true
 }
 
-// applyEdit replaces one range in content, returning the new content
-// and the 1-based line hint of the touched region.
-func applyEdit(content string, e Edit) (string, core.EditHint, error) {
+// applyEdit replaces one range in content.
+func applyEdit(content string, e Edit) (string, error) {
 	lines := strings.Split(content, "\n")
 	so, err := offsetOf(lines, e.Range.Start)
 	if err != nil {
-		return "", core.EditHint{}, err
+		return "", err
 	}
 	eo, err := offsetOf(lines, e.Range.End)
 	if err != nil {
-		return "", core.EditHint{}, err
+		return "", err
 	}
 	if eo < so {
-		return "", core.EditHint{}, fmt.Errorf("%w: end %d:%d before start %d:%d",
+		return "", fmt.Errorf("%w: end %d:%d before start %d:%d",
 			ErrBadRange, e.Range.End.Line, e.Range.End.Character,
 			e.Range.Start.Line, e.Range.Start.Character)
 	}
-	out := content[:so] + e.Text + content[eo:]
-	hint := core.EditHint{
-		StartLine: e.Range.Start.Line + 1,
-		EndLine:   e.Range.End.Line + 1,
-		LineDelta: strings.Count(e.Text, "\n") - (e.Range.End.Line - e.Range.Start.Line),
-	}
-	return out, hint, nil
+	return content[:so] + e.Text + content[eo:], nil
 }
 
 // offsetOf converts a position to a byte offset over split lines,

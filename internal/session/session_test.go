@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"namer/internal/core"
 )
 
 type fakeCounter struct{ n atomic.Int64 }
@@ -162,9 +160,6 @@ func TestUpdateFullAndRangeEdits(t *testing.T) {
 	if got.Before != "a = 1\nb = 2\nc = 3\n" {
 		t.Fatalf("Before = %q", got.Before)
 	}
-	if got.Hint == nil || *got.Hint != (core.EditHint{StartLine: 2, EndLine: 2}) {
-		t.Fatalf("Hint = %+v", got.Hint)
-	}
 	if got.Prev != nil {
 		t.Fatalf("Prev = %v on second change (first stored nil)", got.Prev)
 	}
@@ -180,9 +175,6 @@ func TestUpdateFullAndRangeEdits(t *testing.T) {
 	if got.After != "x = 9\nc = 3\n" {
 		t.Fatalf("After = %q", got.After)
 	}
-	if got.Hint == nil || *got.Hint != (core.EditHint{StartLine: 1, EndLine: 2, LineDelta: -1}) {
-		t.Fatalf("Hint = %+v", got.Hint)
-	}
 	if got.Prev != "state-2" {
 		t.Fatalf("Prev = %v, want state-2", got.Prev)
 	}
@@ -193,27 +185,10 @@ func TestUpdateFullAndRangeEdits(t *testing.T) {
 	}
 }
 
-func TestUpdateFullReplaceClearsHint(t *testing.T) {
-	m := NewManager(Config{})
-	s, _ := m.Open()
-	openFile(t, s, "f.py", "a = 1\n")
-	var got *Change
-	err := s.Update("f.py", 2, []Edit{
-		{Range: &Range{Start: Pos{Line: 0, Character: 0}, End: Pos{Line: 0, Character: 1}}, Text: "b"},
-		{Text: "whole = new()\n"}, // full replace mid-batch
-	}, func(ch *Change) any { got = ch; return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Hint != nil {
-		t.Fatalf("full-content batch still carries hint %+v", got.Hint)
-	}
-	if got.After != "whole = new()\n" {
-		t.Fatalf("After = %q", got.After)
-	}
-}
-
-func TestUpdateMultiEditHintMerges(t *testing.T) {
+// TestUpdateBatchAppliesInOrder: a batch's edits apply one after the
+// other, each against the content the previous one left, and a
+// full-content edit mid-batch replaces everything before it.
+func TestUpdateBatchAppliesInOrder(t *testing.T) {
 	m := NewManager(Config{})
 	s, _ := m.Open()
 	openFile(t, s, "f.py", "a = 1\nb = 2\nc = 3\nd = 4\n")
@@ -228,8 +203,15 @@ func TestUpdateMultiEditHintMerges(t *testing.T) {
 	if got.After != "a = 10\nb = 2\nc = 3\nd = 40\n" {
 		t.Fatalf("After = %q", got.After)
 	}
-	if got.Hint == nil || got.Hint.StartLine != 1 || got.Hint.EndLine != 4 || got.Hint.LineDelta != 0 {
-		t.Fatalf("merged hint = %+v, want lines 1-4 delta 0", got.Hint)
+	err = s.Update("f.py", 3, []Edit{
+		{Range: &Range{Start: Pos{Line: 0, Character: 0}, End: Pos{Line: 0, Character: 1}}, Text: "b"},
+		{Text: "whole = new()\n"},
+	}, func(ch *Change) any { got = ch; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.After != "whole = new()\n" {
+		t.Fatalf("After = %q", got.After)
 	}
 }
 
