@@ -185,10 +185,34 @@ func TestUpdateFullAndRangeEdits(t *testing.T) {
 	}
 }
 
-// TestUpdateBatchAppliesInOrder: a batch's edits apply one after the
-// other, each against the content the previous one left, and a
-// full-content edit mid-batch replaces everything before it.
-func TestUpdateBatchAppliesInOrder(t *testing.T) {
+// TestUpdateFullReplaceClearsHint: a full-content edit mid-batch
+// replaces everything the edits before it produced, and the Change
+// carries no hint; the splicer works from Before and After alone.
+func TestUpdateFullReplaceClearsHint(t *testing.T) {
+	m := NewManager(Config{})
+	s, _ := m.Open()
+	openFile(t, s, "f.py", "a = 1\n")
+	var got *Change
+	err := s.Update("f.py", 2, []Edit{
+		{Range: &Range{Start: Pos{Line: 0, Character: 0}, End: Pos{Line: 0, Character: 1}}, Text: "b"},
+		{Text: "whole = new()\n"}, // full replace mid-batch
+	}, func(ch *Change) any { got = ch; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Hint != nil {
+		t.Fatalf("full-content batch carries hint %+v", got.Hint)
+	}
+	if got.Before != "a = 1\n" || got.After != "whole = new()\n" {
+		t.Fatalf("Before = %q, After = %q", got.Before, got.After)
+	}
+}
+
+// TestUpdateMultiEditHintMerges: a batch's range edits apply one after
+// the other, each against the content the previous one left, and the
+// Change spans the whole batch, so the splicer's diff of Before and
+// After covers every edit in it.
+func TestUpdateMultiEditHintMerges(t *testing.T) {
 	m := NewManager(Config{})
 	s, _ := m.Open()
 	openFile(t, s, "f.py", "a = 1\nb = 2\nc = 3\nd = 4\n")
@@ -200,17 +224,13 @@ func TestUpdateBatchAppliesInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got.Hint != nil {
+		t.Fatalf("range batch carries hint %+v", got.Hint)
+	}
+	if got.Before != "a = 1\nb = 2\nc = 3\nd = 4\n" {
+		t.Fatalf("Before = %q", got.Before)
+	}
 	if got.After != "a = 10\nb = 2\nc = 3\nd = 40\n" {
-		t.Fatalf("After = %q", got.After)
-	}
-	err = s.Update("f.py", 3, []Edit{
-		{Range: &Range{Start: Pos{Line: 0, Character: 0}, End: Pos{Line: 0, Character: 1}}, Text: "b"},
-		{Text: "whole = new()\n"},
-	}, func(ch *Change) any { got = ch; return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.After != "whole = new()\n" {
 		t.Fatalf("After = %q", got.After)
 	}
 }
