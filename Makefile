@@ -40,7 +40,8 @@ race:
 # and context-explosion fallbacks it produced) and the whole per-file
 # front end with its allocations (BenchmarkFrontEnd), the corpus load on
 # all CPUs and on one (BenchmarkLoadDirectory) and the Go parse with its
-# conversion to the unified AST (BenchmarkParse), then
+# conversion to the unified AST (BenchmarkParse) and the name paths of
+# the GOROOT sample, walked and through the AST+ (BenchmarkPaths), then
 # record the mining-stage numbers (ns/op, allocs/op, FP-tree node count)
 # into BENCH_mining.json and the per-stage span durations of one traced
 # end-to-end run into BENCH_trace.json, so the perf trajectory is
@@ -51,6 +52,7 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkAnalyze$$' -benchmem ./internal/pointsto
 	$(GO) test -run xxx -bench 'BenchmarkFrontEnd$$|BenchmarkLoadDirectory$$' -benchmem ./internal/core
 	$(GO) test -run xxx -bench 'BenchmarkParse$$' -benchmem ./internal/golang
+	$(GO) test -run xxx -bench 'BenchmarkPaths$$' -benchmem ./internal/astplus
 	BENCH_JSON=BENCH_mining.json $(GO) test -run 'TestWriteMiningBenchJSON$$' -count=1 -v .
 	BENCH_TRACE_JSON=BENCH_trace.json $(GO) test -run 'TestWriteTraceBenchJSON$$' -count=1 -v .
 	BENCH_KNOWLEDGE_JSON=BENCH_knowledge.json $(GO) test -run 'TestWriteKnowledgeBenchJSON$$' -count=1 -v .
@@ -63,7 +65,8 @@ bench:
 # must equal a full analysis on any before/after pair of Python sources,
 # over the hand-written Python and Java
 # parsers and the Go front end's conversion of go/parser trees, which take
-# source from files and requests, over the unified
+# source from files and requests, over the name-path walk, which must
+# give the AST+'s paths on every parsed Python statement, over the unified
 # diff applier, which takes patches from /v1/diff clients, and over the
 # driver's decoding of worker Result lines. Go fuzzes one target per
 # invocation, hence one line each.
@@ -76,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePython$$' -fuzztime 5s ./internal/pylang
 	$(GO) test -run '^$$' -fuzz '^FuzzParseJava$$' -fuzztime 5s ./internal/javalang
 	$(GO) test -run '^$$' -fuzz '^FuzzParseGo$$' -fuzztime 5s ./internal/golang
+	$(GO) test -run '^$$' -fuzz '^FuzzWalk$$' -fuzztime 5s ./internal/astplus
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyUnifiedDiff$$' -fuzztime 5s ./internal/udiff
 	$(GO) test -run '^$$' -fuzz '^FuzzWorkerResult$$' -fuzztime 5s ./internal/driver
 

@@ -2,7 +2,8 @@
 // stage of the inference pipeline and prints each intermediate artifact —
 // the parsed AST, the transformed AST+ (with NUM abstraction, NumArgs and
 // NumST nodes, and the TestCase origin decoration from the points-to
-// analysis), the extracted name paths of Fig. 2(d), the violated name
+// analysis), the extracted name paths of Fig. 2(d) (checked against the
+// direct walk the pipeline uses, which builds no AST+), the violated name
 // pattern of Fig. 2(e), and the suggested fix (assertTrue -> assertEqual).
 package main
 
@@ -70,7 +71,18 @@ func main() {
 	for _, p := range paths {
 		fmt.Println(" ", p)
 	}
-	fmt.Println()
+	// The pipeline takes the same paths in one walk over the statement
+	// AST, without building the AST+.
+	walked := astplus.NewWalker(res.OriginOf).Paths(stmt, 10)
+	if len(walked) != len(paths) {
+		panic(fmt.Sprintf("direct walk gave %d name paths, AST+ %d", len(walked), len(paths)))
+	}
+	for i, p := range walked {
+		if p.Key() != paths[i].Key() {
+			panic(fmt.Sprintf("direct walk path %d is %s, AST+ path %s", i, p, paths[i]))
+		}
+	}
+	fmt.Printf("(the direct walk over the statement AST gives the same %d paths)\n\n", len(walked))
 
 	// The name pattern of Fig. 2(e), as it would be mined from Big Code.
 	mk := func(s string) namepath.Path {

@@ -6,6 +6,10 @@
 // (package pointsto) as parents of the affected subtokens. The result is
 // the transformed AST (AST+) of Fig. 2(c), from which name paths are
 // extracted.
+//
+// Transform builds the AST+ as the paper defines it; Walker emits the
+// name paths namepath.Extract would take from it, in one walk over the
+// statement AST that applies the same rewrites and builds no tree.
 package astplus
 
 import (
@@ -25,27 +29,79 @@ type OriginFunc func(orig *ast.Node) (string, bool)
 // every identifier terminal, which ast.Statements shares with the file
 // AST.
 func Transform(stmt *ast.Statement, origin OriginFunc) *ast.Node {
+	t := transformer{origin: origin}
+	return t.node(statementRoot(stmt))
+}
+
+// statementRoot is the node the statement's AST+ is built from. The paper
+// draws statement trees rooted at the expression: an ExprStmt wrapper
+// with a single child is elided (Fig. 2(b) roots the tree at Call).
+func statementRoot(stmt *ast.Statement) *ast.Node {
 	root := stmt.Root
-	// The paper draws statement trees rooted at the expression: an
-	// ExprStmt wrapper with a single child is elided (Fig. 2(b) roots the
-	// tree at Call).
 	if root.Kind == ast.ExprStmt && len(root.Children) == 1 {
 		root = root.Children[0]
 	}
-	t := transformer{origin: origin}
-	return t.node(root)
+	return root
+}
+
+// numArgs applies rule 2 to a non-terminal: it reports whether n gets a
+// NumArgs(k) parent, and k. Calls count their arguments, New its
+// non-Body arguments, and definitions and lambdas their parameters.
+// numArgs and leaf are the whole of the four rewrites; Transform and
+// Walker both apply them through these two, so they are defined once.
+func numArgs(n *ast.Node) (k int, ok bool) {
+	switch n.Kind {
+	case ast.Call:
+		return max(len(n.Children)-1, 0), true
+	case ast.New:
+		for _, c := range n.Children[1:] {
+			if c.Kind != ast.Body {
+				k++
+			}
+		}
+		return k, true
+	case ast.FunctionDef, ast.CtorDef, ast.Lambda:
+		if params := findParams(n); params != nil {
+			k = len(params.Children)
+		}
+		return k, true
+	}
+	return 0, false
+}
+
+// leaf applies rules 1, 3 and 4 to a terminal. It appends the values of
+// the subtoken leaves n becomes to subs: NUM/STR/BOOL/NULL for a literal,
+// an identifier's subtokens (the whole name when it has none). For an
+// identifier it also returns the origin label of rule 4 from origin
+// (which may be nil), "" for none. ok is false for a terminal that stays
+// as it is, such as an operator.
+func leaf(subs []string, n *ast.Node, origin OriginFunc) (_ []string, label string, ok bool) {
+	switch n.Kind {
+	case ast.NumLit:
+		return append(subs, "NUM"), "", true
+	case ast.StrLit:
+		return append(subs, "STR"), "", true
+	case ast.BoolLit:
+		return append(subs, "BOOL"), "", true
+	case ast.NullLit:
+		return append(subs, "NULL"), "", true
+	case ast.Ident:
+		k := len(subs)
+		subs = subtoken.AppendSplit(subs, n.Value)
+		if len(subs) == k {
+			subs = append(subs, n.Value)
+		}
+		if origin != nil {
+			label, _ = origin(n)
+		}
+		return subs, label, true
+	}
+	return subs, "", false
 }
 
 type transformer struct {
 	origin OriginFunc
-}
-
-func (t *transformer) originOf(n *ast.Node) string {
-	if t.origin == nil {
-		return ""
-	}
-	o, _ := t.origin(n)
-	return o
+	subs   []string // scratch for leaf
 }
 
 func (t *transformer) node(n *ast.Node) *ast.Node {
@@ -57,23 +113,7 @@ func (t *transformer) node(n *ast.Node) *ast.Node {
 	for i, c := range n.Children {
 		out.Children[i] = t.node(c)
 	}
-	// Rule 2: NumArgs(k) above calls and function definitions.
-	switch n.Kind {
-	case ast.Call:
-		return wrapNumArgs(out, max(len(n.Children)-1, 0))
-	case ast.New:
-		k := 0
-		for _, c := range n.Children[1:] {
-			if c.Kind != ast.Body {
-				k++
-			}
-		}
-		return wrapNumArgs(out, k)
-	case ast.FunctionDef, ast.CtorDef, ast.Lambda:
-		k := 0
-		if params := findParams(n); params != nil {
-			k = len(params.Children)
-		}
+	if k, ok := numArgs(n); ok {
 		return wrapNumArgs(out, k)
 	}
 	return out
@@ -114,25 +154,13 @@ func findParams(n *ast.Node) *ast.Node {
 }
 
 func (t *transformer) terminal(n *ast.Node) *ast.Node {
-	switch n.Kind {
-	case ast.NumLit:
-		return wrapNumST([]string{"NUM"}, "", n.Line)
-	case ast.StrLit:
-		return wrapNumST([]string{"STR"}, "", n.Line)
-	case ast.BoolLit:
-		return wrapNumST([]string{"BOOL"}, "", n.Line)
-	case ast.NullLit:
-		return wrapNumST([]string{"NULL"}, "", n.Line)
-	case ast.Ident:
-		subs := subtoken.Split(n.Value)
-		if len(subs) == 0 {
-			subs = []string{n.Value}
-		}
-		return wrapNumST(subs, t.originOf(n), n.Line)
-	default:
+	subs, origin, ok := leaf(t.subs[:0], n, t.origin)
+	if !ok {
 		// Operators and other token leaves stay as-is.
 		return &ast.Node{Kind: n.Kind, Value: n.Value, Line: n.Line}
 	}
+	t.subs = subs
+	return wrapNumST(subs, origin, n.Line)
 }
 
 // wrapNumST builds NumST(k) -> [origin ->] subtoken leaves. The group's

@@ -28,7 +28,6 @@ import (
 	"namer/internal/features"
 	"namer/internal/mining"
 	"namer/internal/ml"
-	"namer/internal/namepath"
 	"namer/internal/obs"
 	"namer/internal/parallel"
 	"namer/internal/pattern"
@@ -230,9 +229,9 @@ func (s *System) ProcessFile(f *InputFile) []*ProcStmt {
 	}
 	lines := strings.Split(f.Source, "\n")
 	var out []*ProcStmt
+	w := astplus.NewWalker(origin)
 	for _, stmt := range ast.Statements(f.Root) {
-		plus := astplus.Transform(stmt, origin)
-		paths := namepath.Extract(plus, s.cfg.Mining.MaxPathsPerStatement)
+		paths := w.Paths(stmt, s.cfg.Mining.MaxPathsPerStatement)
 		if len(paths) == 0 {
 			continue
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 // BenchmarkFrontEnd times one serial ProcessFile pass (points-to,
-// statement projection, AST+, name paths, statement index) over each
+// statement projection, name-path walk, statement index) over each
 // pre-parsed sample: the generated Python and Java corpora, plus the
 // GOROOT sample when its hash matches the pinned one. B/op and
 // allocs/op are the front end's allocation per pass.

@@ -24,7 +24,12 @@ import (
 // Parse parses Go source into a unified AST rooted at a Module node.
 func Parse(src string) (*uast.Node, error) {
 	fset := gotoken.NewFileSet()
-	file, err := parser.ParseFile(fset, "src.go", src, parser.SkipObjectResolution)
+	// ParseFile copies a string source into a new []byte but takes a
+	// []byte as it is, so src is handed over as a byte view of its own
+	// memory. That is safe because go/parser only reads its source, and
+	// every string it builds from it is a copy: neither the view nor the
+	// tree outlives this call with a way to write src.
+	file, err := parser.ParseFile(fset, "src.go", unsafe.Slice(unsafe.StringData(src), len(src)), parser.SkipObjectResolution)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ package namepath
 import (
 	"strconv"
 	"strings"
+	"sync"
 
 	"namer/internal/ast"
 )
@@ -111,15 +112,6 @@ func fullKey(prefixKey, end string) string {
 	return prefixKey + " " + end
 }
 
-// fullKeyBytes is fullKey over a prefix encoding held in buf; it may
-// append to buf.
-func fullKeyBytes(buf []byte, end string) string {
-	if end == Epsilon {
-		return string(append(buf, " ε"...))
-	}
-	return string(append(append(buf, ' '), end...))
-}
-
 // PrefixKey returns a canonical encoding of the prefix, used to group and
 // compare paths cheaply.
 func (p Path) PrefixKey() string {
@@ -151,94 +143,130 @@ func (p Path) String() string {
 // Operator token leaves are skipped: name paths end at code-name subtokens
 // and abstracted literals (NUM/STR/BOOL/NULL). At most limit paths are
 // returned (the paper keeps the first 10); limit <= 0 means no limit.
-//
-// A first walk counts the paths and their total prefix length, so the
-// paths, their prefixes and their memos each take one allocation per
-// call. Each Prefix is a capacity-clipped window of the shared prefix
-// slab, so appending to one never writes into another. Each path's key
-// is one string, and its PrefixKey is a prefix of it.
+// The paths are laid out as Builder.Paths lays them out.
 func Extract(root *ast.Node, limit int) []Path {
-	c := extractCounter{limit: limit}
-	c.walk(root, 0)
-	if c.paths == 0 {
-		return nil
-	}
-	e := extractor{
-		limit: c.paths,
-		out:   make([]Path, 0, c.paths),
-		memos: make([]pathMemo, c.paths),
-		slab:  make([]Elem, 0, c.elems),
-	}
-	var prefix [32]Elem
-	var keyBuf [256]byte
-	e.walk(root, prefix[:0], keyBuf[:0])
-	return e.out
+	b := extractBuilders.Get().(*Builder)
+	defer extractBuilders.Put(b)
+	b.Reset(limit)
+	b.walk(root)
+	return b.Paths()
 }
 
-// extractCounter is Extract's first walk: the number of paths it will
-// emit and the sum of their prefix lengths.
-type extractCounter struct {
-	limit, paths, elems int
-}
+// extractBuilders lets Extract, called once per statement, reuse a
+// Builder's scratch across calls as one walk over many statements does.
+var extractBuilders = sync.Pool{New: func() any { return new(Builder) }}
 
-func (c *extractCounter) walk(n *ast.Node, depth int) {
-	if c.limit > 0 && c.paths >= c.limit {
-		return
-	}
+func (b *Builder) walk(n *ast.Node) {
 	if n.IsTerminal() {
 		if n.Kind == ast.Subtoken {
-			c.paths++
-			c.elems += depth
-		}
-		return
-	}
-	for _, ch := range n.Children {
-		c.walk(ch, depth+1)
-	}
-}
-
-// extractor is Extract's second walk. The prefix of the node being
-// visited, and its canonical encoding, are grown alongside the walk in
-// scratch buffers that start out on Extract's stack.
-type extractor struct {
-	limit int
-	out   []Path
-	memos []pathMemo
-	slab  []Elem // the emitted paths' prefixes, back to back
-}
-
-func (e *extractor) walk(n *ast.Node, prefix []Elem, keyBuf []byte) {
-	if len(e.out) >= e.limit {
-		return
-	}
-	if n.IsTerminal() {
-		if n.Kind == ast.Subtoken {
-			e.emit(prefix, keyBuf, n.Value)
+			b.Emit(n.Value)
 		}
 		return
 	}
 	for i, c := range n.Children {
-		kb := keyBuf
-		if len(kb) > 0 {
-			kb = append(kb, ' ')
+		if b.Full() {
+			return
 		}
-		kb = append(kb, n.Value...)
-		kb = append(kb, ' ')
-		kb = strconv.AppendInt(kb, int64(i), 10)
-		e.walk(c, append(prefix, Elem{Value: n.Value, Index: i}), kb)
+		b.Push(n.Value, i)
+		b.walk(c)
+		b.Pop()
 	}
 }
 
-// emit records the path with the given prefix and its encoding to the
-// subtoken end.
-func (e *extractor) emit(prefix []Elem, prefixKey []byte, end string) {
-	lo := len(e.slab)
-	e.slab = append(e.slab, prefix...)
-	hi := len(e.slab)
-	key := fullKeyBytes(prefixKey, end)
-	m := &e.memos[len(e.out)]
-	*m = pathMemo{prefixKey: key[:len(prefixKey)], key: key}
-	e.out = append(e.out, Path{Prefix: e.slab[lo:hi:hi], End: end, memo: m})
+// Builder assembles the name paths of one statement while a top-down walk
+// over its AST+ (or over a tree the walk rewrites into one as it goes)
+// pushes and pops the root-to-node prefix and emits a path at each
+// subtoken leaf. It is the one place paths are laid out: Paths returns
+// them in an exact-size slice, with their prefixes in one slab, each a
+// capacity-clipped window of it so that appending to one never writes
+// into another, and all their keys in one string, each PrefixKey a
+// prefix of its Key. A Builder reuses its scratch from one statement to
+// the next; the zero value is ready for Reset.
+type Builder struct {
+	limit  int
+	prefix []Elem // the root-to-node prefix being walked
+	key    []byte // the encoding of prefix
+	keyAt  []int  // len(key) before each element of prefix was pushed
+
+	elems []Elem // emitted prefixes, back to back
+	keys  []byte // emitted keys, back to back
+	out   []emitted
+}
+
+// emitted locates one emitted path in the Builder's scratch.
+type emitted struct {
+	end                       string
+	elemLo, elemHi            int
+	keyLo, prefixKeyHi, keyHi int
+}
+
+// Reset starts a new statement, of which at most limit paths are kept;
+// limit <= 0 means no limit.
+func (b *Builder) Reset(limit int) {
+	b.limit = limit
+	b.prefix, b.key, b.keyAt = b.prefix[:0], b.key[:0], b.keyAt[:0]
+	b.elems, b.keys, b.out = b.elems[:0], b.keys[:0], b.out[:0]
+}
+
+// Push descends from the node with the given value to its child at
+// index.
+func (b *Builder) Push(value string, index int) {
+	b.keyAt = append(b.keyAt, len(b.key))
+	if len(b.prefix) > 0 {
+		b.key = append(b.key, ' ')
+	}
+	b.key = append(b.key, value...)
+	b.key = append(b.key, ' ')
+	b.key = strconv.AppendInt(b.key, int64(index), 10)
+	b.prefix = append(b.prefix, Elem{Value: value, Index: index})
+}
+
+// Pop undoes the last Push.
+func (b *Builder) Pop() {
+	last := len(b.prefix) - 1
+	b.key = b.key[:b.keyAt[last]]
+	b.prefix, b.keyAt = b.prefix[:last], b.keyAt[:last]
+}
+
+// Full reports whether the limit has been reached, so that the walk can
+// stop.
+func (b *Builder) Full() bool { return b.limit > 0 && len(b.out) >= b.limit }
+
+// Emit records the path from the root to a leaf with the given end
+// under the current prefix, unless the limit has been reached.
+func (b *Builder) Emit(end string) {
+	if b.Full() {
+		return
+	}
+	p := emitted{end: end, elemLo: len(b.elems), keyLo: len(b.keys)}
+	b.elems = append(b.elems, b.prefix...)
+	b.keys = append(b.keys, b.key...)
+	p.elemHi, p.prefixKeyHi = len(b.elems), len(b.keys)
+	if end == Epsilon {
+		b.keys = append(b.keys, " ε"...)
+	} else {
+		b.keys = append(append(b.keys, ' '), end...)
+	}
+	p.keyHi = len(b.keys)
+	b.out = append(b.out, p)
+}
+
+// Paths returns the paths emitted since Reset, memoized, or nil if there
+// are none. They share no memory with the Builder.
+func (b *Builder) Paths() []Path {
+	if len(b.out) == 0 {
+		return nil
+	}
+	paths := make([]Path, len(b.out))
+	memos := make([]pathMemo, len(b.out))
+	slab := make([]Elem, len(b.elems))
+	copy(slab, b.elems)
+	keys := string(b.keys)
+	for i, p := range b.out {
+		memos[i] = pathMemo{prefixKey: keys[p.keyLo:p.prefixKeyHi], key: keys[p.keyLo:p.keyHi]}
+		paths[i] = Path{Prefix: slab[p.elemLo:p.elemHi:p.elemHi], End: p.end, memo: &memos[i]}
+	}
+	return paths
 }
 
 // Dedup removes duplicate paths (by Key), preserving order. Statement path

@@ -6,10 +6,10 @@ import "namer/internal/namepath"
 // whole corpus see them. It answers Matches/Satisfied/Violated/Explain
 // (and Check, all of them at once) by scanning its paths (at most
 // MaxPathsPerStatement of them) and comparing memoized keys, which for
-// so few paths is cheaper than building an index. Paths from
-// namepath.Extract, namepath.ParsePath and knowledge decoding are
-// memoized; other paths give the same answers but re-encode their keys
-// on every comparison.
+// so few paths is cheaper than building an index. Paths from a
+// namepath.Builder (astplus.Walker, namepath.Extract),
+// namepath.ParsePath and knowledge decoding are memoized; other paths
+// give the same answers but re-encode their keys on every comparison.
 type Statement struct {
 	Paths []namepath.Path
 }

@@ -22,11 +22,15 @@ import "unicode"
 // The empty string yields nil. An identifier with no splittable structure
 // yields a single subtoken equal to itself. Subtokens are substrings of
 // name, so the only allocation is the returned slice.
-func Split(name string) []string {
+func Split(name string) []string { return AppendSplit(nil, name) }
+
+// AppendSplit appends the subtokens of name, as Split returns them, to
+// out and returns the extended slice; a caller that reuses out splits
+// without allocating.
+func AppendSplit(out []string, name string) []string {
 	if name == "" {
-		return nil
+		return out
 	}
-	var out []string
 	start := -1 // byte offset where the current subtoken starts; -1: none
 	runes := 0  // runes in the current subtoken
 	var prev rune
