@@ -61,8 +61,9 @@ bench:
 # Short native-fuzzing pass over the three binary decoders that take
 # bytes from disk (the knowledge artifact, the FP-tree codec, and the
 # checkpoint envelope), over the session range-edit splice, which takes
-# positions from editor clients, over the overlay region splice, which
-# must equal a full analysis on any before/after pair of Python sources,
+# positions from editor clients, over the overlay's statement reuse,
+# which with points-to on must equal a full analysis on any before/after
+# pair of Python sources,
 # over the hand-written Python and Java
 # parsers and the Go front end's conversion of go/parser trees, which take
 # source from files and requests, over the name-path walk, which must
@@ -205,7 +206,7 @@ obs-gate:
 # swap). Then one full editor session: open, a full-content change, an
 # incremental range edit (the response must say "scan": "incremental"),
 # a resend of the whole file with one line changed (also "incremental":
-# the server finds the edited lines itself), another edit across a
+# the unchanged statements are reused), another edit across a
 # second SIGHUP reload (still 200, never
 # "failed"), the namer_sessions gauge at 1, close, and a 404 for an
 # edit after close. Then the knowledge file is overwritten with a file

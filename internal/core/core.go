@@ -165,7 +165,7 @@ func (s *System) ProcessFilesCtx(ctx context.Context, files []*InputFile) []erro
 	results := make([][]*ProcStmt, len(files))
 	fileErrs := make([]error, len(files))
 	s.eachFile(ctx, files, func(fctx context.Context, _ *obs.Span, i int) int {
-		_, results[i], _, fileErrs[i] = s.frontEnd(fctx, files[i])
+		_, _, fileErrs[i] = s.frontEnd(fctx, files[i], func(f *InputFile) { results[i] = s.ProcessFile(f) })
 		return len(results[i])
 	})
 	var errs []error
@@ -198,13 +198,14 @@ func (s *System) eachFile(ctx context.Context, files []*InputFile, fn func(ctx c
 
 // frontEnd is the per-file front end every entry point shares: a file
 // without an AST is parsed first (under a "parse" span, timed as
-// parse), then analyzed with panics contained, so one pathological file
-// costs only itself. root is nil exactly when parsing failed; err names
-// the file.
-func (s *System) frontEnd(ctx context.Context, f *InputFile) (root *ast.Node, stmts []*ProcStmt, parse time.Duration, err error) {
+// parse), then handed to process (ProcessFile, or the overlay's
+// statement loop) with panics contained, so one pathological file costs
+// only itself. root is nil exactly when parsing failed; err names the
+// file.
+func (s *System) frontEnd(ctx context.Context, f *InputFile, process func(*InputFile)) (root *ast.Node, parse time.Duration, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			stmts, err = nil, fmt.Errorf("%s/%s: analysis panic: %v", f.Repo, f.Path, r)
+			err = fmt.Errorf("%s/%s: analysis panic: %v", f.Repo, f.Path, r)
 		}
 	}()
 	if root = f.Root; root == nil {
@@ -213,42 +214,60 @@ func (s *System) frontEnd(ctx context.Context, f *InputFile) (root *ast.Node, st
 		root, err = ParseSource(s.cfg.Lang, f.Source)
 		psp.End()
 		if parse = time.Since(start); err != nil {
-			return nil, nil, parse, fmt.Errorf("%s/%s: %v", f.Repo, f.Path, err)
+			return nil, parse, fmt.Errorf("%s/%s: %v", f.Repo, f.Path, err)
 		}
 		f = &InputFile{Repo: f.Repo, Path: f.Path, Source: f.Source, Root: root}
 	}
-	return root, s.ProcessFile(f), parse, nil
+	process(f)
+	return root, parse, nil
 }
 
 // ProcessFile runs the front half of the pipeline on one parsed file.
 func (s *System) ProcessFile(f *InputFile) []*ProcStmt {
-	var origin astplus.OriginFunc
-	if s.cfg.UseAnalysis {
-		res := pointsto.Analyze(f.Root, s.cfg.Lang, s.cfg.PointsTo)
-		origin = res.OriginOf
-	}
 	lines := strings.Split(f.Source, "\n")
 	var out []*ProcStmt
-	w := astplus.NewWalker(origin)
+	w := astplus.NewWalker(s.origins(f.Root))
 	for _, stmt := range ast.Statements(f.Root) {
-		paths := w.Paths(stmt, s.cfg.Mining.MaxPathsPerStatement)
-		if len(paths) == 0 {
-			continue
+		if ps := s.procStmt(f, lines, w, stmt); ps != nil {
+			out = append(out, ps)
 		}
-		srcLine := ""
-		if stmt.Line >= 1 && stmt.Line <= len(lines) {
-			srcLine = strings.TrimSpace(lines[stmt.Line-1])
-		}
-		out = append(out, &ProcStmt{
-			Repo:        f.Repo,
-			Path:        f.Path,
-			Line:        stmt.Line,
-			Fingerprint: stmt.Root.Fingerprint(),
-			PS:          pattern.NewStatement(paths),
-			SourceLine:  srcLine,
-		})
 	}
 	return out
+}
+
+// origins runs the points-to analysis over a parsed file for the origin
+// labels of rule 4; nil when the configuration turns the analysis off.
+func (s *System) origins(root *ast.Node) astplus.OriginFunc {
+	if !s.cfg.UseAnalysis {
+		return nil
+	}
+	return pointsto.Analyze(root, s.cfg.Lang, s.cfg.PointsTo).OriginOf
+}
+
+// procStmt builds one statement's ProcStmt: its name paths from w, its
+// fingerprint, and its trimmed line of lines (the file's source split at
+// newlines). A statement without name paths yields nil.
+func (s *System) procStmt(f *InputFile, lines []string, w *astplus.Walker, stmt *ast.Statement) *ProcStmt {
+	paths := w.Paths(stmt, s.cfg.Mining.MaxPathsPerStatement)
+	if len(paths) == 0 {
+		return nil
+	}
+	return &ProcStmt{
+		Repo:        f.Repo,
+		Path:        f.Path,
+		Line:        stmt.Line,
+		Fingerprint: stmt.Root.Fingerprint(),
+		PS:          pattern.NewStatement(paths),
+		SourceLine:  sourceLine(lines, stmt.Line),
+	}
+}
+
+// sourceLine is line n (1-based) of lines, trimmed; "" when out of range.
+func sourceLine(lines []string, n int) string {
+	if n >= 1 && n <= len(lines) {
+		return strings.TrimSpace(lines[n-1])
+	}
+	return ""
 }
 
 // MinePatterns mines both pattern types over the processed statements.

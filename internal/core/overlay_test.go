@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"namer/internal/ast"
+	"namer/internal/astplus"
+	"namer/internal/corpus"
 )
 
 // overlayFixture is a Python file with several top-level regions, so
@@ -58,6 +60,15 @@ func sameOverlay(t *testing.T, label string, inc, full *OverlayResult) {
 				t.Fatalf("%s: statement %d path %d diverged: %s vs %s", label, i, j, ip[j].Key(), fp[j].Key())
 			}
 		}
+		io, fo := inc.Analysis.Stmts[i].Obs, full.Analysis.Stmts[i].Obs
+		if len(io) != len(fo) {
+			t.Fatalf("%s: statement %d has %d observations incremental vs %d full", label, i, len(io), len(fo))
+		}
+		for j := range io {
+			if io[j] != fo[j] {
+				t.Fatalf("%s: statement %d observation %d diverged", label, i, j)
+			}
+		}
 	}
 	iv, fv := inc.Violations, full.Violations
 	if len(iv) != len(fv) {
@@ -74,8 +85,8 @@ func sameOverlay(t *testing.T, label string, inc, full *OverlayResult) {
 	}
 }
 
-// TestOverlayIncrementalReuse: a body edit inside one def re-analyzes
-// only that region and reuses every other statement, and the spliced
+// TestOverlayIncrementalReuse: a body edit inside one def walks and
+// matches only the edited statement and reuses every other one, and the
 // result is identical to a from-scratch analysis.
 func TestOverlayIncrementalReuse(t *testing.T) {
 	sys := NewSystem(DefaultConfig(ast.Python))
@@ -95,7 +106,7 @@ func TestOverlayIncrementalReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !inc.Incremental {
-		t.Fatal("region splice not taken for a single-line body edit")
+		t.Fatal("previous analysis not used for a single-line body edit")
 	}
 	if inc.ReusedStatements == 0 || inc.ReusedStatements >= inc.Statements {
 		t.Fatalf("reused %d of %d statements; want partial reuse", inc.ReusedStatements, inc.Statements)
@@ -108,7 +119,7 @@ func TestOverlayIncrementalReuse(t *testing.T) {
 }
 
 // TestOverlayAppendAtEOF: appending a new def reuses every previous
-// statement and analyzes only the appended region.
+// statement and analyzes only the appended ones.
 func TestOverlayAppendAtEOF(t *testing.T) {
 	sys := NewSystem(DefaultConfig(ast.Python))
 	first, err := sys.AnalyzeOverlay(&InputFile{Repo: "r", Path: "f.py", Source: overlayFixture}, nil, nil)
@@ -120,8 +131,8 @@ func TestOverlayAppendAtEOF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !inc.Incremental {
-		t.Fatal("append at EOF did not take the region splice")
+	if inc.ReusedStatements != first.Statements {
+		t.Fatalf("append at EOF reused %d of %d previous statements", inc.ReusedStatements, first.Statements)
 	}
 	full, err := sys.AnalyzeOverlay(&InputFile{Repo: "r", Path: "f.py", Source: appended}, nil, nil)
 	if err != nil {
@@ -146,7 +157,7 @@ func TestOverlayParseErrorKeepsPrev(t *testing.T) {
 		first.Analysis, nil); err == nil {
 		t.Fatal("broken content analyzed without error")
 	}
-	// The untouched previous analysis still splices a later good edit.
+	// The untouched previous analysis is still reused by a later good edit.
 	fixed := strings.Replace(overlayFixture, "download_cnt = download_count + 1",
 		"download_cnt = download_count + 3", 1)
 	inc, err := sys.AnalyzeOverlay(&InputFile{Repo: "r", Path: "f.py", Source: fixed},
@@ -154,7 +165,7 @@ func TestOverlayParseErrorKeepsPrev(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !inc.Incremental {
+	if !inc.Incremental || inc.ReusedStatements == 0 {
 		t.Fatal("previous analysis unusable after a failed scan")
 	}
 }
@@ -176,17 +187,9 @@ y = 2
 z = 3
 `
 
-// noAnalysisSystem is a knowledge-free Python system with the points-to
-// analysis off, where spliced and full analyses agree exactly.
-func noAnalysisSystem() *System {
-	cfg := DefaultConfig(ast.Python)
-	cfg.UseAnalysis = false
-	return NewSystem(cfg)
-}
-
-// spliceAndFull analyzes before, then after both against that analysis and
-// from scratch.
-func spliceAndFull(t *testing.T, sys *System, before, after string) (inc, full *OverlayResult) {
+// reuseAndFull analyzes before, then after both against that analysis
+// and from scratch.
+func reuseAndFull(t *testing.T, sys *System, before, after string) (inc, full *OverlayResult) {
 	t.Helper()
 	first, err := sys.AnalyzeOverlay(&InputFile{Repo: "r", Path: "f.py", Source: before}, nil, nil)
 	if err != nil {
@@ -202,24 +205,24 @@ func spliceAndFull(t *testing.T, sys *System, before, after string) (inc, full *
 	return inc, full
 }
 
-// TestOverlayCRLFContinuation: a backslash before a CRLF line ending
-// continues the statement, so line 2 is no region boundary and an edit
-// there re-analyzes the whole statement.
+// TestOverlayCRLFContinuation: an edit on the continuation line of a
+// CRLF statement re-analyzes that statement, and the result equals a
+// full analysis.
 func TestOverlayCRLFContinuation(t *testing.T) {
 	edited := strings.Replace(crlfContinuation, "upload_count", "download_count", 1)
-	inc, full := spliceAndFull(t, noAnalysisSystem(), crlfContinuation, edited)
+	inc, full := reuseAndFull(t, NewSystem(DefaultConfig(ast.Python)), crlfContinuation, edited)
 	sameOverlay(t, "crlf continuation", inc, full)
 }
 
-// TestOverlayCRLFBlankLine: a blank CRLF line inside a def body is no
-// region boundary, so an edit after it splices exactly as with LF line
-// endings.
+// TestOverlayCRLFBlankLine: an edit after a blank CRLF line inside a def
+// body reuses exactly as many statements as with LF line endings, and
+// the result equals a full analysis.
 func TestOverlayCRLFBlankLine(t *testing.T) {
-	sys := noAnalysisSystem()
+	sys := NewSystem(DefaultConfig(ast.Python))
 	edit := func(src string) string { return strings.Replace(src, "return x", "return x + 1", 1) }
-	lf, _ := spliceAndFull(t, sys, crlfBlankInDef, edit(crlfBlankInDef))
+	lf, _ := reuseAndFull(t, sys, crlfBlankInDef, edit(crlfBlankInDef))
 	crlfSrc := strings.ReplaceAll(crlfBlankInDef, "\n", "\r\n")
-	inc, full := spliceAndFull(t, sys, crlfSrc, edit(crlfSrc))
+	inc, full := reuseAndFull(t, sys, crlfSrc, edit(crlfSrc))
 	sameOverlay(t, "crlf blank line", inc, full)
 	if !lf.Incremental || lf.ReusedStatements == 0 {
 		t.Fatalf("LF: incremental=%v reused %d", lf.Incremental, lf.ReusedStatements)
@@ -230,62 +233,84 @@ func TestOverlayCRLFBlankLine(t *testing.T) {
 	}
 }
 
-// TestOverlayEquivalenceProperty drives random line edits over a real
-// mined system (analysis ablated, where spliced and full analyses are
-// defined to agree exactly) and checks after every parsable edit that
-// the incremental result matches a from-scratch analysis — both for one
+// originFixture: the points-to origin of handle in use() is whatever
+// make() returns.
+const originFixture = `class Reader:
+    pass
+
+class Writer:
+    pass
+
+def make():
+    return Reader()
+
+def use():
+    handle = make()
+    return handle
+`
+
+// TestOverlayEditChangesOriginElsewhere: an edit inside make() changes
+// the origin of handle in use(), two defs away, which nobody edited.
+// The overlay must carry the new origin, as a full analysis does.
+func TestOverlayEditChangesOriginElsewhere(t *testing.T) {
+	sys := NewSystem(DefaultConfig(ast.Python))
+	edited := strings.Replace(originFixture, "return Reader()", "return Writer()", 1)
+	inc, full := reuseAndFull(t, sys, originFixture, edited)
+	sameOverlay(t, "origin", inc, full)
+	var handle string
+	for _, ps := range full.Analysis.Statements() {
+		if ps.SourceLine == "handle = make()" {
+			handle = ps.PS.Paths[0].Key()
+		}
+	}
+	if !strings.Contains(handle, "Writer") {
+		t.Fatalf("handle's first path %q carries no Writer origin; the fixture tests nothing", handle)
+	}
+	if inc.ReusedStatements == 0 {
+		t.Fatal("no statement reused")
+	}
+}
+
+// TestStmtKeyCoversKindAndOrigin: the reuse key tells apart two
+// statements that differ only in one node's Kind (which the fingerprint
+// leaves out) or only in one identifier's origin label, and ignores
+// lines.
+func TestStmtKeyCoversKindAndOrigin(t *testing.T) {
+	stmt := func(lit ast.Kind, line int) *ast.Node {
+		n := ast.NewNode(ast.Assign, ast.NewLeaf(ast.Ident, "count"), ast.NewLeaf(lit, "1"))
+		n.Line, n.Children[0].Line = line, line
+		return n
+	}
+	labelled := func(label string) astplus.OriginFunc {
+		return func(n *ast.Node) (string, bool) { return label, n.Kind == ast.Ident }
+	}
+	key := func(n *ast.Node, origin astplus.OriginFunc) string {
+		return string(appendStmtKey(nil, n, origin))
+	}
+	num, str := stmt(ast.NumLit, 1), stmt(ast.StrLit, 1)
+	if num.Fingerprint() != str.Fingerprint() {
+		t.Fatal("the fixture's two statements should share a fingerprint")
+	}
+	if key(num, nil) == key(str, nil) {
+		t.Error("statements differing only in a literal's Kind share a key")
+	}
+	if key(num, labelled("Reader")) == key(num, labelled("Writer")) {
+		t.Error("statements differing only in an origin label share a key")
+	}
+	if key(num, labelled("Reader")) != key(stmt(ast.NumLit, 7), labelled("Reader")) {
+		t.Error("the key depends on the statement's line")
+	}
+}
+
+// TestOverlayEquivalenceProperty drives random line edits over real
+// systems, points-to analysis on, and checks after every edit that the
+// overlay result against the previous analysis matches a from-scratch
+// analysis, or that both fail — for Python, Java and Go, and for one
 // edit between analyses and for two.
 func TestOverlayEquivalenceProperty(t *testing.T) {
 	t.Run("one edit", func(t *testing.T) {
-		cfg := smallSystemConfig(ast.Python)
-		cfg.UseAnalysis = false
-		sys, c, _ := buildSystem(t, ast.Python, cfg, smallCorpusConfig(ast.Python))
-		rng := rand.New(rand.NewSource(11))
-
-		var files []*InputFile
-		for _, r := range c.Repos {
-			for _, f := range r.Files {
-				files = append(files, &InputFile{Repo: r.Name, Path: f.Path, Source: f.Source})
-			}
-		}
-		if len(files) > 12 {
-			files = files[:12]
-		}
-		incrementals := 0
-		for _, f := range files {
-			prev, err := sys.AnalyzeOverlay(f, nil, nil)
-			if err != nil {
-				t.Fatalf("%s: initial analysis: %v", f.Path, err)
-			}
-			content := f.Source
-			for step := 0; step < 12; step++ {
-				edited := randomLineEdit(rng, content)
-				file := &InputFile{Repo: f.Repo, Path: f.Path, Source: edited}
-				full, fullErr := sys.AnalyzeOverlay(file, nil, nil)
-				inc, incErr := sys.AnalyzeOverlay(file, prev.Analysis, nil)
-				if fullErr != nil {
-					// The edit broke the parse; the incremental path must
-					// agree (the region parse is never authoritative).
-					if incErr == nil {
-						t.Fatalf("%s step %d: full analysis failed (%v) but overlay accepted the splice",
-							f.Path, step, fullErr)
-					}
-					continue // keep prev and content, try another edit
-				}
-				if incErr != nil {
-					t.Fatalf("%s step %d: overlay failed (%v) on parsable content", f.Path, step, incErr)
-				}
-				sameOverlay(t, fmt.Sprintf("%s step %d", f.Path, step), inc, full)
-				if inc.Incremental {
-					incrementals++
-				}
-				prev, content = inc, edited
-			}
-		}
-		if incrementals == 0 {
-			t.Fatal("no edit took the incremental path; the property test is vacuous")
-		}
-		t.Logf("%d incremental splices verified against full analyses", incrementals)
+		sys, c, _ := buildSystem(t, ast.Python, smallSystemConfig(ast.Python), smallCorpusConfig(ast.Python))
+		checkEditChains(t, sys, corpusFiles(c, 12), "#", 11)
 	})
 
 	t.Run("two edits", func(t *testing.T) {
@@ -295,32 +320,113 @@ func TestOverlayEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		incrementals := 0
+		reused := 0
 		for trial := 0; trial < 60; trial++ {
-			final := randomLineEdit(rng, randomLineEdit(rng, overlayFixture))
+			final := randomLineEdit(rng, randomLineEdit(rng, overlayFixture, "#"), "#")
 			file := &InputFile{Repo: "r", Path: "f.py", Source: final}
 			full, fullErr := sys.AnalyzeOverlay(file, nil, nil)
 			inc, incErr := sys.AnalyzeOverlay(file, prev.Analysis, nil)
+			if (fullErr == nil) != (incErr == nil) {
+				t.Fatalf("trial %d: full analysis error %v, overlay error %v", trial, fullErr, incErr)
+			}
 			if fullErr != nil {
-				if incErr == nil {
-					t.Fatalf("trial %d: unparsable content accepted by the splice", trial)
-				}
 				continue
 			}
-			if incErr != nil {
-				t.Fatalf("trial %d: overlay failed on parsable content: %v", trial, incErr)
-			}
 			sameOverlay(t, fmt.Sprintf("trial %d", trial), inc, full)
-			if inc.Incremental {
-				incrementals++
-			}
+			reused += inc.ReusedStatements
 		}
-		t.Logf("%d incremental splices verified against full analyses", incrementals)
+		t.Logf("%d reused statements verified against full analyses", reused)
+	})
+
+	t.Run("java", func(t *testing.T) {
+		sys, c, _ := buildSystem(t, ast.Java, smallSystemConfig(ast.Java), smallCorpusConfig(ast.Java))
+		checkEditChains(t, sys, corpusFiles(c, 8), "//", 13)
+	})
+
+	t.Run("go", func(t *testing.T) {
+		sys := NewSystem(DefaultConfig(ast.Go))
+		checkEditChains(t, sys, []*InputFile{{Repo: "r", Path: "f.go", Source: goOverlayFixture}}, "//", 17)
 	})
 }
 
-// randomLineEdit applies one synthetic line edit to content.
-func randomLineEdit(rng *rand.Rand, content string) string {
+// goOverlayFixture is a Go file with several functions, one of whose
+// results flows into another.
+const goOverlayFixture = `package store
+
+import "strings"
+
+type Reader struct{ count int }
+
+type Writer struct{ count int }
+
+func open(name string) *Reader {
+	upload := strings.TrimSpace(name)
+	return &Reader{count: len(upload)}
+}
+
+func use(name string) int {
+	handle := open(name)
+	handleCount := handle.count + 1
+	return handleCount
+}
+
+func (w *Writer) Write(data []byte) (int, error) {
+	w.count += len(data)
+	return len(data), nil
+}
+`
+
+// corpusFiles returns up to n files of the corpus as overlay inputs.
+func corpusFiles(c *corpus.Corpus, n int) []*InputFile {
+	var files []*InputFile
+	for _, r := range c.Repos {
+		for _, f := range r.Files {
+			files = append(files, &InputFile{Repo: r.Name, Path: f.Path, Source: f.Source})
+		}
+	}
+	return files[:min(n, len(files))]
+}
+
+// checkEditChains applies a chain of 12 random line edits (comment is
+// the language's line-comment token) to each file, and checks every
+// overlay result against the previous good analysis with a full
+// analysis of the same content. It fails if no statement was ever
+// reused, which would make the check vacuous.
+func checkEditChains(t *testing.T, sys *System, files []*InputFile, comment string, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	reused, checked := 0, 0
+	for _, f := range files {
+		prev, err := sys.AnalyzeOverlay(f, nil, nil)
+		if err != nil {
+			t.Fatalf("%s: initial analysis: %v", f.Path, err)
+		}
+		content := f.Source
+		for step := 0; step < 12; step++ {
+			file := &InputFile{Repo: f.Repo, Path: f.Path, Source: randomLineEdit(rng, content, comment)}
+			full, fullErr := sys.AnalyzeOverlay(file, nil, nil)
+			inc, incErr := sys.AnalyzeOverlay(file, prev.Analysis, nil)
+			if (fullErr == nil) != (incErr == nil) {
+				t.Fatalf("%s step %d: full analysis error %v, overlay error %v", f.Path, step, fullErr, incErr)
+			}
+			if fullErr != nil {
+				continue // keep prev and content, try another edit
+			}
+			sameOverlay(t, fmt.Sprintf("%s step %d", f.Path, step), inc, full)
+			reused += inc.ReusedStatements
+			checked++
+			prev, content = inc, file.Source
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no statement was reused; the property test is vacuous")
+	}
+	t.Logf("%d edits, %d reused statements verified against full analyses", checked, reused)
+}
+
+// randomLineEdit applies one synthetic line edit to content; comment is
+// the language's line-comment token.
+func randomLineEdit(rng *rand.Rand, content, comment string) string {
 	lines := strings.Split(content, "\n")
 	if n := len(lines); n > 0 && lines[n-1] == "" {
 		lines = lines[:n-1]
@@ -330,8 +436,8 @@ func randomLineEdit(rng *rand.Rand, content string) string {
 	}
 	i := rng.Intn(len(lines))
 	switch rng.Intn(5) {
-	case 0: // tweak a numeric literal / append a suffix on one line
-		lines[i] = lines[i] + "  # edited"
+	case 0: // append a comment to one line
+		lines[i] = lines[i] + "  " + comment + " edited"
 		return joinNL(lines)
 	case 1: // duplicate a line
 		dup := append([]string{}, lines[:i+1]...)
@@ -344,7 +450,7 @@ func randomLineEdit(rng *rand.Rand, content string) string {
 		return joinNL(del)
 	case 3: // insert a comment line
 		ins := append([]string{}, lines[:i]...)
-		ins = append(ins, "# inserted")
+		ins = append(ins, comment+" inserted")
 		ins = append(ins, lines[i:]...)
 		return joinNL(ins)
 	default: // rename the first identifier-ish token on the line
@@ -376,47 +482,6 @@ func renameFirstIdent(line string) string {
 		}
 	}
 	return line
-}
-
-// TestPyBoundaries pins the line classifier on the constructs that make
-// a column-0 line *not* a safe region boundary.
-func TestPyBoundaries(t *testing.T) {
-	src := []string{
-		"import os",          // 1: boundary
-		"",                   // 2: blank
-		"def f(a,",           // 3: boundary, opens bracket
-		"        b):",        // 4: inside bracket
-		"    return a + b",   // 5: indented
-		"x = '''doc",         // 6: boundary, opens triple
-		"def not_really():",  // 7: inside triple string
-		"'''",                // 8: closes triple
-		"y = 1 + \\",         // 9: boundary, continuation
-		"2",                  // 10: continuation target
-		"@decorator",         // 11: boundary (first decorator)
-		"@second",            // 12: stacked decorator
-		"def g():",           // 13: decorated def
-		"    pass",           // 14: indented
-		"try:",               // 15: boundary
-		"    pass",           // 16
-		"except ValueError:", // 17: clause, not a boundary
-		"    pass",           // 18
-		"finally:",           // 19: clause
-		"    pass",           // 20
-		"else_like = 1",      // 21: boundary (identifier, not keyword)
-		"# comment",          // 22: comment
-		"z = {'k': [1,",      // 23: boundary, opens brackets
-		"       2]}",         // 24: inside
-		"w = 'unterminated",  // 25: boundary, runs on
-		"still_inside'",      // 26: continuation of the string
-	}
-	want := map[int]bool{1: true, 3: true, 6: true, 9: true, 11: true,
-		15: true, 21: true, 23: true, 25: true}
-	got := pyBoundaries(src)
-	for i := range src {
-		if got[i] != want[i+1] {
-			t.Errorf("line %d %q: boundary=%v, want %v", i+1, src[i], got[i], want[i+1])
-		}
-	}
 }
 
 // TestOverlayDetachedFromScan: analyzing overlays leaks nothing into the

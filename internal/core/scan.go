@@ -125,7 +125,8 @@ func (s *System) frontEndFiles(ctx context.Context, files []*InputFile, timings 
 			}
 			sp.SetAttr("cache_hit", "false")
 		}
-		root, stmts, parse, err := s.frontEnd(fctx, files[i])
+		var stmts []*ProcStmt
+		root, parse, err := s.frontEnd(fctx, files[i], func(f *InputFile) { stmts = s.ProcessFile(f) })
 		if fe.parse, fe.err = parse, err; err != nil {
 			sp.SetAttr("error", err.Error())
 		}

@@ -78,7 +78,7 @@ type serveBenchFile struct {
 	WarmRescanP50Ms float64 `json:"warm_rescan_p50_ms"`
 	WarmSpeedup     float64 `json:"warm_speedup"`
 	// Session re-scan economics: analysis latency of one-line edits in
-	// an open editor session (incremental overlay splice) vs a cold
+	// an open editor session (unchanged statements reused) vs a cold
 	// /v1/scan of the same file on a cache-disabled server.
 	SessionRounds      int     `json:"session_rounds"`
 	SessionColdP50Ms   float64 `json:"session_cold_scan_p50_ms"`
@@ -239,7 +239,7 @@ func measureRescan(t *testing.T) (files int, coldP50, warmP50 float64) {
 // measureSessionRescan measures the editor-session re-scan economics:
 // a session holds the whole corpus concatenated into one file, each
 // round replaces one trailing comment line via an LSP-style range edit
-// (the incremental overlay splice), and the analysis latency
+// (unchanged statements reused), and the analysis latency
 // (ScanMillis, HTTP excluded) is compared against cold /v1/scan of the
 // same file on the same cache-disabled server.
 func measureSessionRescan(t *testing.T) (rounds int, coldP50, warmP50, warmP99 float64) {
@@ -250,7 +250,7 @@ func measureSessionRescan(t *testing.T) (rounds int, coldP50, warmP50, warmP99 f
 	defer ts.Close()
 
 	// One sizeable file: a dozen corpus sources back to back, so the
-	// incremental splice has plenty of untouched statements to reuse
+	// overlay has plenty of untouched statements to reuse
 	// while the per-edit latency stays editor-interactive.
 	var sb bytes.Buffer
 	for _, src := range sources[:min(12, len(sources))] {

@@ -2,9 +2,9 @@
 // session, POST /v1/session/{id}/change applies didChange-style edits
 // to one file overlay and answers with push-style diagnostics. A change
 // is the interactive sibling of /v1/scan + /v1/diff in one round trip:
-// the touched file is re-analyzed (incrementally when the region around
-// the lines that differ from the last good analysis can be verified —
-// see core.AnalyzeOverlayCtx), the result
+// the touched file is re-analyzed whole, reusing the statements of the
+// last good analysis that did not change (see core.AnalyzeOverlayCtx),
+// so the diagnostics equal /v1/scan's for the same content. The result
 // is diffed against the session's previous scan of that file by
 // statement fingerprint, and the response carries the full diagnostic
 // set plus the introduced/resolved delta and proposed-fix text edits.
@@ -16,12 +16,9 @@
 // the knowledge bundle it was computed under: a hot reload leaves the
 // overlay *contents* untouched but invalidates the scan state lazily —
 // the first change after a swap rebuilds its diff baseline under the
-// new knowledge, so diagnostics never mix two artifacts.
-//
-// Overlay analyses are deliberately not published to the shared
-// per-file scan cache: a spliced region re-analysis may differ from a
-// from-scratch one on cross-region points-to origins, and the cache's
-// contract is byte-identical-to-uncached.
+// new knowledge, so diagnostics never mix two artifacts. Overlay
+// analyses are not published to the shared per-file scan cache, which
+// holds only the front-end units of scans.
 package serve
 
 import (
@@ -47,8 +44,9 @@ type sessionScan struct {
 	bun *bundle
 	// analysis is the last successful analysis of this overlay file;
 	// nil until one scan succeeds. After failed scans the overlay has
-	// moved past analysis.Source; the next scan splices against it all
-	// the same, since the splicer finds the edited lines itself.
+	// moved past the content it was computed from; the next scan reuses
+	// its statements all the same, since they are matched by content,
+	// not by line.
 	analysis *core.FileAnalysis
 }
 
@@ -110,10 +108,12 @@ type SessionChangeResponse struct {
 	// ContentHash is the hex sha256 of the post-edit overlay content,
 	// for clients to detect desync (and tests to detect cross-talk).
 	ContentHash string `json:"content_hash"`
-	// Scan reports how the change was analyzed: "incremental" (region
-	// splice), "full" (whole-file re-analysis), or "failed" (the new
-	// content does not parse; Diagnostics holds the previous scan's
-	// set, possibly with stale line numbers, and Errors says why).
+	// Scan reports how the change was analyzed: "incremental" (the
+	// statements of the last good scan were reused where unchanged),
+	// "full" (no previous scan to reuse), or "failed" (the new content
+	// does not parse; Diagnostics holds the previous scan's set,
+	// possibly with stale line numbers, and Errors says why). Either
+	// way a successful scan's diagnostics equal /v1/scan's.
 	Scan             string              `json:"scan"`
 	Statements       int                 `json:"statements"`
 	ReusedStatements int                 `json:"reused_statements"`
@@ -261,8 +261,8 @@ func (sv *Server) scanChange(ctx context.Context, b *bundle, sid string, req *Se
 		Introduced:  []SessionDiagnostic{},
 	}
 
-	// Establish the diff baseline, which is also what the new content
-	// is spliced against.
+	// Establish the diff baseline, which is also the analysis whose
+	// statements the new content reuses.
 	prev, _ := ch.Prev.(*sessionScan)
 	var base *core.FileAnalysis
 	switch {
@@ -286,7 +286,7 @@ func (sv *Server) scanChange(ctx context.Context, b *bundle, sid string, req *Se
 	if err != nil {
 		// The new content does not parse (mid-keystroke syntax). Keep
 		// the last good analysis as the baseline; the next parsable
-		// state splices against it.
+		// state reuses its statements.
 		resp.Scan = "failed"
 		resp.Errors = append(resp.Errors, err.Error())
 		if base != nil {

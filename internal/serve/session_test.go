@@ -8,9 +8,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"unicode"
 
 	"namer/internal/session"
 )
@@ -338,7 +340,7 @@ func TestSessionSurvivesReload(t *testing.T) {
 
 // TestSessionFailedScanRecovers: mid-keystroke garbage answers 200 with
 // scan "failed" and the previous diagnostics; the next parsable edit
-// recovers by splicing against the last good scan (and the overlay never
+// recovers by reusing the last good scan (and the overlay never
 // rewinds).
 func TestSessionFailedScanRecovers(t *testing.T) {
 	sv, _ := newStubServer(t, Config{})
@@ -371,7 +373,7 @@ func TestSessionFailedScanRecovers(t *testing.T) {
 		t.Fatalf("fixing edit: %d %s", code, data)
 	}
 	if fixed.Scan != "incremental" || fixed.ReusedStatements == 0 {
-		t.Fatalf("recovering edit did not splice against the last good scan: %s", data)
+		t.Fatalf("recovering edit did not reuse the last good scan: %s", data)
 	}
 	if fixed.ContentHash != hashOf(src) {
 		t.Fatalf("recovered overlay diverged: %s", data)
@@ -379,8 +381,8 @@ func TestSessionFailedScanRecovers(t *testing.T) {
 }
 
 // TestSessionFullResendSplices: a client that resends the whole file
-// still gets the region splice — a one-line change re-analyzes only its
-// region, and identical content reuses every statement.
+// still gets statement reuse — a one-line change re-analyzes only the
+// statement it touches, and identical content reuses every statement.
 func TestSessionFullResendSplices(t *testing.T) {
 	sv, _ := newStubServer(t, Config{})
 	ts := httptest.NewServer(sv.Handler())
@@ -398,13 +400,99 @@ func TestSessionFullResendSplices(t *testing.T) {
 		Path: "f.py", Version: 2, Edits: fullEdit(edited)})
 	if code != http.StatusOK || second.Scan != "incremental" ||
 		second.ReusedStatements == 0 || second.ReusedStatements >= second.Statements {
-		t.Fatalf("one-line full resend: want a partial incremental splice, got %d %s", code, data)
+		t.Fatalf("one-line full resend: want partial reuse, got %d %s", code, data)
 	}
 	code, third, data := postChange(t, ts.URL, id, SessionChangeRequest{
 		Path: "f.py", Version: 3, Edits: fullEdit(edited)})
 	if code != http.StatusOK || third.Scan != "incremental" || third.ReusedStatements != third.Statements {
 		t.Fatalf("identical resend: want every statement reused, got %d %s", code, data)
 	}
+}
+
+// TestSessionMatchesScan is the session-vs-scan oracle under the
+// default configuration, points-to analysis on: after every change in a
+// chain of edits — one of which changes the origin of a statement in
+// another def — the session's diagnostics equal /v1/scan's violations
+// for the same content.
+func TestSessionMatchesScan(t *testing.T) {
+	sv, sources := newTestServer(t)
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+
+	origin := "class Reader:\n    pass\n\nclass Writer:\n    pass\n\n" +
+		"def make():\n    return Reader()\n\ndef use():\n    handle = make()\n    return handle\n"
+	chains := [][]string{{origin, strings.Replace(origin, "return Reader()", "return Writer()", 1)}}
+	for _, src := range sources[:min(24, len(sources))] {
+		lines := strings.SplitAfter(src, "\n")
+		chain := []string{src}
+		for step := 1; step <= 6; step++ {
+			i := step * 7 % len(lines)
+			switch step % 2 {
+			case 0: // delete line i
+				lines = append(lines[:i:i], lines[i+1:]...)
+			default:
+				lines[i] = renameFirstName(lines[i])
+			}
+			chain = append(chain, strings.Join(lines, ""))
+		}
+		chains = append(chains, chain)
+	}
+
+	compared := 0
+	for c, chain := range chains {
+		id := openSession(t, ts.URL)
+		for v, content := range chain {
+			code, change, data := postChange(t, ts.URL, id, SessionChangeRequest{
+				Path: "f.py", Version: v + 1, Edits: fullEdit(content), All: true})
+			if code != http.StatusOK {
+				t.Fatalf("chain %d version %d: %d %s", c, v+1, code, data)
+			}
+			code, data = postJSONBody(t, ts.URL+"/v1/scan", ScanRequest{Path: "f.py", Source: content, All: true})
+			if code != http.StatusOK {
+				t.Fatalf("chain %d version %d: scan %d %s", c, v+1, code, data)
+			}
+			var scan ScanResponse
+			if err := json.Unmarshal(data, &scan); err != nil {
+				t.Fatal(err)
+			}
+			if change.Scan == "failed" {
+				if len(scan.Errors) == 0 {
+					t.Fatalf("chain %d version %d: session failed, scan did not: %v", c, v+1, change.Errors)
+				}
+				continue
+			}
+			got := make([]ScanViolation, len(change.Diagnostics))
+			for i, d := range change.Diagnostics {
+				got[i] = d.ScanViolation
+			}
+			if !reflect.DeepEqual(got, scan.Violations) || change.Statements != scan.Statements {
+				t.Fatalf("chain %d version %d (scan %s): session %d statements, diagnostics %+v;\n/v1/scan %d statements, violations %+v",
+					c, v+1, change.Scan, change.Statements, got, scan.Statements, scan.Violations)
+			}
+			compared++
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no change compared")
+	}
+}
+
+// renameFirstName appends "x" to the first name on a Python line, past
+// a leading def/class/return keyword, so that renaming a def, a class
+// or an assigned variable changes the origins of its uses elsewhere.
+func renameFirstName(line string) string {
+	rest := strings.TrimLeft(line, " ")
+	for _, kw := range []string{"def ", "class ", "return "} {
+		rest = strings.TrimPrefix(rest, kw)
+	}
+	n := strings.IndexFunc(rest, func(r rune) bool { return r != '_' && !unicode.IsLetter(r) })
+	if n < 0 {
+		n = len(rest)
+	}
+	if n == 0 {
+		return line
+	}
+	return strings.Replace(line, rest[:n], rest[:n]+"x", 1)
 }
 
 // TestSessionStaleEditsStayOnTheirLine: when the latest content fails to
